@@ -126,7 +126,7 @@ def cmd_featurize(args) -> int:
         mat = features.bow_nb_features(counts, ratio)
     else:
         centroids = clustering.load_centroids(args.centroids)
-        assignment = clustering._assign_all(table, centroids.matrix)
+        assignment = clustering.nearest(table, centroids)[0]
         if args.mode == "nb_max":
             mat = features.concept_features_nb(counts, assignment, ratio, centroids.K)
         else:
@@ -138,10 +138,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_train_svm(args) -> int:
     mat, labels = features.load_svmlight(args.features)
-    config = SvmConfig(
-        C=args.C, max_epochs=args.max_epochs, tolerance=args.tolerance,
-        seed=_seed_override(args.seed),
-    )
+    config = SvmConfig(C=args.C, max_epochs=args.max_epochs, tolerance=args.tolerance)
     model = svm.svm_train(mat, labels, config)
     svm.save_model(model, args.out)
     print(f"trained model (dim {len(model.w)}); wrote {args.out}")
@@ -166,15 +163,14 @@ def cmd_inspect_cluster(args) -> int:
     wv, _, _, vocab, table = _embed_dataset_vocab(args)
     centroids = clustering.load_centroids(args.centroids)
     which = range(centroids.K) if args.cluster is None else [args.cluster]
-    assignment = clustering._assign_all(table, centroids.matrix)
+    assignment, sq_dists = clustering.nearest(table, centroids)
     for k in which:
         members = np.flatnonzero(assignment == k)
         if not len(members):
             print(f"cluster {k}: (empty)")
             continue
-        dists = ((table[members] - centroids.matrix[k]) ** 2).sum(axis=1)
-        nearest = members[np.argsort(dists)[: args.top]]
-        grams = [" ".join(vocab.entries[t]) for t in nearest]
+        closest = members[np.argsort(sq_dists[members])[: args.top]]
+        grams = [" ".join(vocab.entries[t]) for t in closest]
         print(f"cluster {k}: " + " | ".join(grams))
     return 0
 
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_svm)
 
     p = sub.add_parser("evaluate", help="accuracy of a saved model on a feature file")

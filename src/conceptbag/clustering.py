@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooFewPoints
+from .errors import DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 _MAGIC = b"CBGC"
 _VERSION = 1
@@ -45,23 +45,31 @@ class KMeansResult:
     inertia_trace: list[float] = field(default_factory=list)
 
 
-def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # expansion form; cheap for K in the hundreds, clipped against rounding
-    d = X @ C.T
-    d *= -2.0
-    d += (X * X).sum(axis=1)[:, None]
-    d += (C * C).sum(axis=1)[None, :]
-    np.maximum(d, 0.0, out=d)
-    return d
+def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid index and squared distance for every row of X.
 
-
-def _assign_all(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    Ties go to the smallest index. Distances use the expansion
+    |x|^2 - 2 x.c + |c|^2 (cheap for K in the hundreds), clipped at 0 against
+    rounding, over row chunks that keep each chunk-by-K block near 2e7 entries.
+    """
+    C = centroids.matrix
+    if X.shape[1] != C.shape[1]:
+        raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids {C.shape[1]}")
     labels = np.empty(X.shape[0], dtype=np.int64)
+    sq_dists = np.empty(X.shape[0])
+    c_sq = (C * C).sum(axis=1)
     step = max(1, int(2e7 // max(1, C.shape[0])))
     for lo in range(0, X.shape[0], step):
         chunk = X[lo : lo + step]
-        labels[lo : lo + step] = np.argmin(_pairwise_sq_dists(chunk, C), axis=1)
-    return labels
+        d = chunk @ C.T
+        d *= -2.0
+        d += (chunk * chunk).sum(axis=1)[:, None]
+        d += c_sq[None, :]
+        np.maximum(d, 0.0, out=d)
+        best = np.argmin(d, axis=1)
+        labels[lo : lo + step] = best
+        sq_dists[lo : lo + step] = d[np.arange(len(best)), best]
+    return labels, sq_dists
 
 
 def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
@@ -93,16 +101,7 @@ def _init_centers(X: np.ndarray, config: KMeansConfig, rng) -> np.ndarray:
 
 def inertia(X: np.ndarray, centroids: Centroids) -> float:
     """Sum of squared distances from each row of X to its nearest centroid."""
-    C = centroids.matrix
-    if X.shape[1] != C.shape[1]:
-        raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids {C.shape[1]}")
-    total = 0.0
-    step = max(1, int(2e7 // max(1, C.shape[0])))
-    for lo in range(0, X.shape[0], step):
-        chunk = X[lo : lo + step]
-        d = _pairwise_sq_dists(chunk, C)
-        total += d.min(axis=1).sum()
-    return float(total)
+    return float(nearest(X, centroids)[1].sum())
 
 
 def assign(x: np.ndarray, centroids: Centroids) -> int:
@@ -111,33 +110,41 @@ def assign(x: np.ndarray, centroids: Centroids) -> int:
     C = centroids.matrix
     if x.shape != (C.shape[1],):
         raise DimensionMismatch(f"query has shape {x.shape}, centroids are {C.shape}")
-    d = ((C - x) ** 2).sum(axis=1)
-    return int(np.argmin(d))
+    return int(nearest(x[None, :], centroids)[0][0])
+
+
+def _check_points(X, K: int) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[0] < K:
+        raise TooFewPoints(f"{X.shape[0]} points for K={K}")
+    if not np.isfinite(X).all():
+        raise NonFiniteFeature("points contain NaN or inf")
+    return X
 
 
 def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     """Lloyd's algorithm for a fixed number of iterations.
 
     Empty clusters are re-seeded at the point currently farthest from its
-    assigned centroid. Deterministic for a given config.seed.
+    assigned centroid. Deterministic for a given config.seed. Each
+    iteration's trace value is the inertia of the assignment pass that
+    follows its centroid update, so the last one equals the final inertia.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] < config.K:
-        raise TooFewPoints(f"{X.shape[0]} points for K={config.K}")
+    X = _check_points(X, config.K)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng)
+    result = Centroids(matrix=centers, seed=config.seed)
+    labels, sq_dists = nearest(X, result)
     trace = []
     for _ in range(config.iterations):
-        labels = _assign_all(X, centers)
         labels = _fix_empty_clusters(X, centers, labels, config.K)
         for k in range(config.K):
             members = X[labels == k]
             if len(members):
                 centers[k] = members.mean(axis=0)
-        trace.append(inertia(X, Centroids(centers, config.seed)))
-    labels = _assign_all(X, centers)
-    result = Centroids(matrix=centers, seed=config.seed)
-    return KMeansResult(result, labels, inertia(X, result), trace)
+        labels, sq_dists = nearest(X, result)
+        trace.append(float(sq_dists.sum()))
+    return KMeansResult(result, labels, float(sq_dists.sum()), trace)
 
 
 def _fix_empty_clusters(X, centers, labels, K):
@@ -158,26 +165,24 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     moves it by (x - c) / n_k where n_k counts all points ever assigned to k.
     Labels come from one full assignment pass at the end.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] < config.K:
-        raise TooFewPoints(f"{X.shape[0]} points for K={config.K}")
+    X = _check_points(X, config.K)
     if config.batch_size > X.shape[0]:
         raise ValueError("batch_size exceeds the number of points")
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng)
+    result = Centroids(matrix=centers, seed=config.seed)
     counts = np.zeros(config.K, dtype=np.int64)
     for _ in range(config.iterations):
         if config.batch_size == X.shape[0]:
             batch = np.arange(X.shape[0])
         else:
             batch = rng.choice(X.shape[0], size=config.batch_size, replace=False)
-        batch_labels = _assign_all(X[batch], centers)
+        batch_labels = nearest(X[batch], result)[0]
         for idx, k in zip(batch, batch_labels):
             counts[k] += 1
             centers[k] += (X[idx] - centers[k]) / counts[k]
-    labels = _assign_all(X, centers)
-    result = Centroids(matrix=centers, seed=config.seed)
-    return KMeansResult(result, labels, inertia(X, result))
+    labels, sq_dists = nearest(X, result)
+    return KMeansResult(result, labels, float(sq_dists.sum()))
 
 
 def save_centroids(centroids: Centroids, path) -> None:

@@ -87,22 +87,20 @@ def extract_ngrams(
     orders = sorted(set(orders))
     if any(n < 1 or n > 3 for n in orders):
         raise ValueError(f"orders must be within {{1,2,3}}, got {orders}")
-    in_dict = [t in dictionary for t in tokens]
-    counts: Counter = Counter()
-    for n in orders:
-        for start in range(len(tokens) - n + 1):
-            if all(in_dict[start : start + n]):
-                counts[tuple(tokens[start : start + n])] += 1
-    return counts
+    return Counter(iter_ngrams(tokens, orders, dictionary))
 
 
 class NGramVocabulary:
-    """Bijection between n-grams and column indices, in first-occurrence order."""
+    """Bijection between n-grams and column indices, in first-occurrence order.
+
+    ``words`` is the set of words that occur in any entry.
+    """
 
     def __init__(self, ngrams: Sequence[NGram], orders: Iterable[int]):
         self.entries: list[NGram] = list(ngrams)
         self.index: dict[NGram, int] = {g: i for i, g in enumerate(self.entries)}
         self.orders = frozenset(orders)
+        self.words = frozenset(w for g in self.entries for w in g)
         if len(self.index) != len(self.entries):
             raise ValueError("duplicate n-grams passed to NGramVocabulary")
 
@@ -150,13 +148,8 @@ def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary) -> sp.c
     data: list[int] = []
     orders = sorted(vocab.orders)
     for doc in documents:
-        row: Counter = Counter()
-        for n in orders:
-            for start in range(len(doc.tokens) - n + 1):
-                gram = tuple(doc.tokens[start : start + n])
-                idx = vocab.index.get(gram)
-                if idx is not None:
-                    row[idx] += 1
+        hits = (vocab.index.get(g) for g in iter_ngrams(doc.tokens, orders, vocab.words))
+        row = Counter(idx for idx in hits if idx is not None)
         for idx in sorted(row):
             indices.append(idx)
             data.append(row[idx])

@@ -41,9 +41,9 @@ class WordVectors:
 def load_word_vectors(path, expected_dim: int | None = None) -> WordVectors:
     """Parse the standard text embedding format.
 
-    The first line is either a "<count> <dim>" header or a regular row, in
-    which case the dimension is inferred from it. Duplicate words keep the
-    last occurrence with a warning.
+    The first line is a "<count> <dim>" header when both of its fields are
+    integers; otherwise it is a regular row and the dimension is inferred
+    from it. Duplicate words keep the last occurrence with a warning.
     """
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -54,11 +54,8 @@ def load_word_vectors(path, expected_dim: int | None = None) -> WordVectors:
             parts = [p for p in parts if p]
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    declared = int(parts[1])
-                except ValueError as exc:
-                    raise MalformedLine(f"line 1: bad header {line!r}") from exc
+            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                declared = int(parts[1])
                 if expected_dim is not None and declared != expected_dim:
                     raise DimensionMismatch(
                         f"header declares dim {declared}, expected {expected_dim}"

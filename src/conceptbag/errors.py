@@ -43,6 +43,10 @@ class TooFewPoints(ConceptBagError):
     """Fewer points than requested clusters."""
 
 
+class BadLabel(ConceptBagError):
+    """A class label is not +1 or -1."""
+
+
 class SingleClass(ConceptBagError):
     """Training labels contain only one class."""
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -15,7 +16,7 @@ from .embeddings import WordVectors, embed_all
 from .errors import ConceptBagError, LengthMismatch, TooFewDocuments
 from .svm import SvmConfig
 
-STAGES = ("ngram_repr", "kmeans", "doc_repr", "svm_train", "total")
+STAGES = ("vocab", "counts", "ngram_repr", "kmeans", "doc_repr", "svm_train", "total")
 
 
 @dataclass
@@ -96,31 +97,17 @@ class _StageClock:
     def __init__(self):
         self.times = {s: 0.0 for s in STAGES}
 
-    def timed(self, stage):
-        clock = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.t0 = time.monotonic()
-
-            def __exit__(self_inner, *exc):
-                clock.times[stage] += time.monotonic() - self_inner.t0
-
-        return _Ctx()
-
-
-def _stage(name):
-    """Re-raise library errors annotated with the failing stage."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, ConceptBagError):
-                exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
-            return False
-
-    return _Ctx()
+    @contextmanager
+    def stage(self, name):
+        """Time the block under ``name``; tag library errors with ``[stage <name>]``."""
+        t0 = time.monotonic()
+        try:
+            yield
+        except ConceptBagError as exc:
+            exc.args = (f"[stage {name}] {exc.args[0] if exc.args else ''}",)
+            raise
+        finally:
+            self.times[name] += time.monotonic() - t0
 
 
 def _fold_features(
@@ -144,22 +131,23 @@ def _fold_features(
     if cache is not None and ("counts", base_key) in cache:
         vocab, counts_train, counts_test = cache[("counts", base_key)]
     else:
-        with _stage("vocab"):
+        with clock.stage("vocab"):
             vocab = build_vocab(vocab_docs, config.ngram_orders, dictionary)
-        counts_train = count_vectors(train_docs, vocab)
-        counts_test = count_vectors(test_docs, vocab)
+        with clock.stage("counts"):
+            counts_train = count_vectors(train_docs, vocab)
+            counts_test = count_vectors(test_docs, vocab)
         if cache is not None:
             cache[("counts", base_key)] = (vocab, counts_train, counts_test)
     ratio = features.log_count_ratio(counts_train, y_train)
 
     if config.feature_mode == "bow_nb":
-        with clock.timed("doc_repr"):
+        with clock.stage("doc_repr"):
             return (
                 features.bow_nb_features(counts_train, ratio),
                 features.bow_nb_features(counts_test, ratio),
             )
     if config.feature_mode == "lsa":
-        with clock.timed("doc_repr"):
+        with clock.stage("doc_repr"):
             X = lsa.build_lsa_matrix(counts_train, ratio)
             factors = lsa.truncated_svd(X, config.K, seed=config.seed)
             f_train = lsa.lsa_document_features(factors)
@@ -170,7 +158,7 @@ def _fold_features(
     if cache is not None and ("table", base_key) in cache:
         table = cache[("table", base_key)]
     else:
-        with clock.timed("ngram_repr"), _stage("ngram_repr"):
+        with clock.stage("ngram_repr"):
             table = embed_all(vocab, wv)
         if cache is not None:
             cache[("table", base_key)] = table
@@ -178,7 +166,7 @@ def _fold_features(
     if cache is not None and kmeans_key in cache:
         result = cache[kmeans_key]
     else:
-        with clock.timed("kmeans"), _stage("kmeans"):
+        with clock.stage("kmeans"):
             cfg = KMeansConfig(**{**asdict(config.kmeans), "K": config.K})
             if cfg.variant == "minibatch":
                 cfg.batch_size = min(cfg.batch_size, table.shape[0])
@@ -187,7 +175,7 @@ def _fold_features(
                 result = clustering.kmeans_fit(table, cfg)
         if cache is not None:
             cache[kmeans_key] = result
-    with clock.timed("doc_repr"), _stage("doc_repr"):
+    with clock.stage("doc_repr"):
         if config.feature_mode == "nb_max":
             f_train = features.concept_features_nb(counts_train, result.labels, ratio, config.K)
             f_test = features.concept_features_nb(counts_test, result.labels, ratio, config.K)
@@ -245,7 +233,7 @@ def run_experiment(
         f_train, f_test = _fold_features(
             train_docs, test_docs, y_train, config, wv, clock, all_docs=docs, cache=cache
         )
-        with clock.timed("svm_train"), _stage("svm_train"):
+        with clock.stage("svm_train"):
             model = svm.svm_train(f_train, y_train, config.svm)
         per_fold.append(accuracy(svm.svm_predict(model, f_test), y_test))
 
@@ -253,7 +241,7 @@ def run_experiment(
     return ExperimentReport(
         accuracy=float(np.mean(per_fold)),
         per_fold=per_fold,
-        stage_times={k: round(v, 2) for k, v in clock.times.items()},
+        stage_times=dict(clock.times),
         config_echo=config,
     )
 

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LengthMismatch, RankRequestTooLarge
-from .features import LogCountRatio
+from .errors import RankRequestTooLarge
+from .features import LogCountRatio, bow_nb_features
 
 
 @dataclass
@@ -18,21 +18,13 @@ class SvdFactors:
     V: np.ndarray
 
 
-def build_lsa_matrix(counts: sp.spmatrix, ratio: LogCountRatio, binarize: bool = True):
+def build_lsa_matrix(counts: sp.spmatrix, ratio: LogCountRatio) -> sp.csr_matrix:
     """Word-by-document matrix with entries r_i where word i occurs in doc j.
 
-    ``counts`` is the document-by-word count matrix; the result is its
-    transpose with presence scaled by r (or raw counts scaled by r when
-    ``binarize`` is False, kept for sensitivity analysis).
+    ``counts`` is the document-by-word count matrix; the result is the
+    transpose of its NBSVM features (``bow_nb_features``).
     """
-    counts = sp.csr_matrix(counts)
-    if counts.shape[1] != len(ratio.r):
-        raise LengthMismatch(f"counts have {counts.shape[1]} columns, r has {len(ratio.r)}")
-    weighted = counts.copy().astype(np.float64)
-    if binarize:
-        weighted.data = np.ones_like(weighted.data)
-    weighted = weighted @ sp.diags(ratio.r)
-    return sp.csr_matrix(weighted.T)
+    return sp.csr_matrix(bow_nb_features(counts, ratio).T)
 
 
 def truncated_svd(X, K: int, oversample: int = 15, power_iters: int = 10, seed: int = 0) -> SvdFactors:

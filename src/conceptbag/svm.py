@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, NonFiniteFeature
+from .errors import BadLabel, DimensionMismatch, NonFiniteFeature
 
 
 @dataclass
@@ -13,7 +13,6 @@ class SvmConfig:
     C: float = 1.0
     max_epochs: int = 1000
     tolerance: float = 1e-6
-    seed: int = 0
 
 
 @dataclass
@@ -37,14 +36,20 @@ def svm_objective(w: np.ndarray, features, labels, C: float) -> float:
 def svm_gradient(w: np.ndarray, features, labels, C: float) -> np.ndarray:
     """Analytic gradient of svm_objective (the loss is differentiable)."""
     w = np.asarray(w, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    margins = np.maximum(0.0, 1.0 - labels * _scores(features, w))
-    coeff = -2.0 * C * margins * labels
+    X = _matrix(features)
+    return _gradient(w, X, np.asarray(labels, dtype=np.float64), _scores(X, w), C)
+
+
+def _gradient(w, X, y, scores, C: float) -> np.ndarray:
+    """Gradient of svm_objective at w, given ``scores`` = X @ w."""
+    margins = np.maximum(0.0, 1.0 - y * scores)
+    return w - np.asarray(X.T @ (2.0 * C * margins * y)).ravel()
+
+
+def _matrix(features):
     if sp.issparse(features):
-        grad = np.asarray(sp.csr_matrix(features).T @ coeff).ravel()
-    else:
-        grad = np.asarray(features).T @ coeff
-    return w + grad
+        return sp.csr_matrix(features).astype(np.float64)
+    return np.asarray(features, dtype=np.float64)
 
 
 def _scores(features, w) -> np.ndarray:
@@ -60,43 +65,33 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     iteration solves the generalized-Newton system by conjugate gradients
     and backtracks until sufficient decrease, so the recorded per-iteration
     objective trace is non-increasing. Stops when the gradient norm falls
-    below config.tolerance. Fully deterministic (config.seed is unused).
+    below config.tolerance. Fully deterministic. Labels must be +1 or -1.
     """
     y = np.asarray(labels, dtype=np.float64)
-    if sp.issparse(features):
-        X = sp.csr_matrix(features).astype(np.float64)
-        if not np.all(np.isfinite(X.data)):
-            raise NonFiniteFeature("feature matrix contains NaN or inf")
-    else:
-        X = np.asarray(features, dtype=np.float64)
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteFeature("feature matrix contains NaN or inf")
+    X = _matrix(features)
+    if not np.all(np.isfinite(X.data if sp.issparse(X) else X)):
+        raise NonFiniteFeature("feature matrix contains NaN or inf")
     if X.shape[0] != len(y):
         raise DimensionMismatch(f"{X.shape[0]} rows vs {len(y)} labels")
+    bad = y[np.abs(y) != 1.0]
+    if len(bad):
+        raise BadLabel(f"labels must be +1 or -1, got {bad[0]:g}")
     d = X.shape[1]
     C = config.C
-
-    def matvec(v):
-        return np.asarray(X @ v).ravel()
-
-    def rmatvec(u):
-        return np.asarray(X.T @ u).ravel()
 
     w = np.zeros(d)
     scores = np.zeros(len(y))
     obj = svm_objective(w, X, y, C)
     trace = [obj]
     for _ in range(config.max_epochs):
-        slack = 1.0 - y * scores
-        active = slack > 0.0
-        grad = w - rmatvec(2.0 * C * slack * active * y)
+        grad = _gradient(w, X, y, scores, C)
         gnorm = np.linalg.norm(grad)
         if gnorm < config.tolerance:
             break
+        active = y * scores < 1.0
 
         def hessvec(v):
-            u = matvec(v)
-            return v + rmatvec(2.0 * C * active * u)
+            return v + np.asarray(X.T @ (2.0 * C * active * _scores(X, v))).ravel()
 
         step = _cg(hessvec, -grad, max_iter=max(50, d), tol=min(0.1, gnorm) * gnorm)
         # Armijo backtracking guarantees monotone decrease
@@ -114,7 +109,7 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
         if obj_new > obj:
             break
         w = w_new
-        scores = matvec(w)
+        scores = _scores(X, w)
         obj = obj_new
         trace.append(obj)
     return LinearModel(w=w, trained_C=C, objective_trace=trace)

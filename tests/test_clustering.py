@@ -12,9 +12,10 @@ from conceptbag.clustering import (
     kmeans_fit,
     load_centroids,
     minibatch_kmeans_fit,
+    nearest,
     save_centroids,
 )
-from conceptbag.errors import DimensionMismatch, TooFewPoints
+from conceptbag.errors import DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
 def best_partition_inertia(X, K):
@@ -60,6 +61,22 @@ class TestKMeansFit:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             kmeans_fit(np.zeros((2, 2)), KMeansConfig(K=3))
+
+    @pytest.mark.parametrize("fit", [kmeans_fit, minibatch_kmeans_fit])
+    def test_nonfinite_points_rejected(self, fit):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        X[7, 1] = np.nan
+        with pytest.raises(NonFiniteFeature):
+            fit(X, KMeansConfig(K=3, batch_size=10))
+
+    @pytest.mark.parametrize("iterations", [0, 1, 10])
+    def test_final_inertia_is_last_trace_value(self, iterations):
+        X = np.random.default_rng(12).normal(size=(300, 6))
+        res = kmeans_fit(X, KMeansConfig(K=7, iterations=iterations, seed=1))
+        assert len(res.inertia_trace) == iterations
+        assert res.inertia == inertia(X, res.centroids)
+        if iterations:
+            assert res.inertia_trace[-1] == res.inertia
 
     def test_inertia_trace_monotone(self):
         rng = np.random.default_rng(3)
@@ -139,6 +156,14 @@ class TestMiniBatch:
         res = minibatch_kmeans_fit(X, cfg)
         assert res.inertia == pytest.approx(0.0)
 
+    def test_final_inertia_matches_centroids(self):
+        X = np.random.default_rng(13).normal(size=(300, 6))
+        res = minibatch_kmeans_fit(
+            X, KMeansConfig(K=7, iterations=5, variant="minibatch", batch_size=50, seed=1)
+        )
+        assert res.inertia == inertia(X, res.centroids)
+        assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
+
 
 class TestAssignAndInertia:
     def test_exact_centroid(self):
@@ -152,10 +177,16 @@ class TestAssignAndInertia:
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(4)
         C = Centroids(rng.normal(size=(300, 8)))
+        queries = []
         for _ in range(50):
             x = rng.normal(size=8)
             brute = int(np.argmin([((x - c) ** 2).sum() for c in C.matrix]))
             assert assign(x, C) == brute
+            queries.append(x)
+        # the batch kernel agrees with assign row by row
+        labels, sq_dists = nearest(np.array(queries), C)
+        assert labels.tolist() == [assign(x, C) for x in queries]
+        assert np.allclose(sq_dists, [((x - C.matrix[k]) ** 2).sum() for x, k in zip(queries, labels)])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -36,6 +36,13 @@ class TestLoader:
         wv = load_word_vectors(p)
         assert len(wv) == 2 and wv.dim == 2
 
+    def test_headerless_one_dimensional(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_text("good 0.5\nbad -0.5\n")
+        wv = load_word_vectors(p)
+        assert len(wv) == 2 and wv.dim == 1
+        assert wv.vector("good")[0] == 0.5
+
     def test_dimension_mismatch(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("2 3\na 1 0 0\nb 0 1\n")

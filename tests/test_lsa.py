@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conceptbag.errors import LengthMismatch, RankRequestTooLarge
-from conceptbag.features import log_count_ratio
+from conceptbag.features import bow_nb_features, log_count_ratio
 from conceptbag.lsa import (
     build_lsa_matrix,
     lsa_document_features,
@@ -37,6 +37,13 @@ class TestBuildLsaMatrix:
         ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
         with pytest.raises(LengthMismatch):
             build_lsa_matrix(sp.csr_matrix(np.zeros((2, 3))), ratio)
+
+    def test_transpose_of_nbsvm_features(self):
+        rng = np.random.default_rng(0)
+        counts = sp.csr_matrix(rng.poisson(0.7, size=(12, 9)))
+        ratio = log_count_ratio(counts, np.array([1, -1] * 6))
+        X = build_lsa_matrix(counts, ratio)
+        assert np.array_equal(X.toarray(), bow_nb_features(counts, ratio).T.toarray())
 
 
 class TestTruncatedSvd:

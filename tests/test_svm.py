@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from conceptbag.errors import DimensionMismatch, NonFiniteFeature
+from conceptbag.errors import BadLabel, DimensionMismatch, NonFiniteFeature
 from conceptbag.svm import (
     LinearModel,
     SvmConfig,
@@ -67,6 +67,15 @@ class TestTrain:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteFeature):
             svm_train(np.array([[np.nan]]), np.array([1]), SvmConfig())
+
+    def test_labels_outside_plus_minus_one_rejected(self):
+        X = np.array([[1.0], [-1.0]])
+        with pytest.raises(BadLabel, match="got 0"):
+            svm_train(X, np.array([1, 0]), SvmConfig())
+
+    def test_single_class_trains(self):
+        model = svm_train(np.array([[1.0], [2.0]]), np.array([1, 1]), SvmConfig())
+        assert np.array_equal(svm_predict(model, np.array([[1.0], [2.0]])), [1, 1])
 
     def test_sparse_dense_agree(self):
         rng = np.random.default_rng(1)
