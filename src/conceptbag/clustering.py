@@ -73,11 +73,33 @@ def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray
 
 
 def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007).
+
+    Each step draws the next centre with probability proportional to every
+    row's squared distance to its closest centre so far. The distance to the
+    new centre c is one matrix-vector product in the expansion
+    |x|^2 - 2 x.c + |c|^2, with |x|^2 computed once. Where that value is
+    within rounding of zero, the row is recomputed as |x - c|^2 directly: a
+    chosen point and its exact duplicates must keep exactly zero weight, so
+    that they are never drawn again and, once every row coincides with a
+    centre, the total is 0 and the remaining centres are drawn uniformly.
+    """
     n = X.shape[0]
     centers = np.empty((K, X.shape[1]))
-    first = rng.integers(n)
-    centers[0] = X[first]
-    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    x_sq = np.einsum("ij,ij->i", X, X)
+
+    def sq_dists_to(c):
+        d = X @ c
+        d *= -2.0
+        d += x_sq
+        c_sq = c @ c
+        d += c_sq
+        near = np.flatnonzero(d <= 1e-9 * (x_sq + c_sq))
+        d[near] = ((X[near] - c) ** 2).sum(axis=1)
+        return d
+
+    centers[0] = X[rng.integers(n)]
+    closest = sq_dists_to(centers[0])
     for k in range(1, K):
         total = closest.sum()
         if total <= 0:
@@ -86,7 +108,7 @@ def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
             idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
             idx = min(idx, n - 1)
         centers[k] = X[idx]
-        closest = np.minimum(closest, ((X - centers[k]) ** 2).sum(axis=1))
+        np.minimum(closest, sq_dists_to(centers[k]), out=closest)
     return centers
 
 
@@ -125,10 +147,13 @@ def _check_points(X, K: int) -> np.ndarray:
 def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     """Lloyd's algorithm for a fixed number of iterations.
 
-    Empty clusters are re-seeded at the point currently farthest from its
-    assigned centroid. Deterministic for a given config.seed. Each
-    iteration's trace value is the inertia of the assignment pass that
-    follows its centroid update, so the last one equals the final inertia.
+    Before each centroid update, empty clusters are re-seeded at the point
+    currently farthest from its assigned centroid. The final assignment can
+    still leave clusters empty, and does whenever X has fewer distinct rows
+    than K: coinciding centroids tie, and the smallest index takes the rows.
+    Deterministic for a given config.seed. Each iteration's trace value is
+    the inertia of the assignment pass that follows its centroid update, so
+    the last one equals the final inertia.
     """
     X = _check_points(X, config.K)
     rng = np.random.default_rng(config.seed)
@@ -138,23 +163,35 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     trace = []
     for _ in range(config.iterations):
         labels = _fix_empty_clusters(X, centers, labels, config.K)
+        # a stable sort keeps each cluster's rows in index order, so every
+        # mean sees the same rows in the same order as X[labels == k]
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(config.K + 1))
         for k in range(config.K):
-            members = X[labels == k]
-            if len(members):
-                centers[k] = members.mean(axis=0)
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                centers[k] = X[order[lo:hi]].mean(axis=0)
         labels, sq_dists = nearest(X, result)
         trace.append(float(sq_dists.sum()))
     return KMeansResult(result, labels, float(sq_dists.sum()), trace)
 
 
 def _fix_empty_clusters(X, centers, labels, K):
-    counts = np.bincount(labels, minlength=K)
-    for k in np.flatnonzero(counts == 0):
-        dists = ((X - centers[labels]) ** 2).sum(axis=1)
+    """Move each empty cluster's centroid onto the row farthest from its own.
+
+    A repair changes only the repaired row's label and the empty cluster's
+    centroid, which then sits on that row, so one distance pass serves every
+    repair: the repaired row's distance becomes 0.
+    """
+    empty = np.flatnonzero(np.bincount(labels, minlength=K) == 0)
+    if len(empty) == 0:
+        return labels
+    dists = ((X - centers[labels]) ** 2).sum(axis=1)
+    for k in empty:
         worst = int(np.argmax(dists))
         centers[k] = X[worst]
         labels[worst] = k
-        counts = np.bincount(labels, minlength=K)
+        dists[worst] = 0.0
     return labels
 
 

@@ -171,29 +171,35 @@ def train_sgns(documents: Iterable[Sequence[str]], config: SgnsConfig) -> WordVe
 
     noise = counts**0.75
     noise /= noise.sum()
+    # the table Generator.choice(p=noise) builds on every call; drawing each
+    # document's negatives from it at once reads the same uniforms from rng
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
     keep_prob = np.minimum(1.0, np.sqrt(config.subsample_threshold / (counts / total)))
 
     lr = config.learning_rate
+    window = config.window
     for _ in range(config.epochs):
         for doc in docs:
-            ids = [word_to_id[t] for t in doc if t in word_to_id]
-            ids = [i for i in ids if rng.random() < keep_prob[i]]
-            for pos, center in enumerate(ids):
-                lo = max(0, pos - config.window)
-                hi = min(len(ids), pos + config.window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    context = ids[ctx_pos]
-                    negs = rng.choice(len(kept), size=config.negatives, p=noise)
-                    c = vec_in[center]
-                    targets = np.concatenate(([context], negs))
-                    labels = np.zeros(len(targets))
-                    labels[0] = 1.0
-                    out = vec_out[targets]
-                    g = 1.0 / (1.0 + np.exp(-(out @ c))) - labels
-                    grad_c = g @ out
-                    # repeated targets must accumulate, hence add.at
-                    np.subtract.at(vec_out, targets, (lr * g)[:, None] * c)
-                    vec_in[center] = c - lr * grad_c
+            ids = np.array([word_to_id[t] for t in doc if t in word_to_id], dtype=np.int64)
+            ids = ids[rng.random(len(ids)) < keep_prob[ids]].tolist()
+            pairs = [
+                (center, ids[ctx_pos])
+                for pos, center in enumerate(ids)
+                for ctx_pos in range(max(0, pos - window), min(len(ids), pos + window + 1))
+                if ctx_pos != pos
+            ]
+            negatives = cdf.searchsorted(rng.random(len(pairs) * config.negatives), side="right")
+            negatives = negatives.reshape(len(pairs), config.negatives)
+            for (center, context), negs in zip(pairs, negatives):
+                c = vec_in[center]
+                targets = np.concatenate(([context], negs))
+                labels = np.zeros(len(targets))
+                labels[0] = 1.0
+                out = vec_out[targets]
+                g = 1.0 / (1.0 + np.exp(-(out @ c))) - labels
+                grad_c = g @ out
+                # repeated targets must accumulate, hence add.at
+                np.subtract.at(vec_out, targets, (lr * g)[:, None] * c)
+                vec_in[center] = c - lr * grad_c
     return WordVectors(words=word_to_id, matrix=vec_in)

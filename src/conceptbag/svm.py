@@ -29,7 +29,12 @@ def svm_objective(w: np.ndarray, features, labels, C: float) -> float:
     labels = np.asarray(labels, dtype=np.float64)
     if len(scores) != len(labels):
         raise DimensionMismatch(f"{len(scores)} rows vs {len(labels)} labels")
-    margins = np.maximum(0.0, 1.0 - labels * scores)
+    return _objective(w, labels, scores, C)
+
+
+def _objective(w, y, scores, C: float) -> float:
+    """svm_objective at w, given ``scores`` = X @ w."""
+    margins = np.maximum(0.0, 1.0 - y * scores)
     return float(0.5 * w @ w + C * (margins**2).sum())
 
 
@@ -81,7 +86,7 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
 
     w = np.zeros(d)
     scores = np.zeros(len(y))
-    obj = svm_objective(w, X, y, C)
+    obj = _objective(w, y, scores, C)
     trace = [obj]
     for _ in range(config.max_epochs):
         grad = _gradient(w, X, y, scores, C)
@@ -102,14 +107,15 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
             descent = -gnorm**2
         for _ in range(60):
             w_new = w + t * step
-            obj_new = svm_objective(w_new, X, y, C)
+            scores_new = _scores(X, w_new)
+            obj_new = _objective(w_new, y, scores_new, C)
             if obj_new <= obj + 1e-4 * t * descent:
                 break
             t *= 0.5
         if obj_new > obj:
             break
         w = w_new
-        scores = _scores(X, w)
+        scores = scores_new
         obj = obj_new
         trace.append(obj)
     return LinearModel(w=w, trained_C=C, objective_trace=trace)

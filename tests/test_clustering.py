@@ -6,6 +6,8 @@ import pytest
 from conceptbag.clustering import (
     Centroids,
     KMeansConfig,
+    _fix_empty_clusters,
+    _kmeanspp_init,
     assign,
     export_centroids_text,
     inertia,
@@ -114,6 +116,80 @@ class TestKMeansFit:
         a = np.array(sorted(map(tuple, np.round(res_o.centroids.matrix, 9))))
         b = np.array(sorted(map(tuple, np.round(res_p.centroids.matrix, 9))))
         assert np.allclose(a, b)
+
+
+def direct_kmeanspp(X, K, rng):
+    """k-means++ seeding with every distance computed as |x - c|^2 (oracle)."""
+    n = X.shape[0]
+    centers = np.empty((K, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    closest = ((X - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        total = closest.sum()
+        if total <= 0:
+            idx = rng.integers(n)
+        else:
+            idx = min(int(np.searchsorted(np.cumsum(closest), rng.random() * total)), n - 1)
+        centers[k] = X[idx]
+        closest = np.minimum(closest, ((X - centers[k]) ** 2).sum(axis=1))
+    return centers
+
+
+def per_cluster_fix_empty(X, centers, labels, K):
+    """Empty-cluster repair with a fresh distance pass per empty cluster (oracle)."""
+    for k in np.flatnonzero(np.bincount(labels, minlength=K) == 0):
+        dists = ((X - centers[labels]) ** 2).sum(axis=1)
+        worst = int(np.argmax(dists))
+        centers[k] = X[worst]
+        labels[worst] = k
+    return labels
+
+
+def seeding_table(kind):
+    rng = np.random.default_rng(21)
+    if kind == "random":
+        return rng.normal(size=(400, 8)), 12
+    # rows far from the origin, so |x|^2 - 2 x.c + |c|^2 rounds away from 0
+    # for a row and its duplicate
+    base = rng.normal(loc=3.0, size=(60 if kind == "duplicates" else 5, 8))
+    X = base[rng.integers(len(base), size=300)]
+    return X, 12
+
+
+class TestLloydSteps:
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "fewer_distinct_than_k"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_kmeanspp_matches_direct_differences(self, kind, seed):
+        X, K = seeding_table(kind)
+        got = _kmeanspp_init(X, K, np.random.default_rng(seed))
+        want = direct_kmeanspp(X, K, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    def test_one_iteration_centroids_are_exact_member_means(self):
+        X = np.random.default_rng(22).normal(size=(500, 6))
+        cfg = KMeansConfig(K=9, iterations=1, seed=5)
+        init = _kmeanspp_init(X, cfg.K, np.random.default_rng(cfg.seed))
+        labels = nearest(X, Centroids(init))[0]
+        assert np.bincount(labels, minlength=cfg.K).min() > 0
+        res = kmeans_fit(X, cfg)
+        for k in range(cfg.K):
+            assert np.array_equal(res.centroids.matrix[k], X[labels == k].mean(axis=0))
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_fix_empty_clusters_matches_per_cluster_recompute(self, duplicates):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(40, 3))
+        if duplicates:
+            X = X[rng.integers(3, size=40)]
+        K = 7
+        centers = rng.normal(size=(K, 3))
+        labels = rng.integers(2, size=40)
+        c_got, c_want = centers.copy(), centers.copy()
+        got = _fix_empty_clusters(X, c_got, labels.copy(), K)
+        want = per_cluster_fix_empty(X, c_want, labels.copy(), K)
+        assert np.array_equal(got, want)
+        assert np.array_equal(c_got, c_want)
+        assert np.bincount(got, minlength=K).min() > 0
 
 
 class TestMiniBatch:
