@@ -4,20 +4,21 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, evaluation, features, svm
 from .clustering import KMeansConfig
-from .corpus import build_vocab, load_imdb_dataset, load_polarity_dataset
+from .corpus import build_vocab, count_vectors, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
 from .errors import ConceptBagError
 from .evaluation import ExperimentConfig, run_experiment, write_reports
 from .svm import SvmConfig
 
 CONFIG_VERSION = 1
+
+_LOADERS = {"polarity": load_polarity_dataset, "imdb": load_imdb_dataset}
 
 _EXPERIMENT_KEYS = {
     "dataset",
@@ -38,14 +39,6 @@ _EXPERIMENT_KEYS = {
 def _seed_override(seed: int) -> int:
     env = os.environ.get("CONCEPTBAG_SEED")
     return int(env) if env is not None else seed
-
-
-def _load_dataset(root, dataset_type):
-    if dataset_type == "polarity":
-        return load_polarity_dataset(root)
-    if dataset_type == "imdb":
-        return load_imdb_dataset(root)
-    raise ValueError(f"unknown dataset type {dataset_type!r}")
 
 
 def _parse_orders(text) -> tuple[int, ...]:
@@ -78,7 +71,7 @@ def cmd_train_embeddings(args) -> int:
 
 def _embed_dataset_vocab(args):
     wv = load_word_vectors(args.embeddings)
-    dataset = _load_dataset(args.dataset_root, args.dataset_type)
+    dataset = _LOADERS[args.dataset_type](args.dataset_root)
     orders = _parse_orders(args.orders)
     docs = (
         [dataset.documents[i] for i in dataset.train_ids]
@@ -87,23 +80,20 @@ def _embed_dataset_vocab(args):
     )
     vocab = build_vocab(docs, orders, wv.words)
     table = embed_all(vocab, wv)
-    return wv, dataset, docs, vocab, table
+    return docs, vocab, table
 
 
 def cmd_cluster(args) -> int:
-    wv, _, _, vocab, table = _embed_dataset_vocab(args)
     config = KMeansConfig(
         K=args.K,
         iterations=args.iterations,
         variant=args.variant,
-        batch_size=min(args.batch_size, table.shape[0]),
+        batch_size=args.batch_size,
         init=args.init,
         seed=_seed_override(args.seed),
     )
-    if config.variant == "minibatch":
-        result = clustering.minibatch_kmeans_fit(table, config)
-    else:
-        result = clustering.kmeans_fit(table, config)
+    _, vocab, table = _embed_dataset_vocab(args)
+    result = clustering.fit(table, config)
     clustering.save_centroids(result.centroids, args.out)
     if args.text_out:
         clustering.export_centroids_text(result.centroids, args.text_out)
@@ -115,22 +105,20 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    wv, dataset, docs, vocab, table = _embed_dataset_vocab(args)
-    from .corpus import count_vectors
-
+    centroids = assignment = K = None
+    if args.mode in features.CONCEPT_MODES:
+        if args.centroids is None:
+            print(f"error: --mode {args.mode} needs --centroids", file=sys.stderr)
+            return 1
+        centroids = clustering.load_centroids(args.centroids)
+    docs, vocab, table = _embed_dataset_vocab(args)
     labeled = [d for d in docs if d.label is not None]
     counts = count_vectors(labeled, vocab)
     labels = np.array([d.label for d in labeled])
     ratio = features.log_count_ratio(counts, labels)
-    if args.mode == "bow_nb":
-        mat = features.bow_nb_features(counts, ratio)
-    else:
-        centroids = clustering.load_centroids(args.centroids)
-        assignment = clustering.nearest(table, centroids)[0]
-        if args.mode == "nb_max":
-            mat = features.concept_features_nb(counts, assignment, ratio, centroids.K)
-        else:
-            mat = features.concept_features_freq(counts, assignment, centroids.K)
+    if centroids is not None:
+        assignment, K = clustering.nearest(table, centroids)[0], centroids.K
+    mat = features.document_features(args.mode, counts, ratio, assignment, K)
     features.export_svmlight(mat, labels, args.out)
     print(f"wrote {counts.shape[0]} feature rows to {args.out}")
     return 0
@@ -149,19 +137,15 @@ def cmd_evaluate(args) -> int:
     mat, labels = features.load_svmlight(args.features)
     model = svm.load_model(args.model)
     if mat.shape[1] < len(model.w):
-        import scipy.sparse as sp
-
-        mat = sp.hstack(
-            [mat, sp.csr_matrix((mat.shape[0], len(model.w) - mat.shape[1]))]
-        ).tocsr()
+        mat.resize((mat.shape[0], len(model.w)))
     acc = evaluation.accuracy(svm.svm_predict(model, mat), labels)
     print(f"accuracy {acc:.4f} over {mat.shape[0]} documents")
     return 0
 
 
 def cmd_inspect_cluster(args) -> int:
-    wv, _, _, vocab, table = _embed_dataset_vocab(args)
     centroids = clustering.load_centroids(args.centroids)
+    _, vocab, table = _embed_dataset_vocab(args)
     which = range(centroids.K) if args.cluster is None else [args.cluster]
     assignment, sq_dists = clustering.nearest(table, centroids)
     for k in which:
@@ -175,88 +159,81 @@ def cmd_inspect_cluster(args) -> int:
     return 0
 
 
+def _resolve(base_dir: Path, path) -> Path:
+    return Path(path) if Path(path).is_absolute() else (base_dir / path).resolve()
+
+
 def _parse_experiment(entry: dict, base_dir: Path):
     unknown = set(entry) - _EXPERIMENT_KEYS
     if unknown:
         raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-    kmeans_cfg = KMeansConfig(**entry.get("kmeans", {}))
-    svm_cfg = SvmConfig(**entry.get("svm", {}))
+    if "dataset_root" not in entry:
+        raise ValueError("experiment entry is missing dataset_root")
+    dtype = entry.get("dataset_type", "polarity")
+    if dtype not in _LOADERS:
+        raise ValueError(f"unknown dataset_type {dtype!r}; expected one of {list(_LOADERS)}")
+    root = _resolve(base_dir, entry["dataset_root"])
+    if not root.exists():
+        raise ValueError(f"dataset_root does not exist: {root}")
+    emb = entry.get("embeddings_path")
+    if emb is not None:
+        emb = _resolve(base_dir, emb)
+        if not emb.is_file():
+            raise ValueError(f"embeddings_path does not exist: {emb}")
     config = ExperimentConfig(
         dataset=entry.get("dataset", "polarity"),
         ngram_orders=_parse_orders(entry.get("ngram_orders", [1])),
         K=entry.get("K", 300),
         feature_mode=entry.get("feature_mode", "nb_max"),
-        kmeans=kmeans_cfg,
-        svm=svm_cfg,
+        kmeans=KMeansConfig(**entry.get("kmeans", {})),
+        svm=SvmConfig(**entry.get("svm", {})),
         folds=entry.get("folds", 10),
         seed=_seed_override(entry.get("seed", 42)),
         cluster_on_all=entry.get("cluster_on_all", False),
     )
-    root = entry.get("dataset_root")
-    if root is None:
-        raise ValueError("experiment entry is missing dataset_root")
-    root = (base_dir / root).resolve() if not Path(root).is_absolute() else Path(root)
-    emb = entry.get("embeddings_path")
-    if emb is not None:
-        emb = (base_dir / emb).resolve() if not Path(emb).is_absolute() else Path(emb)
-    return config, root, entry.get("dataset_type", "polarity"), emb
+    return config, root, dtype, emb
 
 
-def cmd_run(args) -> int:
-    config_path = Path(args.config)
+def _read_experiments(config_path: Path):
+    """Checked (config, root, dataset type, vectors path) per experiment of a grid file."""
     if not config_path.is_file():
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return 1
+        raise ValueError(f"config file not found: {config_path}")
     raw = json.loads(config_path.read_text(encoding="utf-8"))
     unknown = set(raw) - {"version", "experiments"}
     if unknown:
-        print(f"error: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("version") != CONFIG_VERSION:
-        print(f"error: config version must be {CONFIG_VERSION}", file=sys.stderr)
-        return 1
-    entries = raw.get("experiments", [])
-    if not entries:
-        print("error: no experiments in config", file=sys.stderr)
-        return 1
+        raise ValueError(f"config version must be {CONFIG_VERSION}")
+    if not raw.get("experiments"):
+        raise ValueError("no experiments in config")
+    return [_parse_experiment(e, config_path.parent) for e in raw["experiments"]]
+
+
+def cmd_run(args) -> int:
     try:
-        parsed = [_parse_experiment(e, config_path.parent) for e in entries]
+        parsed = _read_experiments(Path(args.config))
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for _, root, _, emb in parsed:
-        if not root.exists():
-            print(f"error: dataset_root does not exist: {root}", file=sys.stderr)
-            return 1
-        if emb is not None and not emb.is_file():
-            print(f"error: embeddings_path does not exist: {emb}", file=sys.stderr)
-            return 1
     if args.dry_run:
         print(f"config OK: {len(parsed)} experiment(s)")
         return 0
 
-    datasets = {}
-    vectors = {}
+    datasets, vectors = {}, {}
     for _, root, dtype, emb in parsed:
-        datasets.setdefault((str(root), dtype), _load_dataset(root, dtype))
-        if emb is not None:
-            vectors.setdefault(str(emb), load_word_vectors(emb))
-
-    cache: dict = {}
-
-    def _one(item):
-        config, root, dtype, emb = item
-        wv = vectors[str(emb)] if emb is not None else None
-        return run_experiment(
-            config, datasets[(str(root), dtype)], wv,
-            cache=cache if args.jobs == 1 else None,
+        if (root, dtype) not in datasets:
+            datasets[root, dtype] = _LOADERS[dtype](root)
+        if emb is not None and emb not in vectors:
+            vectors[emb] = load_word_vectors(emb)
+    # one cache per (dataset, vectors) input: what it holds is valid for that input only
+    caches: dict = {}
+    reports = [
+        run_experiment(
+            config, datasets[root, dtype], vectors.get(emb),
+            cache=caches.setdefault((root, dtype, emb), {}),
         )
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_one, parsed))
-    else:
-        reports = [_one(item) for item in parsed]
+        for config, root, dtype, emb in parsed
+    ]
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,7 +250,7 @@ def cmd_run(args) -> int:
 def _add_dataset_args(p):
     p.add_argument("--embeddings", required=True, help="text-format word vectors")
     p.add_argument("--dataset-root", required=True)
-    p.add_argument("--dataset-type", default="polarity", choices=["polarity", "imdb"])
+    p.add_argument("--dataset-type", default="polarity", choices=list(_LOADERS))
     p.add_argument("--orders", default="1", help="comma-separated n-gram orders, e.g. 1,2")
 
 
@@ -332,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a JSON experiment grid, write JSON+CSV reports")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default="reports")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_run)
 

@@ -1,24 +1,30 @@
 """K-means partitioning of n-gram vectors into semantic concepts."""
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteFeature, TooFewPoints
+from .errors import BadCentroidFile, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 _MAGIC = b"CBGC"
 _VERSION = 1
+
+VARIANTS = ("lloyd", "minibatch")
 
 
 @dataclass
 class KMeansConfig:
     K: int = 300
     iterations: int = 10
-    variant: str = "lloyd"  # or "minibatch"
+    variant: str = "lloyd"  # one of VARIANTS
     batch_size: int = 1024
     init: str = "kmeanspp"  # or "random_points"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown K-means variant {self.variant!r}; expected one of {VARIANTS}")
 
 
 @dataclass
@@ -222,6 +228,13 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     return KMeansResult(result, labels, float(sq_dists.sum()))
 
 
+def fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
+    """Cluster the rows of X with ``config.variant``, capping mini-batches at the row count."""
+    if config.variant == "minibatch":
+        return minibatch_kmeans_fit(X, replace(config, batch_size=min(config.batch_size, X.shape[0])))
+    return kmeans_fit(X, config)
+
+
 def save_centroids(centroids: Centroids, path) -> None:
     """Versioned binary format: magic, version, K, m, seed, row-major float64."""
     with open(path, "wb") as fh:
@@ -232,13 +245,15 @@ def save_centroids(centroids: Centroids, path) -> None:
 
 def load_centroids(path) -> Centroids:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a centroid file (magic {magic!r})")
-        version, K, m, seed = struct.unpack("<iiiq", fh.read(20))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported centroid file version {version}")
-        matrix = np.frombuffer(fh.read(8 * K * m), dtype=np.float64).reshape(K, m).copy()
+        raw = fh.read()
+    if raw[:4] != _MAGIC or len(raw) < 24:
+        raise BadCentroidFile(f"{path}: not a centroid file (magic {raw[:4]!r})")
+    version, K, m, seed = struct.unpack_from("<iiiq", raw, 4)
+    if version != _VERSION:
+        raise BadCentroidFile(f"{path}: unsupported centroid file version {version}")
+    if len(raw) != 24 + 8 * K * m:
+        raise BadCentroidFile(f"{path}: {len(raw) - 24} data bytes for a {K}x{m} matrix")
+    matrix = np.frombuffer(raw, dtype=np.float64, offset=24).reshape(K, m).copy()
     return Centroids(matrix=matrix, seed=seed)
 
 

@@ -129,8 +129,9 @@ class SgnsConfig:
 def sgns_loss_and_grad(center, context, negatives):
     """Negative-sampling loss and its gradient w.r.t. the center vector.
 
-    loss = -log sigmoid(c.x) - sum_j log sigmoid(-n_j.x). Used both by the
-    trainer and by the finite-difference gradient check.
+    loss = -log sigmoid(c.x) - sum_j log sigmoid(-n_j.x). ``train_sgns``
+    computes the same centre gradient inline and does not call this; the
+    tests check it by finite differences.
     """
     def sigmoid(z):
         return 1.0 / (1.0 + np.exp(-z))

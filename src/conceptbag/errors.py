@@ -63,5 +63,9 @@ class RankRequestTooLarge(ConceptBagError):
     """Requested SVD rank exceeds min(rows, cols)."""
 
 
+class BadCentroidFile(ConceptBagError, ValueError):
+    """A centroid file has the wrong magic, version or length; message names the file."""
+
+
 class TooFewDocuments(ConceptBagError):
     """Not enough documents to build the requested folds."""

@@ -4,7 +4,8 @@ import csv
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -17,19 +18,25 @@ from .errors import ConceptBagError, LengthMismatch, TooFewDocuments
 from .svm import SvmConfig
 
 STAGES = ("vocab", "counts", "ngram_repr", "kmeans", "doc_repr", "svm_train", "total")
+FEATURE_MODES = features.MODES + ("lsa",)
 
 
 @dataclass
 class ExperimentConfig:
     dataset: str = "polarity"
     ngram_orders: tuple[int, ...] = (1,)
-    K: int = 300
-    feature_mode: str = "nb_max"  # nb_max | frequency | bow_nb | lsa
+    K: int = 300  # number of concepts; sets kmeans.K
+    feature_mode: str = "nb_max"  # one of FEATURE_MODES
     kmeans: KMeansConfig = field(default_factory=KMeansConfig)
     svm: SvmConfig = field(default_factory=SvmConfig)
     folds: int = 10  # 0 = use the dataset's predefined split
     seed: int = 42
     cluster_on_all: bool = False
+
+    def __post_init__(self):
+        if self.feature_mode not in FEATURE_MODES:
+            raise ValueError(f"unknown feature_mode {self.feature_mode!r}; expected one of {FEATURE_MODES}")
+        self.kmeans = replace(self.kmeans, K=self.K)
 
 
 @dataclass
@@ -110,42 +117,41 @@ class _StageClock:
             self.times[name] += time.monotonic() - t0
 
 
+def _cached(cache, key, clock, stage, compute):
+    """``cache[key]``, computed under ``clock.stage(stage)`` on a miss."""
+    if key not in cache:
+        with clock.stage(stage):
+            cache[key] = compute()
+    return cache[key]
+
+
 def _fold_features(
     train_docs, test_docs, y_train, config, wv, clock, all_docs=None, cache=None
 ):
     """Featurize one train/test split; returns (train feats, test feats).
 
-    ``cache`` is an optional dict shared across experiments of a grid;
-    vocabulary, counts, embeddings and centroids are reused when every input
-    that shapes them coincides.
+    ``cache`` is an optional dict shared across experiments on one dataset
+    and one set of word vectors; vocabulary, counts, embeddings and centroids
+    are reused when every setting that shapes them coincides.
     """
-    dictionary = wv.words
+    cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
     base_key = (
-        config.dataset,
         tuple(sorted(config.ngram_orders)),
         config.cluster_on_all,
         tuple(d.id for d in train_docs),
         tuple(d.id for d in test_docs),
     )
-    if cache is not None and ("counts", base_key) in cache:
-        vocab, counts_train, counts_test = cache[("counts", base_key)]
-    else:
-        with clock.stage("vocab"):
-            vocab = build_vocab(vocab_docs, config.ngram_orders, dictionary)
-        with clock.stage("counts"):
-            counts_train = count_vectors(train_docs, vocab)
-            counts_test = count_vectors(test_docs, vocab)
-        if cache is not None:
-            cache[("counts", base_key)] = (vocab, counts_train, counts_test)
+    vocab = _cached(
+        cache, ("vocab", base_key), clock, "vocab",
+        lambda: build_vocab(vocab_docs, config.ngram_orders, wv.words),
+    )
+    counts_train, counts_test = _cached(
+        cache, ("counts", base_key), clock, "counts",
+        lambda: (count_vectors(train_docs, vocab), count_vectors(test_docs, vocab)),
+    )
     ratio = features.log_count_ratio(counts_train, y_train)
 
-    if config.feature_mode == "bow_nb":
-        with clock.stage("doc_repr"):
-            return (
-                features.bow_nb_features(counts_train, ratio),
-                features.bow_nb_features(counts_test, ratio),
-            )
     if config.feature_mode == "lsa":
         with clock.stage("doc_repr"):
             X = lsa.build_lsa_matrix(counts_train, ratio)
@@ -155,36 +161,17 @@ def _fold_features(
             f_test = lsa.lsa_fold_in(factors, X_test)
         return f_train, f_test
 
-    if cache is not None and ("table", base_key) in cache:
-        table = cache[("table", base_key)]
-    else:
-        with clock.stage("ngram_repr"):
-            table = embed_all(vocab, wv)
-        if cache is not None:
-            cache[("table", base_key)] = table
-    kmeans_key = ("kmeans", base_key, config.K, tuple(sorted(asdict(config.kmeans).items())))
-    if cache is not None and kmeans_key in cache:
-        result = cache[kmeans_key]
-    else:
-        with clock.stage("kmeans"):
-            cfg = KMeansConfig(**{**asdict(config.kmeans), "K": config.K})
-            if cfg.variant == "minibatch":
-                cfg.batch_size = min(cfg.batch_size, table.shape[0])
-                result = clustering.minibatch_kmeans_fit(table, cfg)
-            else:
-                result = clustering.kmeans_fit(table, cfg)
-        if cache is not None:
-            cache[kmeans_key] = result
+    assignment = None
+    if config.feature_mode in features.CONCEPT_MODES:
+        table = _cached(cache, ("table", base_key), clock, "ngram_repr", lambda: embed_all(vocab, wv))
+        kmeans_key = ("kmeans", base_key, astuple(config.kmeans))
+        result = _cached(cache, kmeans_key, clock, "kmeans", lambda: clustering.fit(table, config.kmeans))
+        assignment = result.labels
     with clock.stage("doc_repr"):
-        if config.feature_mode == "nb_max":
-            f_train = features.concept_features_nb(counts_train, result.labels, ratio, config.K)
-            f_test = features.concept_features_nb(counts_test, result.labels, ratio, config.K)
-        elif config.feature_mode == "frequency":
-            f_train = features.concept_features_freq(counts_train, result.labels, config.K)
-            f_test = features.concept_features_freq(counts_test, result.labels, config.K)
-        else:
-            raise ValueError(f"unknown feature_mode {config.feature_mode!r}")
-    return f_train, f_test
+        return tuple(
+            features.document_features(config.feature_mode, counts, ratio, assignment, config.K)
+            for counts in (counts_train, counts_test)
+        )
 
 
 def run_experiment(
@@ -198,9 +185,10 @@ def run_experiment(
     All fitted parameters (vocabulary, log-count ratios, centroids, SVM
     weights) come from training documents only, unless cluster_on_all is set,
     in which case the vocabulary and clustering cover all documents while the
-    ratios and classifier stay train-only.
+    ratios and classifier stay train-only. ``cache``, if given, must only be
+    shared by runs on this ``dataset`` with these ``wv``.
     """
-    if config.feature_mode not in ("bow_nb", "lsa") and wv is None:
+    if config.feature_mode in features.CONCEPT_MODES and wv is None:
         raise ValueError("word vectors are required for concept feature modes")
     if wv is None:
         # BOW/LSA still need a dictionary; fall back to all corpus words
@@ -249,8 +237,6 @@ def run_experiment(
 def write_reports(reports, json_dir=None, csv_path=None) -> None:
     """Write one JSON document per report plus an aggregate CSV."""
     if json_dir is not None:
-        from pathlib import Path
-
         json_dir = Path(json_dir)
         json_dir.mkdir(parents=True, exist_ok=True)
         for i, rep in enumerate(reports):

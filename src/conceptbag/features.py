@@ -7,6 +7,9 @@ import scipy.sparse as sp
 
 from .errors import LengthMismatch, SingleClass
 
+CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
+MODES = CONCEPT_MODES + ("bow_nb",)
+
 
 @dataclass
 class LogCountRatio:
@@ -94,6 +97,17 @@ def bow_nb_features(counts: sp.spmatrix, ratio: LogCountRatio) -> sp.csr_matrix:
     binary.data = np.ones_like(binary.data, dtype=np.float64)
     out = binary @ sp.diags(ratio.r)
     return sp.csr_matrix(out)
+
+
+def document_features(mode: str, counts: sp.spmatrix, ratio: LogCountRatio, assignment=None, K=None):
+    """Document rows of feature ``mode``; CONCEPT_MODES also need ``assignment`` and ``K``."""
+    if mode == "nb_max":
+        return concept_features_nb(counts, assignment, ratio, K)
+    if mode == "frequency":
+        return concept_features_freq(counts, assignment, K)
+    if mode == "bow_nb":
+        return bow_nb_features(counts, ratio)
+    raise ValueError(f"unknown feature mode {mode!r}; expected one of {MODES}")
 
 
 def export_svmlight(features, labels, path) -> None:

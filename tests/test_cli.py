@@ -11,12 +11,11 @@ NEG_WORDS = ["bad", "awful", "poor", "dull"]
 FILLERS = [f"word{i}" for i in range(12)]
 
 
-@pytest.fixture
-def polarity_root(tmp_path):
+def write_polarity(root, pos_charged, neg_charged, seed=0):
     """Tiny on-disk dataset in the root/{pos,neg}/*.txt layout."""
-    rng = np.random.default_rng(0)
-    for side, charged, label_dir in (("pos", POS_WORDS, "pos"), ("neg", NEG_WORDS, "neg")):
-        d = tmp_path / "data" / label_dir
+    rng = np.random.default_rng(seed)
+    for side, charged in (("pos", pos_charged), ("neg", neg_charged)):
+        d = root / side
         d.mkdir(parents=True)
         for i in range(12):
             toks = [
@@ -24,22 +23,31 @@ def polarity_root(tmp_path):
                 for _ in range(25)
             ]
             (d / f"{side}{i}.txt").write_text(" ".join(toks), encoding="utf-8")
-    return tmp_path / "data"
+    return root
+
+
+def write_vectors(path, pos_center, neg_center):
+    """Word vectors covering the fixture vocabulary; fillers sit at 0."""
+    rng = np.random.default_rng(1)
+    words = POS_WORDS + NEG_WORDS + FILLERS
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(words)} 6\n")
+        for w in words:
+            center = pos_center if w in POS_WORDS else neg_center if w in NEG_WORDS else 0.0
+            row = " ".join(repr(float(v)) for v in rng.normal(center, 0.3, size=6))
+            fh.write(f"{w} {row}\n")
+    return path
+
+
+@pytest.fixture
+def polarity_root(tmp_path):
+    return write_polarity(tmp_path / "data", POS_WORDS, NEG_WORDS)
 
 
 @pytest.fixture
 def vectors_path(tmp_path):
-    """Word vectors covering the fixture vocabulary, sentiment-structured."""
-    rng = np.random.default_rng(1)
-    words = POS_WORDS + NEG_WORDS + FILLERS
-    path = tmp_path / "vectors.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(words)} 6\n")
-        for w in words:
-            center = 2.0 if w in POS_WORDS else -2.0 if w in NEG_WORDS else 0.0
-            row = " ".join(repr(float(v)) for v in rng.normal(center, 0.3, size=6))
-            fh.write(f"{w} {row}\n")
-    return path
+    """Sentiment-structured: positive and negative words in separate regions."""
+    return write_vectors(tmp_path / "vectors.txt", 2.0, -2.0)
 
 
 def dataset_flags(polarity_root, vectors_path):
@@ -150,6 +158,43 @@ class TestPipelineChain:
         acc = float(out.split()[1])
         assert acc > 0.8  # train-set accuracy on separable toy data
 
+    def test_featurize_concept_mode_needs_centroids(
+        self, tmp_path, polarity_root, vectors_path, capsys
+    ):
+        feats = tmp_path / "f.svmlight"
+        rc = main(
+            ["featurize", *dataset_flags(polarity_root, vectors_path),
+             "--mode", "nb_max", "--out", str(feats)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --mode nb_max needs --centroids\n"
+        assert not feats.exists()
+
+    @pytest.mark.parametrize("content", [b"NOPE" + b"\0" * 40, b"CBGC\1\0"])
+    def test_featurize_bad_centroid_file(
+        self, tmp_path, polarity_root, vectors_path, capsys, content
+    ):
+        cents = tmp_path / "junk.bin"
+        cents.write_bytes(content)
+        rc = main(
+            ["featurize", *dataset_flags(polarity_root, vectors_path),
+             "--centroids", str(cents), "--out", str(tmp_path / "f.svmlight")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_evaluate_pads_narrow_features(self, tmp_path, capsys):
+        train = tmp_path / "train.svmlight"
+        train.write_text("+1 1:1.0 3:0.5\n-1 2:1.0 3:0.5\n", encoding="utf-8")
+        narrow = tmp_path / "test.svmlight"
+        narrow.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["train-svm", "--features", str(train), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--features", str(narrow)]) == 0
+        assert capsys.readouterr().out == "accuracy 1.0000 over 2 documents\n"
+
     def test_featurize_bow_mode_needs_no_centroids(
         self, tmp_path, polarity_root, vectors_path
     ):
@@ -234,17 +279,88 @@ class TestRun:
         assert "config OK" in capsys.readouterr().out
         assert not (tmp_path / "reports").exists()
 
-    def test_parallel_jobs_match_serial(self, tmp_path, polarity_root, vectors_path):
-        cfg = self.write_config(tmp_path, polarity_root, vectors_path)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main(["run", "--config", str(cfg), "--output-dir", str(serial)]) == 0
-        assert main(
-            ["run", "--config", str(cfg), "--output-dir", str(parallel), "--jobs", "2"]
-        ) == 0
-        a = json.loads((serial / "report_000.json").read_text())
-        b = json.loads((parallel / "report_000.json").read_text())
-        assert a["per_fold"] == b["per_fold"]
+    def run_reports(self, tmp_path, polarity_root, vectors_path, experiments, name):
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path, experiments=experiments)
+        out_dir = tmp_path / name
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out_dir)]) == 0
+        return [
+            json.loads((out_dir / f"report_{i:03d}.json").read_text())
+            for i in range(len(experiments))
+        ]
+
+    def test_cache_keeps_word_vectors_apart(self, tmp_path, polarity_root, vectors_path):
+        # vectors that put positive and negative words in one region give
+        # other concepts, so a grid must not reuse the first experiment's
+        mixed = write_vectors(tmp_path / "mixed.txt", 2.0, 2.0)
+        base = {
+            "dataset_root": str(polarity_root),
+            "K": 4,
+            "feature_mode": "frequency",
+            "folds": 3,
+            "kmeans": {"iterations": 5},
+        }
+        first = {**base, "embeddings_path": str(vectors_path)}
+        second = {**base, "embeddings_path": str(mixed)}
+        grid = self.run_reports(tmp_path, polarity_root, vectors_path, [first, second], "grid")
+        alone = self.run_reports(tmp_path, polarity_root, vectors_path, [second], "alone")
+        assert grid[1]["per_fold"] == alone[0]["per_fold"]
+        assert grid[0]["per_fold"] != grid[1]["per_fold"]
+
+    def test_cache_keeps_dataset_roots_apart(self, tmp_path, polarity_root, vectors_path):
+        # same file names, so the same document ids, under the default name
+        noise = write_polarity(tmp_path / "noise", POS_WORDS + NEG_WORDS, POS_WORDS + NEG_WORDS, seed=1)
+        base = {"feature_mode": "bow_nb", "folds": 3}
+        first = {**base, "dataset_root": str(polarity_root)}
+        second = {**base, "dataset_root": str(noise)}
+        grid = self.run_reports(tmp_path, polarity_root, vectors_path, [first, second], "grid")
+        alone = self.run_reports(tmp_path, polarity_root, vectors_path, [second], "alone")
+        assert grid[1]["per_fold"] == alone[0]["per_fold"]
+        assert grid[0]["per_fold"] != grid[1]["per_fold"]
+
+    def test_echoed_kmeans_K_is_the_K_that_ran(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch
+    ):
+        from conceptbag import clustering
+
+        ran = []
+        original = clustering.kmeans_fit
+
+        def recording(X, config):
+            ran.append(config.K)
+            return original(X, config)
+
+        monkeypatch.setattr(clustering, "kmeans_fit", recording)
+        experiment = {
+            "dataset_root": str(polarity_root),
+            "embeddings_path": str(vectors_path),
+            "K": 3,
+            "folds": 2,
+            "kmeans": {"K": 5, "iterations": 2},
+        }
+        (report,) = self.run_reports(tmp_path, polarity_root, vectors_path, [experiment], "out")
+        assert ran == [3, 3]
+        assert report["config_echo"]["kmeans"]["K"] == 3
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"feature_mode": "nbmax"}, "feature_mode"), ({"kmeans": {"variant": "minibach"}}, "variant")],
+    )
+    def test_bad_mode_or_variant_rejected_before_work(
+        self, tmp_path, polarity_root, vectors_path, capsys, bad, message
+    ):
+        experiment = {
+            "dataset_root": str(polarity_root),
+            "embeddings_path": str(vectors_path),
+            "K": 3,
+            "folds": 2,
+            **bad,
+        }
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path, experiments=[experiment])
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json")])

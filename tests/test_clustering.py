@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from conceptbag.clustering import (
     _kmeanspp_init,
     assign,
     export_centroids_text,
+    fit,
     inertia,
     kmeans_fit,
     load_centroids,
@@ -239,6 +241,28 @@ class TestMiniBatch:
         )
         assert res.inertia == inertia(X, res.centroids)
         assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
+
+
+class TestFit:
+    def test_runs_the_configured_variant(self):
+        X = np.random.default_rng(4).normal(size=(60, 3))
+        for variant, direct in (("lloyd", kmeans_fit), ("minibatch", minibatch_kmeans_fit)):
+            cfg = KMeansConfig(K=3, iterations=4, variant=variant, batch_size=20, seed=2)
+            a, b = fit(X, cfg), direct(X, cfg)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.centroids.matrix, b.centroids.matrix)
+
+    def test_caps_batch_size_without_changing_config(self):
+        X = np.random.default_rng(5).normal(size=(30, 2))
+        cfg = KMeansConfig(K=3, iterations=3, variant="minibatch", batch_size=1024, seed=1)
+        result = fit(X, cfg)
+        assert cfg.batch_size == 1024
+        expected = minibatch_kmeans_fit(X, replace(cfg, batch_size=30))
+        assert np.array_equal(result.centroids.matrix, expected.centroids.matrix)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="minibach"):
+            KMeansConfig(variant="minibach")
 
 
 class TestAssignAndInertia:

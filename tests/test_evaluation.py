@@ -185,6 +185,18 @@ class TestRunExperiment:
         assert a.per_fold == b.per_fold
 
 
+class TestExperimentConfig:
+    def test_unknown_feature_mode_rejected(self):
+        with pytest.raises(ValueError, match="nbmax"):
+            small_config(feature_mode="nbmax")
+
+    def test_K_sets_kmeans_K_without_changing_the_given_config(self):
+        given = KMeansConfig(K=9, iterations=3)
+        cfg = small_config(K=5, kmeans=given)
+        assert cfg.kmeans.K == 5
+        assert given.K == 9
+
+
 class TestReportSerialization:
     def test_round_trip(self):
         ds, wv = make_synthetic_sentiment(seed=12, n_docs=40)

@@ -8,6 +8,7 @@ from conceptbag.features import (
     bow_nb_features,
     concept_features_freq,
     concept_features_nb,
+    document_features,
     export_svmlight,
     load_svmlight,
     log_count_ratio,
@@ -161,6 +162,24 @@ class TestBowNbFeatures:
         out = bow_nb_features(TOY_COUNTS, ratio).toarray()
         assert out[0] == pytest.approx([0.81093, 0.0], abs=5e-6)
         assert out[1] == pytest.approx([0.0, -0.98083], abs=5e-6)
+
+
+class TestDocumentFeatures:
+    def test_each_mode_matches_its_featurizer(self):
+        counts = sp.csr_matrix(np.array([[2, 0, 1], [0, 1, 3]]))
+        ratio = log_count_ratio(counts, [1, -1])
+        assignment = np.array([1, 0, 1])
+        for mode, expected in (
+            ("nb_max", concept_features_nb(counts, assignment, ratio, 2)),
+            ("frequency", concept_features_freq(counts, assignment, 2)),
+            ("bow_nb", bow_nb_features(counts, ratio)),
+        ):
+            got = document_features(mode, counts, ratio, assignment, 2)
+            assert np.array_equal(sp.csr_matrix(got).toarray(), sp.csr_matrix(expected).toarray())
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="nbmax"):
+            document_features("nbmax", TOY_COUNTS, log_count_ratio(TOY_COUNTS, TOY_LABELS))
 
 
 class TestSvmlightIO:
