@@ -10,7 +10,7 @@ import numpy as np
 
 from . import clustering, evaluation, features, svm
 from .clustering import KMeansConfig
-from .corpus import build_vocab, count_vectors, load_imdb_dataset, load_polarity_dataset
+from .corpus import build_vocab, check_orders, count_vectors, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
 from .errors import ConceptBagError
 from .evaluation import ExperimentConfig, run_experiment, write_reports
@@ -47,6 +47,14 @@ def _parse_orders(text) -> tuple[int, ...]:
     return tuple(int(n) for n in text.split(",") if n)
 
 
+def _orders_arg(text) -> tuple[int, ...]:
+    """``--orders`` value, checked when the command line is parsed."""
+    try:
+        return check_orders(_parse_orders(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def cmd_train_embeddings(args) -> int:
     corpus_path = Path(args.corpus)
     if not corpus_path.is_file():
@@ -69,18 +77,16 @@ def cmd_train_embeddings(args) -> int:
     return 0
 
 
-def _embed_dataset_vocab(args):
+def _dataset_vocab(args):
+    """(training documents, their vocabulary, word vectors) for a dataset command."""
     wv = load_word_vectors(args.embeddings)
     dataset = _LOADERS[args.dataset_type](args.dataset_root)
-    orders = _parse_orders(args.orders)
     docs = (
         [dataset.documents[i] for i in dataset.train_ids]
         if dataset.train_ids is not None
         else dataset.documents
     )
-    vocab = build_vocab(docs, orders, wv.words)
-    table = embed_all(vocab, wv)
-    return docs, vocab, table
+    return docs, build_vocab(docs, args.orders, wv.words), wv
 
 
 def cmd_cluster(args) -> int:
@@ -92,8 +98,8 @@ def cmd_cluster(args) -> int:
         init=args.init,
         seed=_seed_override(args.seed),
     )
-    _, vocab, table = _embed_dataset_vocab(args)
-    result = clustering.fit(table, config)
+    _, vocab, wv = _dataset_vocab(args)
+    result = clustering.fit(embed_all(vocab, wv), config)
     clustering.save_centroids(result.centroids, args.out)
     if args.text_out:
         clustering.export_centroids_text(result.centroids, args.text_out)
@@ -111,13 +117,13 @@ def cmd_featurize(args) -> int:
             print(f"error: --mode {args.mode} needs --centroids", file=sys.stderr)
             return 1
         centroids = clustering.load_centroids(args.centroids)
-    docs, vocab, table = _embed_dataset_vocab(args)
+    docs, vocab, wv = _dataset_vocab(args)
     labeled = [d for d in docs if d.label is not None]
     counts = count_vectors(labeled, vocab)
     labels = np.array([d.label for d in labeled])
     ratio = features.log_count_ratio(counts, labels)
     if centroids is not None:
-        assignment, K = clustering.nearest(table, centroids)[0], centroids.K
+        assignment, K = clustering.nearest(embed_all(vocab, wv), centroids)[0], centroids.K
     mat = features.document_features(args.mode, counts, ratio, assignment, K)
     features.export_svmlight(mat, labels, args.out)
     print(f"wrote {counts.shape[0]} feature rows to {args.out}")
@@ -145,9 +151,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_inspect_cluster(args) -> int:
     centroids = clustering.load_centroids(args.centroids)
-    _, vocab, table = _embed_dataset_vocab(args)
+    _, vocab, wv = _dataset_vocab(args)
     which = range(centroids.K) if args.cluster is None else [args.cluster]
-    assignment, sq_dists = clustering.nearest(table, centroids)
+    assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
     for k in which:
         members = np.flatnonzero(assignment == k)
         if not len(members):
@@ -199,14 +205,23 @@ def _read_experiments(config_path: Path):
     if not config_path.is_file():
         raise ValueError(f"config file not found: {config_path}")
     raw = json.loads(config_path.read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - {"version", "experiments"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("version") != CONFIG_VERSION:
         raise ValueError(f"config version must be {CONFIG_VERSION}")
-    if not raw.get("experiments"):
+    experiments = raw.get("experiments")
+    if not experiments:
         raise ValueError("no experiments in config")
-    return [_parse_experiment(e, config_path.parent) for e in raw["experiments"]]
+    if not isinstance(experiments, list):
+        raise ValueError(f"experiments must be a JSON array, got {type(experiments).__name__}")
+    for i, entry in enumerate(experiments):
+        if not isinstance(entry, dict):
+            raise ValueError(f"experiment {i} must be a JSON object, got {type(entry).__name__}")
+    return [_parse_experiment(e, config_path.parent) for e in experiments]
+
 
 
 def cmd_run(args) -> int:
@@ -251,7 +266,10 @@ def _add_dataset_args(p):
     p.add_argument("--embeddings", required=True, help="text-format word vectors")
     p.add_argument("--dataset-root", required=True)
     p.add_argument("--dataset-type", default="polarity", choices=list(_LOADERS))
-    p.add_argument("--orders", default="1", help="comma-separated n-gram orders, e.g. 1,2")
+    p.add_argument(
+        "--orders", default="1", type=_orders_arg,
+        help="comma-separated n-gram orders within 1,2,3, e.g. 1,2",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

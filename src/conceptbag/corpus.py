@@ -4,13 +4,14 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EmptyVocabulary, MissingDirectory, UnreadableFile
+from .errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnreadableFile
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +73,84 @@ class Dataset:
 
 
 NGram = tuple[str, ...]
+# documents are counted in chunks of about this many tokens, so that the
+# window arrays of count_vectors stay small whatever the corpus size
+_CHUNK_TOKENS = 1 << 14
+
+
+def check_orders(orders) -> tuple[int, ...]:
+    """``orders`` sorted; raises BadOrders unless it is a non-empty subset of {1, 2, 3}."""
+    orders = set(orders)
+    if not orders or not orders <= {1, 2, 3}:
+        raise BadOrders(f"n-gram orders must be a non-empty subset of {{1, 2, 3}}, got {list(orders)}")
+    return tuple(sorted(int(n) for n in orders))
+
+
+# Integer n-gram keys. Words are numbered from 0; an n-gram's key is the
+# base-B number whose digits are its words' ids plus one, B = words + 1, so
+# keys of different orders never collide and a digit 0 marks no word.
+
+
+def _key_base(n_words: int, orders) -> int:
+    base = n_words + 1
+    if base ** max(orders) > np.iinfo(np.int64).max:
+        raise NGramKeyOverflow(
+            f"{n_words} distinct words: keys of {max(orders)}-grams do not fit in int64"
+        )
+    return base
+
+
+def _token_ids(token_lists, word_ids: dict, dictionary=None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat int32 word ids of the token lists, each list followed by a -1.
+
+    A token outside ``word_ids`` gets -1. With a ``dictionary``, its words
+    that ``word_ids`` lacks are first numbered in order of first occurrence.
+    Returns the ids and the position of each list's first token.
+    """
+    def tokens():
+        return chain.from_iterable(chain(t, (None,)) for t in token_lists)
+
+    if dictionary is not None:
+        for t in dict.fromkeys(tokens()):
+            if t is not None and t not in word_ids and t in dictionary:
+                word_ids[t] = len(word_ids)
+    spans = np.array([len(t) + 1 for t in token_lists], dtype=np.int64)
+    ids = np.fromiter(map(word_ids.get, tokens(), repeat(-1)), dtype=np.int32, count=spans.sum())
+    return ids, np.cumsum(spans) - spans
+
+
+def _windows(ids: np.ndarray, n: int, base: int) -> np.ndarray:
+    """Key of the n-window starting at each position of ``ids``, or 0.
+
+    A window gets 0 when it holds a -1. ``_token_ids`` ends every document
+    with a -1, so every window that crosses a document end gets 0 too; the
+    keys of the other windows are positive.
+    """
+    span = max(len(ids) - n + 1, 0)
+    keys = ids[:span] + np.int64(1)
+    outside = ids[:span] < 0
+    for j in range(1, n):
+        keys *= base
+        keys += ids[j : j + span]
+        keys += 1
+        outside |= ids[j : j + span] < 0
+    keys[outside] = 0
+    return keys
+
+
+def _decode(keys: np.ndarray, base: int, width: int) -> np.ndarray:
+    """len(keys) x width word ids of each key, left-aligned, padded with -1."""
+    out = np.full((len(keys), width), -1, dtype=np.int64)
+    lengths = np.ones(len(keys), dtype=np.int64)
+    for j in range(1, width):
+        lengths += keys >= base**j
+    for n in range(1, width + 1):
+        rows = np.flatnonzero(lengths == n)
+        rest = keys[rows]
+        for j in reversed(range(n)):
+            rest, digit = np.divmod(rest, base)
+            out[rows, j] = digit - 1
+    return out
 
 
 def extract_ngrams(
@@ -81,28 +160,80 @@ def extract_ngrams(
 ) -> Counter:
     """Count every contiguous n-gram whose words are all in ``dictionary``.
 
-    ``orders`` is a subset of {1, 2, 3}. Returns a Counter keyed by word
-    tuples; windows never cross the token sequence boundary.
+    ``orders`` is a non-empty subset of {1, 2, 3}. Returns a Counter keyed by
+    word tuples; windows never cross the token sequence boundary.
     """
-    orders = sorted(set(orders))
-    if any(n < 1 or n > 3 for n in orders):
-        raise ValueError(f"orders must be within {{1,2,3}}, got {orders}")
-    return Counter(iter_ngrams(tokens, orders, dictionary))
+    orders = check_orders(orders)
+    tokens = list(tokens)
+    word_ids: dict[str, int] = {}
+    ids, _ = _token_ids([tokens], word_ids, dictionary)
+    base = _key_base(len(word_ids), orders)
+    grams: Counter = Counter()
+    for n in orders:
+        starts = np.flatnonzero(_windows(ids, n, base))
+        grams.update(tuple(tokens[s : s + n]) for s in starts.tolist())
+    return grams
 
 
 class NGramVocabulary:
     """Bijection between n-grams and column indices, in first-occurrence order.
 
-    ``words`` is the set of words that occur in any entry.
+    ``words`` is the set of words that occur in any entry. For counting, the
+    vocabulary also numbers words (``word_ids``, ids 0, 1, ... in insertion
+    order) and keeps each entry's integer key: ``keys`` is sorted and
+    ``columns[i]`` is the column of the entry whose key is ``keys[i]``.
+    Every entry's length must be one of ``orders``.
     """
 
     def __init__(self, ngrams: Sequence[NGram], orders: Iterable[int]):
-        self.entries: list[NGram] = list(ngrams)
-        self.index: dict[NGram, int] = {g: i for i, g in enumerate(self.entries)}
-        self.orders = frozenset(orders)
-        self.words = frozenset(w for g in self.entries for w in g)
-        if len(self.index) != len(self.entries):
+        entries = list(ngrams)
+        orders = check_orders(orders)
+        word_ids: dict[str, int] = {}
+        for gram in entries:
+            if len(gram) not in orders:
+                raise BadOrders(f"n-gram {gram!r} has an order outside {list(orders)}")
+            for w in gram:
+                word_ids.setdefault(w, len(word_ids))
+        base = _key_base(len(word_ids), orders)
+        keys = [0] * len(entries)
+        for t, gram in enumerate(entries):
+            for w in gram:
+                keys[t] = keys[t] * base + word_ids[w] + 1
+        self._set(entries, np.array(keys, dtype=np.int64), word_ids, orders)
+        self.words = frozenset(word_ids)
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, word_ids: dict, orders) -> "NGramVocabulary":
+        """The vocabulary whose column t holds the n-gram of ``keys[t]``."""
+        vocab = cls.__new__(cls)
+        ids = _decode(keys, _key_base(len(word_ids), orders), max(orders))
+        words = np.array(list(word_ids), dtype=object)
+        vocab.words = frozenset(words[np.unique(ids[ids >= 0])].tolist())
+        lengths = np.count_nonzero(ids >= 0, axis=1)
+        entries = np.empty(len(keys), dtype=object)
+        for n in orders:
+            members = np.flatnonzero(lengths == n)
+            grams = zip(*(words[ids[members, j]] for j in range(n)))
+            entries[members] = np.fromiter(grams, dtype=object, count=len(members))
+        del ids
+        vocab._set(entries.tolist(), keys, word_ids, orders)
+        return vocab
+
+    def _set(self, entries, keys, word_ids, orders):
+        self.entries: list[NGram] = entries
+        self.index: dict[NGram, int] = {g: i for i, g in enumerate(entries)}
+        if len(self.index) != len(entries):
             raise ValueError("duplicate n-grams passed to NGramVocabulary")
+        self.orders = frozenset(orders)
+        self.word_ids: dict[str, int] = word_ids
+        self.columns = np.argsort(keys, kind="stable")
+        self.keys = keys[self.columns]
+
+    def word_id_matrix(self) -> np.ndarray:
+        """len(self) x max(orders) word ids; row t is entries[t]'s, padded with -1."""
+        keys = np.empty_like(self.keys)
+        keys[self.columns] = self.keys
+        return _decode(keys, _key_base(len(self.word_ids), self.orders), max(self.orders))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -114,49 +245,81 @@ class NGramVocabulary:
 def build_vocab(documents: Iterable[Document], orders, dictionary) -> NGramVocabulary:
     """Collect the distinct in-dictionary n-grams of ``documents``.
 
-    Indices follow first occurrence across documents in iteration order.
-    Raises EmptyVocabulary when nothing survives filtering.
+    Indices follow first occurrence across documents in iteration order, and
+    within a document by order, then position. ``orders`` is a non-empty
+    subset of {1, 2, 3}. Raises EmptyVocabulary when nothing survives
+    filtering.
     """
-    seen: dict[NGram, None] = {}
-    orders = sorted(set(orders))
-    for doc in documents:
-        for gram in iter_ngrams(doc.tokens, orders, dictionary):
-            seen.setdefault(gram, None)
-    if not seen:
+    orders = check_orders(orders)
+    word_ids: dict[str, int] = {}
+    keys = _first_occurrences([d.tokens for d in documents], word_ids, dictionary, orders)
+    if not len(keys):
         raise EmptyVocabulary("no in-dictionary n-gram found in the corpus")
-    return NGramVocabulary(list(seen), orders)
+    return NGramVocabulary._from_keys(keys, word_ids, orders)
 
 
-def iter_ngrams(tokens: Sequence[str], orders, dictionary):
-    """Yield in-dictionary n-gram windows in corpus order, with repeats."""
-    in_dict = [t in dictionary for t in tokens]
+def _first_occurrences(token_lists, word_ids: dict, dictionary, orders) -> np.ndarray:
+    """Distinct in-dictionary n-gram keys, in build_vocab's column order.
+
+    A function of its own so that its window arrays are freed before the
+    vocabulary builds its entries.
+    """
+    ids, doc_starts = _token_ids(token_lists, word_ids, dictionary)
+    base = _key_base(len(word_ids), orders)
+    keys, starts, order_of = [], [], []
     for n in orders:
-        for start in range(len(tokens) - n + 1):
-            if all(in_dict[start : start + n]):
-                yield tuple(tokens[start : start + n])
+        distinct, first = np.unique(_windows(ids, n, base), return_index=True)
+        found = distinct > 0
+        keys.append(distinct[found])
+        starts.append(first[found])
+        order_of.append(np.full(len(starts[-1]), n))
+    keys, starts, order_of = (np.concatenate(a) for a in (keys, starts, order_of))
+    doc_of = np.searchsorted(doc_starts, starts, side="right") - 1
+    return keys[np.lexsort((starts, order_of, doc_of))]
+
+
+def _chunks(documents: Sequence[Document]):
+    """Consecutive slices of ``documents`` holding about _CHUNK_TOKENS tokens each."""
+    lo, size = 0, 0
+    for i, doc in enumerate(documents):
+        size += len(doc.tokens) + 1
+        if size >= _CHUNK_TOKENS:
+            yield lo, documents[lo : i + 1]
+            lo, size = i + 1, 0
+    if lo < len(documents):
+        yield lo, documents[lo:]
 
 
 def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary) -> sp.csr_matrix:
     """Sparse document-by-n-gram occurrence counts over ``vocab``.
 
     Row i counts the vocabulary n-grams of documents[i]; out-of-vocabulary
-    n-grams are ignored. The vocabulary's word set doubles as the dictionary
-    filter so counting stays consistent with build_vocab.
+    n-grams are ignored. Indices are sorted within each row and the data is
+    int64.
     """
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
     orders = sorted(vocab.orders)
-    for doc in documents:
-        hits = (vocab.index.get(g) for g in iter_ngrams(doc.tokens, orders, vocab.words))
-        row = Counter(idx for idx in hits if idx is not None)
-        for idx in sorted(row):
-            indices.append(idx)
-            data.append(row[idx])
-        indptr.append(len(indices))
+    base = _key_base(len(vocab.word_ids), orders)
+    n_cols = len(vocab)
+    row_nnz = np.zeros(len(documents) + 1, dtype=np.int64)
+    indices, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo, chunk in _chunks(documents):
+        ids, doc_starts = _token_ids([d.tokens for d in chunk], vocab.word_ids)
+        cells = []
+        for n in orders:
+            keys = _windows(ids, n, base)
+            at = np.searchsorted(vocab.keys, keys)
+            hit = np.flatnonzero(at < len(vocab.keys))
+            hit = hit[vocab.keys[at[hit]] == keys[hit]]
+            rows = np.searchsorted(doc_starts, hit, side="right") - 1
+            cells.append(rows * n_cols + vocab.columns[at[hit]])
+        cells, counts = np.unique(np.concatenate(cells), return_counts=True)
+        rows = cells // n_cols
+        row_nnz[lo + 1 : lo + 1 + len(chunk)] = np.bincount(rows, minlength=len(chunk))
+        indices.append(cells - rows * n_cols)
+        data.append(counts.astype(np.int64, copy=False))
     return sp.csr_matrix(
-        (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
-        shape=(len(documents), len(vocab)),
+        (np.concatenate(data), np.concatenate(indices), np.cumsum(row_nnz)),
+        shape=(len(documents), n_cols),
     )
 
 

@@ -3,6 +3,7 @@
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -12,6 +13,8 @@ from .corpus import NGram, NGramVocabulary
 from .errors import DimensionMismatch, EmptyCorpus, MalformedLine, UnknownWord
 
 logger = logging.getLogger(__name__)
+
+_EMBED_ROWS = 256  # rows embed_all gathers at a time; bounds its buffer, not its result
 
 
 @dataclass
@@ -105,10 +108,34 @@ def embed_ngram(ngram: NGram, wv: WordVectors) -> np.ndarray:
 
 
 def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
-    """N x m table whose row t is embed_ngram(vocab.entries[t])."""
+    """N x m table whose row t is embed_ngram(vocab.entries[t]), bit for bit.
+
+    Each row starts at 0.0 and adds its words' vectors in order, then is
+    divided by the n-gram's length, as embed_ngram does. A shorter n-gram
+    adds 0.0 for its missing words, which leaves a sum started at +0.0
+    unchanged. Rows are gathered _EMBED_ROWS at a time into the table.
+    """
+    ids = vocab.word_id_matrix()
+    to_row = np.fromiter(
+        map(wv.words.get, vocab.word_ids, repeat(-1)), dtype=np.int64, count=len(vocab.word_ids)
+    )
+    present = ids >= 0
+    rows = np.where(present, to_row[ids], 0)
+    missing = present & (rows < 0)
+    if missing.any():
+        t = int(np.argmax(missing.any(axis=1)))
+        pos = int(np.argmax(missing[t]))
+        raise UnknownWord(vocab.entries[t][pos], position=pos)
     table = np.zeros((len(vocab), wv.dim))
-    for t, gram in enumerate(vocab.entries):
-        table[t] = embed_ngram(gram, wv)
+    gathered = np.empty((_EMBED_ROWS, wv.dim), dtype=wv.matrix.dtype)
+    for lo in range(0, len(vocab), _EMBED_ROWS):
+        hi = min(lo + _EMBED_ROWS, len(vocab))
+        out = gathered[: hi - lo]
+        for j in range(ids.shape[1]):
+            np.take(wv.matrix, rows[lo:hi, j], axis=0, out=out, mode="clip")
+            out[~present[lo:hi, j]] = 0.0
+            table[lo:hi] += out
+    table /= np.count_nonzero(present, axis=1)[:, None]
     return table
 
 

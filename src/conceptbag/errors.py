@@ -17,6 +17,14 @@ class EmptyVocabulary(ConceptBagError):
     """No n-gram survived dictionary filtering."""
 
 
+class BadOrders(ConceptBagError, ValueError):
+    """N-gram orders are not a non-empty subset of {1, 2, 3}."""
+
+
+class NGramKeyOverflow(ConceptBagError):
+    """Too many distinct words for the n-gram's integer keys to fit in int64."""
+
+
 class DimensionMismatch(ConceptBagError):
     """Vector or matrix dimensions are inconsistent."""
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
-from .corpus import Dataset, build_vocab, count_vectors
+from .corpus import Dataset, build_vocab, check_orders, count_vectors
 from .embeddings import WordVectors, embed_all
 from .errors import ConceptBagError, LengthMismatch, TooFewDocuments
 from .svm import SvmConfig
@@ -34,6 +34,7 @@ class ExperimentConfig:
     cluster_on_all: bool = False
 
     def __post_init__(self):
+        check_orders(self.ngram_orders)
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}; expected one of {FEATURE_MODES}")
         self.kmeans = replace(self.kmeans, K=self.K)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conceptbag import cli
 from conceptbag.cli import main
 from conceptbag.embeddings import load_word_vectors
 
@@ -207,6 +208,35 @@ class TestPipelineChain:
         assert feats.read_text().strip()
 
 
+    def test_table_built_only_where_read(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch
+    ):
+        calls = []
+        embed_all = cli.embed_all
+        monkeypatch.setattr(cli, "embed_all", lambda *a: calls.append(1) or embed_all(*a))
+        flags = dataset_flags(polarity_root, vectors_path)
+        cents = tmp_path / "c.bin"
+        assert main(["cluster", *flags, "--K", "3", "--out", str(cents)]) == 0
+        assert len(calls) == 1
+        out = str(tmp_path / "f.svmlight")
+        assert main(["featurize", *flags, "--mode", "bow_nb", "--out", out]) == 0
+        assert len(calls) == 1
+        assert main(["featurize", *flags, "--mode", "frequency", "--centroids", str(cents),
+                     "--out", out]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("orders", ["1,4", "0,1", "x"])
+    def test_bad_orders_rejected_when_parsed(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, orders
+    ):
+        monkeypatch.setattr(cli, "load_word_vectors", lambda *a: pytest.fail("loaded vectors"))
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", *dataset_flags(polarity_root, vectors_path),
+                  "--orders", orders, "--K", "3", "--out", str(tmp_path / "c.bin")])
+        assert exc.value.code == 2
+        assert "--orders" in capsys.readouterr().err
+
+
 class TestInspectCluster:
     def test_prints_members(self, tmp_path, polarity_root, vectors_path, capsys):
         cents = tmp_path / "c.bin"
@@ -361,6 +391,32 @@ class TestRun:
         assert err.startswith("error:") and message in err
         assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "r")]) == 1
         assert not (tmp_path / "r").exists()
+
+    def test_orders_outside_one_to_three_rejected(
+        self, tmp_path, polarity_root, vectors_path, capsys
+    ):
+        experiment = {"dataset_root": str(polarity_root), "feature_mode": "bow_nb",
+                      "ngram_orders": [1, 4]}
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path, experiments=[experiment])
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n-gram orders") and len(err.splitlines()) == 1
+
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('[{"version": 1}]', encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object, got list\n"
+
+    def test_experiment_not_an_object(self, tmp_path, polarity_root, vectors_path, capsys):
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path, experiments=["x"])
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        assert capsys.readouterr().err == "error: experiment 0 must be a JSON object, got str\n"
+
+    def test_experiments_not_an_array(self, tmp_path, polarity_root, vectors_path, capsys):
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path, experiments={"a": 1})
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        assert capsys.readouterr().err == "error: experiments must be a JSON array, got dict\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json")])

@@ -16,7 +16,8 @@ from conceptbag.corpus import (
     load_polarity_dataset,
     tokenize,
 )
-from conceptbag.errors import EmptyVocabulary, MissingDirectory
+from conceptbag import corpus
+from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow
 
 
 def doc(tokens, label=1, id="d0"):
@@ -101,6 +102,31 @@ class TestBuildVocab:
         full = build_vocab(docs, {1, 2}, {"a", "b", "c"})
         smaller = build_vocab(docs, {1, 2}, {"a", "b"})
         assert len(smaller) <= len(full)
+
+
+class TestOrders:
+    @pytest.mark.parametrize("orders", [{0, 1}, {4}, {1, 4}, set()])
+    def test_build_vocab_rejects_orders_outside_one_to_three(self, orders):
+        with pytest.raises(BadOrders):
+            build_vocab([doc(["a", "b", "a", "b"])], orders, {"a", "b"})
+
+    @pytest.mark.parametrize("orders", [{0}, {4}, set()])
+    def test_extract_ngrams_rejects_them_as_value_error(self, orders):
+        with pytest.raises(ValueError):
+            extract_ngrams(["a", "b"], orders, {"a", "b"})
+
+    def test_vocabulary_rejects_entries_outside_its_orders(self):
+        with pytest.raises(BadOrders):
+            NGramVocabulary([("a",), ()], {1})
+        with pytest.raises(BadOrders):
+            NGramVocabulary([("a", "b")], {1})
+
+    def test_key_overflow_is_named(self):
+        # 2**21 words: base**3 exceeds int64, base**2 does not
+        assert corpus._key_base(2**21 - 2, (1, 2, 3)) == 2**21 - 1
+        with pytest.raises(NGramKeyOverflow):
+            corpus._key_base(2**21, (1, 2, 3))
+        assert corpus._key_base(2**21, (1, 2)) == 2**21 + 1
 
 
 class TestCountVectors:

@@ -190,6 +190,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="nbmax"):
             small_config(feature_mode="nbmax")
 
+    @pytest.mark.parametrize("orders", [(0, 1), (4,), ()])
+    def test_orders_outside_one_to_three_rejected(self, orders):
+        with pytest.raises(ValueError, match="orders"):
+            small_config(ngram_orders=orders)
+
     def test_K_sets_kmeans_K_without_changing_the_given_config(self):
         given = KMeansConfig(K=9, iterations=3)
         cfg = small_config(K=5, kmeans=given)
