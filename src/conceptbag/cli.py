@@ -223,7 +223,6 @@ def _read_experiments(config_path: Path):
     return [_parse_experiment(e, config_path.parent) for e in experiments]
 
 
-
 def cmd_run(args) -> int:
     try:
         parsed = _read_experiments(Path(args.config))

@@ -124,10 +124,12 @@ def _windows(ids: np.ndarray, n: int, base: int) -> np.ndarray:
 
     A window gets 0 when it holds a -1. ``_token_ids`` ends every document
     with a -1, so every window that crosses a document end gets 0 too; the
-    keys of the other windows are positive.
+    keys of the other windows are positive. Keys are int64 whatever the
+    dtype of ``ids``, which ``_key_base`` checks them against.
     """
     span = max(len(ids) - n + 1, 0)
-    keys = ids[:span] + np.int64(1)
+    keys = ids[:span].astype(np.int64)
+    keys += 1
     outside = ids[:span] < 0
     for j in range(1, n):
         keys *= base
@@ -188,18 +190,21 @@ class NGramVocabulary:
     def __init__(self, ngrams: Sequence[NGram], orders: Iterable[int]):
         entries = list(ngrams)
         orders = check_orders(orders)
-        word_ids: dict[str, int] = {}
-        for gram in entries:
-            if len(gram) not in orders:
-                raise BadOrders(f"n-gram {gram!r} has an order outside {list(orders)}")
-            for w in gram:
-                word_ids.setdefault(w, len(word_ids))
+        lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+        outside = np.flatnonzero(~np.isin(lengths, orders))
+        if len(outside):
+            gram = entries[outside[0]]
+            raise BadOrders(f"n-gram {gram!r} has an order outside {list(orders)}")
+        words = dict.fromkeys(chain.from_iterable(entries))
+        word_ids = dict(zip(words, range(len(words))))
+        # each entry is a token list of its own, so its key is its one full window
+        ids, starts = _token_ids(entries, word_ids)
         base = _key_base(len(word_ids), orders)
-        keys = [0] * len(entries)
-        for t, gram in enumerate(entries):
-            for w in gram:
-                keys[t] = keys[t] * base + word_ids[w] + 1
-        self._set(entries, np.array(keys, dtype=np.int64), word_ids, orders)
+        keys = np.empty(len(entries), dtype=np.int64)
+        for n in orders:
+            members = np.flatnonzero(lengths == n)
+            keys[members] = _windows(ids, n, base)[starts[members]]
+        self._set(entries, keys, word_ids, orders)
         self.words = frozenset(word_ids)
 
     @classmethod

@@ -168,3 +168,23 @@ class TestAgainstPerWindowLoop:
         docs = [Document(id=f"d{i}", label=1, tokens=tuple("abcab"[: i % 6])) for i in range(20)]
         vocab = build_vocab(docs, {1, 2, 3}, set("abc"))
         assert_same_csr(count_vectors(docs, vocab), reference_counts(docs, vocab.entries, {1, 2, 3}))
+
+    def test_keys_past_int32_over_many_words(self):
+        # 2000 words, all in the first document, make trigram keys reach
+        # 2001**3 > 2**31: keys must be computed in int64 although the word
+        # ids are int32
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(2000)]
+        docs = [Document(id="d0", label=1, tokens=tuple(rng.permutation(words)))] + [
+            Document(id=f"d{i}", label=1, tokens=tuple(rng.choice(words + ["oov"], size=900)))
+            for i in range(1, 4)
+        ]
+        ords = {1, 2, 3}
+        vocab = build_vocab(docs[:3], ords, set(words))
+        want = reference_vocab(docs[:3], ords, set(words))
+        assert vocab.keys.max() > 2**31
+        assert vocab.entries == want
+        direct = NGramVocabulary(want, ords)
+        assert direct.keys.max() > 2**31
+        for v in (vocab, direct):
+            assert_same_csr(count_vectors(docs, v), reference_counts(docs, want, ords))
