@@ -131,8 +131,8 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train_svm(args) -> int:
-    mat, labels = features.load_svmlight(args.features)
     config = SvmConfig(C=args.C, max_epochs=args.max_epochs, tolerance=args.tolerance)
+    mat, labels = features.load_svmlight(args.features)
     model = svm.svm_train(mat, labels, config)
     svm.save_model(model, args.out)
     print(f"trained model (dim {len(model.w)}); wrote {args.out}")

@@ -67,7 +67,7 @@ def load_word_vectors(path, expected_dim: int | None = None) -> WordVectors:
                 continue
             word, values = parts[0], parts[1:]
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.array(values, dtype=np.float64)
             except ValueError as exc:
                 raise MalformedLine(f"line {lineno}: cannot parse {line!r}") from exc
             if dim is None:

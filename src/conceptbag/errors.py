@@ -77,3 +77,7 @@ class BadCentroidFile(ConceptBagError, ValueError):
 
 class TooFewDocuments(ConceptBagError):
     """Not enough documents to build the requested folds."""
+
+
+class BadConfig(ConceptBagError, ValueError):
+    """A configuration value has the wrong type or is out of range."""

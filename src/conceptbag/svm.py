@@ -1,11 +1,20 @@
 """L2-regularized squared-hinge linear SVM, trained by primal Newton-CG."""
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadLabel, DimensionMismatch, NonFiniteFeature
+from .errors import BadConfig, BadLabel, DimensionMismatch, NonFiniteFeature
+
+# CG stops once the Newton system's residual is below this fraction of |grad|
+CG_RELATIVE_TOLERANCE = 1e-4
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -14,12 +23,23 @@ class SvmConfig:
     max_epochs: int = 1000
     tolerance: float = 1e-6
 
+    def __post_init__(self):
+        if not (_is_real(self.C) and math.isfinite(self.C) and self.C > 0):
+            raise BadConfig(f"svm C must be a finite number > 0, got {self.C!r}")
+        if not (isinstance(self.max_epochs, numbers.Integral) and not isinstance(self.max_epochs, bool)
+                and self.max_epochs >= 1):
+            raise BadConfig(f"svm max_epochs must be an int >= 1, got {self.max_epochs!r}")
+        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise BadConfig(f"svm tolerance must be a finite number >= 0, got {self.tolerance!r}")
+
 
 @dataclass
 class LinearModel:
     w: np.ndarray
     trained_C: float
     objective_trace: list[float] = field(default_factory=list)
+    cg_iters: int = 0  # CG iterations summed over all Newton steps
+    grad_norm: float = float("nan")  # |gradient| at w; nan when not trained here
 
 
 def svm_objective(w: np.ndarray, features, labels, C: float) -> float:
@@ -66,11 +86,19 @@ def _scores(features, w) -> np.ndarray:
 def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     """Newton-CG with Armijo backtracking on the primal objective.
 
-    The squared-hinge primal is smooth and strongly convex; each outer
-    iteration solves the generalized-Newton system by conjugate gradients
-    and backtracks until sufficient decrease, so the recorded per-iteration
-    objective trace is non-increasing. Stops when the gradient norm falls
-    below config.tolerance. Fully deterministic. Labels must be +1 or -1.
+    The squared-hinge primal is smooth and strongly convex. Each outer
+    iteration solves the generalized-Newton system H s = -g by conjugate
+    gradients until the residual is below CG_RELATIVE_TOLERANCE * |g|, with
+    H v = v + 2C Xaᵀ(Xa v) formed from the active rows Xa (margin below 1)
+    only, gathered once per step. So once the active set settles a step
+    lands on the optimum (finite Newton; Keerthi & DeCoste 2005). Armijo
+    backtracking keeps the recorded per-iteration objective trace
+    non-increasing. Stops when the gradient norm falls below
+    config.tolerance, after config.max_epochs Newton steps, or when no
+    step decreases the objective. The model records the objective trace
+    (Newton steps = len(trace) - 1), the total CG iterations and the
+    gradient norm at the returned w. Fully deterministic. Labels must be
+    +1 or -1; a single class is allowed.
     """
     y = np.asarray(labels, dtype=np.float64)
     X = _matrix(features)
@@ -88,17 +116,19 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     scores = np.zeros(len(y))
     obj = _objective(w, y, scores, C)
     trace = [obj]
+    cg_iters = 0
     for _ in range(config.max_epochs):
         grad = _gradient(w, X, y, scores, C)
         gnorm = np.linalg.norm(grad)
-        if gnorm < config.tolerance:
+        if gnorm < config.tolerance or gnorm == 0.0:  # 0 is optimal even at tolerance 0
             break
-        active = y * scores < 1.0
+        Xa = X[y * scores < 1.0]
 
         def hessvec(v):
-            return v + np.asarray(X.T @ (2.0 * C * active * _scores(X, v))).ravel()
+            return v + 2.0 * C * np.asarray(Xa.T @ (Xa @ v)).ravel()
 
-        step = _cg(hessvec, -grad, max_iter=max(50, d), tol=min(0.1, gnorm) * gnorm)
+        step, iters = _cg(hessvec, -grad, max_iter=max(50, d), tol=CG_RELATIVE_TOLERANCE * gnorm)
+        cg_iters += iters
         # Armijo backtracking guarantees monotone decrease
         t = 1.0
         descent = grad @ step
@@ -118,18 +148,23 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
         scores = scores_new
         obj = obj_new
         trace.append(obj)
-    return LinearModel(w=w, trained_C=C, objective_trace=trace)
+    else:
+        gnorm = np.linalg.norm(_gradient(w, X, y, scores, C))
+    return LinearModel(w=w, trained_C=C, objective_trace=trace, cg_iters=cg_iters,
+                       grad_norm=float(gnorm))
 
 
 def _cg(hessvec, b, max_iter, tol):
-    """Conjugate gradients for the (positive definite) Newton system."""
+    """Conjugate gradients for the (positive definite) Newton system.
+
+    Returns the solution and the number of iterations taken.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
     rs = r @ r
-    for _ in range(max_iter):
-        if np.sqrt(rs) < tol:
-            break
+    iters = 0
+    while iters < max_iter and np.sqrt(rs) >= tol:
         hp = hessvec(p)
         alpha = rs / (p @ hp)
         x += alpha * p
@@ -137,7 +172,8 @@ def _cg(hessvec, b, max_iter, tol):
         rs_new = r @ r
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+        iters += 1
+    return x, iters
 
 
 def svm_predict(model: LinearModel, f) -> np.ndarray:

@@ -196,6 +196,16 @@ class TestPipelineChain:
         assert main(["evaluate", "--model", str(model), "--features", str(narrow)]) == 0
         assert capsys.readouterr().out == "accuracy 1.0000 over 2 documents\n"
 
+    def test_train_svm_rejects_negative_C(self, tmp_path, capsys):
+        train = tmp_path / "train.svmlight"
+        train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        rc = main(["train-svm", "--features", str(train), "--out", str(model), "--C", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: svm C must be") and len(err.splitlines()) == 1
+        assert not model.exists()
+
     def test_featurize_bow_mode_needs_no_centroids(
         self, tmp_path, polarity_root, vectors_path
     ):
@@ -389,6 +399,28 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [({"K": "1"}, "K must be an int"), ({"folds": "2"}, "folds must be an int"),
+         ({"svm": {"C": -1}}, "svm C must be"), ({"svm": {"C": "1"}}, "svm C must be")],
+    )
+    def test_bad_value_types_rejected_before_work(
+        self, tmp_path, polarity_root, vectors_path, capsys, bad, message
+    ):
+        experiment = {
+            "dataset_root": str(polarity_root),
+            "embeddings_path": str(vectors_path),
+            "K": 3,
+            "folds": 2,
+            **bad,
+        }
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path, experiments=[experiment])
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
         assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "r")]) == 1
         assert not (tmp_path / "r").exists()
 

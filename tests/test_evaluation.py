@@ -5,7 +5,7 @@ import pytest
 
 from conceptbag.clustering import KMeansConfig
 from conceptbag.corpus import Dataset, Document
-from conceptbag.errors import LengthMismatch, TooFewDocuments, TooFewPoints
+from conceptbag.errors import BadConfig, LengthMismatch, TooFewDocuments, TooFewPoints
 from conceptbag.evaluation import (
     STAGES,
     ExperimentConfig,
@@ -194,6 +194,14 @@ class TestExperimentConfig:
     def test_orders_outside_one_to_three_rejected(self, orders):
         with pytest.raises(ValueError, match="orders"):
             small_config(ngram_orders=orders)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("K", "1"), ("K", 6.0), ("folds", "2"), ("seed", True), ("cluster_on_all", "no")],
+    )
+    def test_wrong_value_types_rejected(self, name, value):
+        with pytest.raises(BadConfig, match=name):
+            small_config(**{name: value})
 
     def test_K_sets_kmeans_K_without_changing_the_given_config(self):
         given = KMeansConfig(K=9, iterations=3)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from conceptbag.errors import BadLabel, DimensionMismatch, NonFiniteFeature
+from conceptbag.errors import BadConfig, BadLabel, DimensionMismatch, NonFiniteFeature
 from conceptbag.svm import (
     LinearModel,
     SvmConfig,
@@ -112,6 +112,66 @@ class TestTrain:
         w1 = svm_train(X, y, cfg).w
         w2 = svm_train(X, -y, cfg).w
         assert np.allclose(w1, -w2, atol=1e-7)
+
+
+class TestNewtonSolver:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_problem_takes_few_newton_steps(self, seed):
+        # CG solved to 1e-4 |g| lands on the optimum once the active set settles
+        rng = np.random.default_rng(seed)
+        X = sp.random(200, 5000, density=0.01, format="csr", random_state=seed)
+        X.data[:] = 1.0
+        y = np.where(X @ rng.normal(size=5000) + 0.1 * rng.normal(size=200) >= 0, 1, -1)
+        model = svm_train(X, y, SvmConfig(C=1.0))
+        assert len(model.objective_trace) - 1 <= 4
+
+    def test_diagnostics_of_converged_fit(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, 6))
+        y = rng.choice([-1, 1], size=40)
+        config = SvmConfig(C=1.0)
+        model = svm_train(X, y, config)
+        assert model.cg_iters > 0
+        assert model.grad_norm < config.tolerance
+        assert model.grad_norm == pytest.approx(np.linalg.norm(svm_gradient(model.w, X, y, 1.0)))
+
+    def test_grad_norm_reported_when_epochs_run_out(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(40, 6))
+        y = rng.choice([-1, 1], size=40)
+        model = svm_train(X, y, SvmConfig(C=1.0, max_epochs=1))
+        assert len(model.objective_trace) == 2
+        assert model.grad_norm == pytest.approx(np.linalg.norm(svm_gradient(model.w, X, y, 1.0)))
+
+    def test_zero_gradient_at_zero_tolerance(self):
+        model = svm_train(np.zeros((2, 3)), np.array([1, -1]), SvmConfig(tolerance=0.0))
+        assert np.array_equal(model.w, np.zeros(3))
+        assert model.grad_norm == 0.0
+
+
+class TestConfig:
+    @pytest.mark.parametrize("C", [0, -1, float("nan"), float("inf"), "1", True])
+    def test_bad_C_rejected(self, C):
+        with pytest.raises(BadConfig, match="C must be"):
+            SvmConfig(C=C)
+
+    @pytest.mark.parametrize("max_epochs", [0, -3, 2.0, "5"])
+    def test_bad_max_epochs_rejected(self, max_epochs):
+        with pytest.raises(BadConfig, match="max_epochs"):
+            SvmConfig(max_epochs=max_epochs)
+
+    @pytest.mark.parametrize("tolerance", [-1e-6, float("nan"), "1e-6"])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(BadConfig, match="tolerance"):
+            SvmConfig(tolerance=tolerance)
+
+    def test_bad_config_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            SvmConfig(C=-1)
+
+    def test_integer_and_numpy_values_accepted(self):
+        config = SvmConfig(C=2, max_epochs=np.int64(5), tolerance=0)
+        assert (config.C, config.max_epochs, config.tolerance) == (2, 5, 0)
 
 
 class TestGradient:
