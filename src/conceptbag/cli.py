@@ -12,7 +12,7 @@ from . import clustering, evaluation, features, svm
 from .clustering import KMeansConfig
 from .corpus import build_vocab, check_orders, count_vectors, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
-from .errors import ConceptBagError
+from .errors import BadOrders, ConceptBagError
 from .evaluation import ExperimentConfig, run_experiment, write_reports
 from .svm import SvmConfig
 
@@ -44,7 +44,9 @@ def _seed_override(seed: int) -> int:
 def _parse_orders(text) -> tuple[int, ...]:
     if isinstance(text, (list, tuple)):
         return tuple(int(n) for n in text)
-    return tuple(int(n) for n in text.split(",") if n)
+    if isinstance(text, str):
+        return tuple(int(n) for n in text.split(",") if n)
+    raise BadOrders(f"n-gram orders must be a list or a comma-separated string, got {text!r}")
 
 
 def _orders_arg(text) -> tuple[int, ...]:

@@ -5,12 +5,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BadCentroidFile, DimensionMismatch, NonFiniteFeature, TooFewPoints
+from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 _MAGIC = b"CBGC"
 _VERSION = 1
 
 VARIANTS = ("lloyd", "minibatch")
+INITS = ("kmeanspp", "random_points")
 
 
 @dataclass
@@ -19,12 +20,16 @@ class KMeansConfig:
     iterations: int = 10
     variant: str = "lloyd"  # one of VARIANTS
     batch_size: int = 1024
-    init: str = "kmeanspp"  # or "random_points"
+    init: str = "kmeanspp"  # one of INITS
     seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown K-means variant {self.variant!r}; expected one of {VARIANTS}")
+            raise BadConfig(f"unknown K-means variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.init not in INITS:
+            raise BadConfig(f"unknown K-means init {self.init!r}; expected one of {INITS}")
+        for name, minimum in (("K", 1), ("iterations", 0), ("batch_size", 1), ("seed", None)):
+            check_int(f"kmeans {name}", getattr(self, name), minimum)
 
 
 @dataclass
@@ -121,10 +126,8 @@ def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
 def _init_centers(X: np.ndarray, config: KMeansConfig, rng) -> np.ndarray:
     if config.init == "kmeanspp":
         return _kmeanspp_init(X, config.K, rng)
-    if config.init == "random_points":
-        idx = rng.choice(X.shape[0], size=config.K, replace=False)
-        return X[idx].copy()
-    raise ValueError(f"unknown init {config.init!r}")
+    idx = rng.choice(X.shape[0], size=config.K, replace=False)  # "random_points"
+    return X[idx].copy()
 
 
 def inertia(X: np.ndarray, centroids: Centroids) -> float:

@@ -1,4 +1,7 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the config checks that raise BadConfig."""
+
+import math
+import numbers
 
 
 class ConceptBagError(Exception):
@@ -81,3 +84,19 @@ class TooFewDocuments(ConceptBagError):
 
 class BadConfig(ConceptBagError, ValueError):
     """A configuration value has the wrong type or is out of range."""
+
+
+def check_int(what: str, value, minimum: int | None = None) -> None:
+    """Raise BadConfig unless ``value`` is an int (not a bool), and >= ``minimum`` if given."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise BadConfig(f"{what} must be an int{bound}, got {value!r}")
+
+
+def check_finite(what: str, value, minimum: float, strict: bool) -> None:
+    """Raise BadConfig unless ``value`` is a finite real > ``minimum`` (>= if not ``strict``)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value)
+            or (value <= minimum if strict else value < minimum)):
+        bound = f"{'>' if strict else '>='} {minimum:g}"
+        raise BadConfig(f"{what} must be a finite number {bound}, got {value!r}")

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -15,7 +14,7 @@ from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
 from .corpus import Dataset, build_vocab, check_orders, count_vectors
 from .embeddings import WordVectors, embed_all
-from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments
+from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int
 from .svm import SvmConfig
 
 STAGES = ("vocab", "counts", "ngram_repr", "kmeans", "doc_repr", "svm_train", "total")
@@ -36,9 +35,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("K", "folds", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise BadConfig(f"{name} must be an int, got {value!r}")
+            check_int(name, getattr(self, name))
         if not isinstance(self.cluster_on_all, (bool, np.bool_)):
             raise BadConfig(f"cluster_on_all must be a bool, got {self.cluster_on_all!r}")
         check_orders(self.ngram_orders)

@@ -1,20 +1,14 @@
 """L2-regularized squared-hinge linear SVM, trained by primal Newton-CG."""
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadConfig, BadLabel, DimensionMismatch, NonFiniteFeature
+from .errors import BadLabel, DimensionMismatch, NonFiniteFeature, check_finite, check_int
 
 # CG stops once the Newton system's residual is below this fraction of |grad|
 CG_RELATIVE_TOLERANCE = 1e-4
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -24,13 +18,9 @@ class SvmConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not (_is_real(self.C) and math.isfinite(self.C) and self.C > 0):
-            raise BadConfig(f"svm C must be a finite number > 0, got {self.C!r}")
-        if not (isinstance(self.max_epochs, numbers.Integral) and not isinstance(self.max_epochs, bool)
-                and self.max_epochs >= 1):
-            raise BadConfig(f"svm max_epochs must be an int >= 1, got {self.max_epochs!r}")
-        if not (_is_real(self.tolerance) and math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise BadConfig(f"svm tolerance must be a finite number >= 0, got {self.tolerance!r}")
+        check_finite("svm C", self.C, minimum=0.0, strict=True)
+        check_int("svm max_epochs", self.max_epochs, minimum=1)
+        check_finite("svm tolerance", self.tolerance, minimum=0.0, strict=False)
 
 
 @dataclass

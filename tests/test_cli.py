@@ -99,6 +99,19 @@ class TestTrainEmbeddings:
             outs.append(out.read_text())
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--dim", "0")])
+    def test_bad_hyperparameter_rejected_before_training(self, tmp_path, capsys, flag, value):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c d e\n" * 20, encoding="utf-8")
+        out = tmp_path / "v.txt"
+        assert main([
+            "train-embeddings", "--corpus", str(corpus), "--out", str(out),
+            "--min-count", "1", flag, value,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sgns ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestCluster:
     def test_deterministic_byte_identical(self, tmp_path, polarity_root, vectors_path):
@@ -405,7 +418,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "bad, message",
         [({"K": "1"}, "K must be an int"), ({"folds": "2"}, "folds must be an int"),
-         ({"svm": {"C": -1}}, "svm C must be"), ({"svm": {"C": "1"}}, "svm C must be")],
+         ({"svm": {"C": -1}}, "svm C must be"), ({"svm": {"C": "1"}}, "svm C must be"),
+         ({"kmeans": {"iterations": "5"}}, "kmeans iterations must be an int"),
+         ({"kmeans": {"seed": "0"}}, "kmeans seed must be an int"),
+         ({"kmeans": {"init": "kmeans++"}}, "unknown K-means init"),
+         ({"ngram_orders": 1}, "n-gram orders must be a list")],
     )
     def test_bad_value_types_rejected_before_work(
         self, tmp_path, polarity_root, vectors_path, capsys, bad, message

@@ -19,7 +19,7 @@ from conceptbag.clustering import (
     nearest,
     save_centroids,
 )
-from conceptbag.errors import DimensionMismatch, NonFiniteFeature, TooFewPoints
+from conceptbag.errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
 def best_partition_inertia(X, K):
@@ -263,6 +263,15 @@ class TestFit:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="minibach"):
             KMeansConfig(variant="minibach")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("K", 0), ("K", 3.0), ("iterations", -1), ("iterations", "5"), ("batch_size", 0),
+         ("seed", "0"), ("seed", True), ("init", "kmeans++")],
+    )
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(BadConfig, match=name):
+            KMeansConfig(**{name: value})
 
 
 class TestAssignAndInertia:

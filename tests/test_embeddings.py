@@ -1,11 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import sgns_pair_corpus
+
+from conceptbag import embeddings
 from conceptbag.corpus import NGramVocabulary
 from conceptbag.embeddings import (
     SgnsConfig,
     WordVectors,
+    _sgns_coefficients,
     embed_all,
     embed_ngram,
     load_word_vectors,
@@ -13,7 +19,7 @@ from conceptbag.embeddings import (
     sgns_loss_and_grad,
     train_sgns,
 )
-from conceptbag.errors import DimensionMismatch, EmptyCorpus, MalformedLine, UnknownWord
+from conceptbag.errors import BadConfig, DimensionMismatch, EmptyCorpus, MalformedLine, UnknownWord
 
 
 def make_wv(mapping):
@@ -171,3 +177,112 @@ class TestSgns:
             for _ in range(300)
         ]
         assert pair > np.quantile(rand, 0.95)
+
+
+def reference_sgns(documents, config, block):
+    """The per-pair trainer's vocabulary, initialization and draws, with a
+    block of ``block`` consecutive pairs trained from one snapshot of the
+    vectors and applied by np.subtract.at; block=1 is the per-pair trainer."""
+    docs = [list(d) for d in documents]
+    freq = Counter(t for d in docs for t in d)
+    kept = sorted((w for w, c in freq.items() if c >= config.min_count), key=lambda w: (-freq[w], w))
+    word_to_id = {w: i for i, w in enumerate(kept)}
+    counts = np.array([freq[w] for w in kept], dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    m, k, window = config.dim, config.negatives, config.window
+    vec_in = rng.uniform(-0.5 / m, 0.5 / m, size=(len(kept), m))
+    vec_out = np.zeros((len(kept), m))
+    noise = counts**0.75
+    noise /= noise.sum()
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
+    keep_prob = np.minimum(1.0, np.sqrt(config.subsample_threshold / (counts / counts.sum())))
+    pairs, negatives = [], []
+    for _ in range(config.epochs):
+        for doc in docs:
+            ids = np.array([word_to_id[t] for t in doc if t in word_to_id], dtype=np.int64)
+            ids = ids[rng.random(len(ids)) < keep_prob[ids]].tolist()
+            doc_pairs = [
+                (center, ids[ctx_pos])
+                for pos, center in enumerate(ids)
+                for ctx_pos in range(max(0, pos - window), min(len(ids), pos + window + 1))
+                if ctx_pos != pos
+            ]
+            pairs += doc_pairs
+            negatives.append(cdf.searchsorted(rng.random(len(doc_pairs) * k), side="right").reshape(-1, k))
+    pairs, negatives = np.array(pairs), np.concatenate(negatives)
+    labels = np.zeros(1 + k)
+    labels[0] = 1.0
+    for lo in range(0, len(pairs), block):
+        centers = pairs[lo : lo + block, 0]
+        targets = np.column_stack((pairs[lo : lo + block, 1], negatives[lo : lo + block]))
+        c, out = vec_in[centers], vec_out[targets]
+        g = 1.0 / (1.0 + np.exp(-np.einsum("bjm,bm->bj", out, c))) - labels
+        grad_c = np.einsum("bj,bjm->bm", g, out)
+        step = config.learning_rate * g[:, :, None] * c[:, None, :]
+        np.subtract.at(vec_out, targets.ravel(), step.reshape(-1, m))
+        np.subtract.at(vec_in, centers, config.learning_rate * grad_c)
+    return WordVectors(words=word_to_id, matrix=vec_in)
+
+
+class TestBlockTrainer:
+    @pytest.mark.parametrize(
+        "subsample, chunk_tokens", [(1.0, None), (1e-2, None), (1e-2, 4)],
+    )
+    def test_one_pair_blocks_are_the_per_pair_trainer(self, monkeypatch, subsample, chunk_tokens):
+        monkeypatch.setattr(embeddings, "_SGNS_BLOCK_PAIRS", 1)
+        if chunk_tokens is not None:  # slices every 10-token document
+            monkeypatch.setattr(embeddings, "_SGNS_CHUNK_TOKENS", chunk_tokens)
+        docs, _ = sgns_pair_corpus(seed=2, ndocs=40)
+        cfg = SgnsConfig(dim=8, window=3, epochs=2, min_count=1, subsample_threshold=subsample, seed=4)
+        got, want = train_sgns(docs, cfg), reference_sgns(docs, cfg, block=1)
+        assert got.words == want.words
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+
+    def test_blocks_with_repeated_rows_match_subtract_at(self):
+        # three words and six targets a pair: each block repeats target rows,
+        # and its centers are targets too
+        docs = [["a", "b", "a", "c", "b", "a", "a", "c"], ["c", "a", "b"]] * 3
+        cfg = SgnsConfig(dim=5, window=2, epochs=3, min_count=1, subsample_threshold=1.0,
+                         learning_rate=0.05, seed=8)
+        got = train_sgns(docs, cfg)
+        want = reference_sgns(docs, cfg, block=embeddings._SGNS_BLOCK_PAIRS)
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
+        assert not np.allclose(got.matrix, reference_sgns(docs, cfg, block=1).matrix)
+
+    def test_target_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        h = 1e-6
+        for _ in range(5):
+            center = rng.normal(size=6)
+            targets = rng.normal(size=(4, 6))
+            grad = _sgns_coefficients(targets @ center)[:, None] * center
+            fd = np.zeros_like(targets)
+            for j, i in np.ndindex(*targets.shape):
+                up, down = targets.copy(), targets.copy()
+                up[j, i] += h
+                down[j, i] -= h
+                fd[j, i] = (
+                    sgns_loss_and_grad(center, up[0], up[1:])[0]
+                    - sgns_loss_and_grad(center, down[0], down[1:])[0]
+                ) / (2 * h)
+            assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-4
+
+    def test_coefficients_take_leading_dimensions(self):
+        scores = np.random.default_rng(3).normal(size=(2, 3, 6))
+        batched = _sgns_coefficients(scores)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(batched[idx], _sgns_coefficients(scores[idx]))
+
+
+class TestSgnsConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
+         ("learning_rate", "0.1"), ("epochs", -1), ("epochs", 1.0), ("subsample_threshold", 0.0),
+         ("dim", 0), ("negatives", -1), ("window", 0), ("min_count", 0), ("seed", "0"),
+         ("seed", True)],
+    )
+    def test_bad_values_rejected(self, name, value):
+        with pytest.raises(BadConfig, match=name):
+            SgnsConfig(**{name: value})
