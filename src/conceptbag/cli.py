@@ -199,6 +199,8 @@ def _parse_experiment(entry: dict, base_dir: Path):
         seed=_seed_override(entry.get("seed", 42)),
         cluster_on_all=entry.get("cluster_on_all", False),
     )
+    if config.feature_mode in features.CONCEPT_MODES and emb is None:
+        raise ValueError(f"feature_mode {config.feature_mode!r} needs an embeddings_path")
     return config, root, dtype, emb
 
 
@@ -297,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--K", type=int, default=300)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--variant", default="lloyd", choices=["lloyd", "minibatch"])
+    p.add_argument("--variant", default="lloyd", choices=clustering.VARIANTS)
     p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--init", default="kmeanspp", choices=["kmeanspp", "random_points"])
+    p.add_argument("--init", default="kmeanspp", choices=clustering.INITS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--text-out", default=None, help="also write a text export")
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("featurize", help="write document features in svmlight format")
     _add_dataset_args(p)
     p.add_argument("--centroids", default=None, help="required for concept modes")
-    p.add_argument("--mode", default="nb_max", choices=["nb_max", "frequency", "bow_nb"])
+    p.add_argument("--mode", default="nb_max", choices=features.MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_featurize)
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .embeddings import WordVectors, save_word_vectors
 from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 _MAGIC = b"CBGC"
@@ -262,8 +263,5 @@ def load_centroids(path) -> Centroids:
 
 def export_centroids_text(centroids: Centroids, path) -> None:
     """Text mirror of the embedding format for inspection; rows named c<k>."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{centroids.K} {centroids.dim}\n")
-        for k in range(centroids.K):
-            row = " ".join(repr(float(v)) for v in centroids.matrix[k])
-            fh.write(f"c{k} {row}\n")
+    names = {f"c{k}": k for k in range(centroids.K)}
+    save_word_vectors(WordVectors(words=names, matrix=centroids.matrix), path)

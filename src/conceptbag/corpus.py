@@ -4,6 +4,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -180,11 +181,12 @@ def extract_ngrams(
 class NGramVocabulary:
     """Bijection between n-grams and column indices, in first-occurrence order.
 
-    ``words`` is the set of words that occur in any entry. For counting, the
-    vocabulary also numbers words (``word_ids``, ids 0, 1, ... in insertion
-    order) and keeps each entry's integer key: ``keys`` is sorted and
-    ``columns[i]`` is the column of the entry whose key is ``keys[i]``.
-    Every entry's length must be one of ``orders``.
+    The vocabulary numbers words (``word_ids``, ids 0, 1, ... in insertion
+    order) and stores each n-gram once, as its integer key: ``keys`` is
+    sorted and ``columns[i]`` is the column of the n-gram whose key is
+    ``keys[i]``. ``entries`` (the n-grams by column), ``index`` (n-gram to
+    column) and ``words`` (the words of any n-gram) are decoded from the
+    keys when first read. Every n-gram's length must be one of ``orders``.
     """
 
     def __init__(self, ngrams: Sequence[NGram], orders: Iterable[int]):
@@ -204,35 +206,22 @@ class NGramVocabulary:
         for n in orders:
             members = np.flatnonzero(lengths == n)
             keys[members] = _windows(ids, n, base)[starts[members]]
-        self._set(entries, keys, word_ids, orders)
-        self.words = frozenset(word_ids)
+        self._set(keys, word_ids, orders)
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, word_ids: dict, orders) -> "NGramVocabulary":
         """The vocabulary whose column t holds the n-gram of ``keys[t]``."""
         vocab = cls.__new__(cls)
-        ids = _decode(keys, _key_base(len(word_ids), orders), max(orders))
-        words = np.array(list(word_ids), dtype=object)
-        vocab.words = frozenset(words[np.unique(ids[ids >= 0])].tolist())
-        lengths = np.count_nonzero(ids >= 0, axis=1)
-        entries = np.empty(len(keys), dtype=object)
-        for n in orders:
-            members = np.flatnonzero(lengths == n)
-            grams = zip(*(words[ids[members, j]] for j in range(n)))
-            entries[members] = np.fromiter(grams, dtype=object, count=len(members))
-        del ids
-        vocab._set(entries.tolist(), keys, word_ids, orders)
+        vocab._set(keys, word_ids, orders)
         return vocab
 
-    def _set(self, entries, keys, word_ids, orders):
-        self.entries: list[NGram] = entries
-        self.index: dict[NGram, int] = {g: i for i, g in enumerate(entries)}
-        if len(self.index) != len(entries):
-            raise ValueError("duplicate n-grams passed to NGramVocabulary")
+    def _set(self, keys, word_ids, orders):
         self.orders = frozenset(orders)
         self.word_ids: dict[str, int] = word_ids
         self.columns = np.argsort(keys, kind="stable")
         self.keys = keys[self.columns]
+        if np.any(self.keys[1:] == self.keys[:-1]):
+            raise ValueError("duplicate n-grams passed to NGramVocabulary")
 
     def word_id_matrix(self) -> np.ndarray:
         """len(self) x max(orders) word ids; row t is entries[t]'s, padded with -1."""
@@ -240,8 +229,29 @@ class NGramVocabulary:
         keys[self.columns] = self.keys
         return _decode(keys, _key_base(len(self.word_ids), self.orders), max(self.orders))
 
+    @cached_property
+    def entries(self) -> list[NGram]:
+        ids = self.word_id_matrix()
+        words = np.array(list(self.word_ids), dtype=object)
+        lengths = np.count_nonzero(ids >= 0, axis=1)
+        entries = np.empty(len(ids), dtype=object)
+        for n in self.orders:
+            members = np.flatnonzero(lengths == n)
+            grams = zip(*(words[ids[members, j]] for j in range(n)))
+            entries[members] = np.fromiter(grams, dtype=object, count=len(members))
+        return entries.tolist()
+
+    @cached_property
+    def index(self) -> dict[NGram, int]:
+        return {g: i for i, g in enumerate(self.entries)}
+
+    @cached_property
+    def words(self) -> frozenset[str]:
+        used = np.unique(self.word_id_matrix())
+        return frozenset(np.array(list(self.word_ids), dtype=object)[used[used >= 0]].tolist())
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def __contains__(self, ngram: NGram) -> bool:
         return ngram in self.index
@@ -257,19 +267,7 @@ def build_vocab(documents: Iterable[Document], orders, dictionary) -> NGramVocab
     """
     orders = check_orders(orders)
     word_ids: dict[str, int] = {}
-    keys = _first_occurrences([d.tokens for d in documents], word_ids, dictionary, orders)
-    if not len(keys):
-        raise EmptyVocabulary("no in-dictionary n-gram found in the corpus")
-    return NGramVocabulary._from_keys(keys, word_ids, orders)
-
-
-def _first_occurrences(token_lists, word_ids: dict, dictionary, orders) -> np.ndarray:
-    """Distinct in-dictionary n-gram keys, in build_vocab's column order.
-
-    A function of its own so that its window arrays are freed before the
-    vocabulary builds its entries.
-    """
-    ids, doc_starts = _token_ids(token_lists, word_ids, dictionary)
+    ids, doc_starts = _token_ids([d.tokens for d in documents], word_ids, dictionary)
     base = _key_base(len(word_ids), orders)
     keys, starts, order_of = [], [], []
     for n in orders:
@@ -279,8 +277,10 @@ def _first_occurrences(token_lists, word_ids: dict, dictionary, orders) -> np.nd
         starts.append(first[found])
         order_of.append(np.full(len(starts[-1]), n))
     keys, starts, order_of = (np.concatenate(a) for a in (keys, starts, order_of))
+    if not len(keys):
+        raise EmptyVocabulary("no in-dictionary n-gram found in the corpus")
     doc_of = np.searchsorted(doc_starts, starts, side="right") - 1
-    return keys[np.lexsort((starts, order_of, doc_of))]
+    return NGramVocabulary._from_keys(keys[np.lexsort((starts, order_of, doc_of))], word_ids, orders)
 
 
 def _chunks(documents: Sequence[Document]):

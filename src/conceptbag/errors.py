@@ -33,7 +33,10 @@ class DimensionMismatch(ConceptBagError):
 
 
 class MalformedLine(ConceptBagError):
-    """An embedding file line could not be parsed; message carries the line number."""
+    """A line of a word-vector, SVM model or svmlight feature file could not be parsed.
+
+    The message carries the line number; the model and feature loaders also name the file.
+    """
 
 
 class UnknownWord(ConceptBagError):
@@ -48,6 +51,10 @@ class UnknownWord(ConceptBagError):
 
 class EmptyCorpus(ConceptBagError):
     """No token survived min-count filtering."""
+
+
+class SgnsDiverged(ConceptBagError):
+    """Skip-gram training diverged: a score overflowed exp, so the learning rate is too large."""
 
 
 class TooFewPoints(ConceptBagError):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LengthMismatch, SingleClass
+from .errors import LengthMismatch, MalformedLine, SingleClass
 
 CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
 MODES = CONCEPT_MODES + ("bow_nb",)
@@ -127,22 +127,32 @@ def export_svmlight(features, labels, path) -> None:
 
 
 def load_svmlight(path) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Read the format written by export_svmlight. Width is the max seen index."""
+    """Read the format written by export_svmlight. Width is the max seen index.
+
+    A line that does not parse raises MalformedLine naming the file and
+    line; bytes that are not UTF-8 fail as part of their line.
+    """
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            labels.append(int(parts[0]))
-            for item in parts[1:]:
-                idx, val = item.split(":")
-                indices.append(int(idx) - 1)
-                data.append(float(val))
-            indptr.append(len(indices))
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                labels.append(int(parts[0]))
+                for item in parts[1:]:
+                    idx, val = item.split(":")
+                    if int(idx) < 1:
+                        raise ValueError(f"index {idx} is below 1")
+                    indices.append(int(idx) - 1)
+                    data.append(float(val))
+                indptr.append(len(indices))
+    except ValueError as exc:
+        raise MalformedLine(f"{path} line {lineno}: {exc}") from exc
     width = max(indices) + 1 if indices else 0
     mat = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), indptr),

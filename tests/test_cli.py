@@ -112,6 +112,19 @@ class TestTrainEmbeddings:
         assert err.startswith("error: sgns ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_diverged_training_writes_no_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b a c b a a c\nc a b\n" * 3, encoding="utf-8")
+        out = tmp_path / "v.txt"
+        assert main([
+            "train-embeddings", "--corpus", str(corpus), "--out", str(out), "--dim", "5",
+            "--window", "2", "--epochs", "3", "--min-count", "1", "--subsample", "1.0",
+            "--lr", "0.5", "--seed", "8",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: skip-gram training diverged") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestCluster:
     def test_deterministic_byte_identical(self, tmp_path, polarity_root, vectors_path):
@@ -504,6 +517,22 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "dataset_root" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["nb_max", "frequency"])
+    def test_concept_mode_without_vectors_rejected(
+        self, tmp_path, polarity_root, vectors_path, capsys, mode
+    ):
+        cfg = self.write_config(
+            tmp_path, polarity_root, vectors_path,
+            experiments=[{"dataset_root": str(polarity_root), "feature_mode": mode, "folds": 3}],
+        )
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: feature_mode {mode!r} needs an embeddings_path\n"
+        out_dir = tmp_path / "reports"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out_dir)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_env_seed_changes_folds(
         self, tmp_path, polarity_root, vectors_path, monkeypatch
     ):
@@ -532,3 +561,27 @@ class TestErrorHandling:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", ["dim 3\nC 1.0\n0.5\n", "hello\n", "dim x\n", "CBGC\x01\x00\xff\xfe"]
+    )
+    def test_malformed_model_file(self, tmp_path, capsys, content):
+        feats = tmp_path / "f.svmlight"
+        feats.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        model.write_bytes(content.encode("latin-1"))
+        assert main(["evaluate", "--model", str(model), "--features", str(feats)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} line ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "content", ["+1 1:1.0\nfoo 2:1.0\n", "+1 1=1.0\n", "+1 0:1.0\n", "+1 1:x\n", "\xff\xfe\n"]
+    )
+    def test_malformed_feature_file(self, tmp_path, capsys, content):
+        feats = tmp_path / "f.svmlight"
+        feats.write_bytes(content.encode("latin-1"))
+        model = tmp_path / "model.txt"
+        assert main(["train-svm", "--features", str(feats), "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {feats} line ") and len(err.splitlines()) == 1
+        assert not model.exists()

@@ -17,6 +17,7 @@ from conceptbag.corpus import (
     tokenize,
 )
 from conceptbag import corpus
+from conceptbag.embeddings import WordVectors, embed_all
 from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow
 
 
@@ -102,6 +103,38 @@ class TestBuildVocab:
         full = build_vocab(docs, {1, 2}, {"a", "b", "c"})
         smaller = build_vocab(docs, {1, 2}, {"a", "b"})
         assert len(smaller) <= len(full)
+
+
+class TestStoredForm:
+    """A vocabulary stores its n-grams once, as keys; tuples are decoded when read."""
+
+    def test_pipeline_decodes_no_tuple(self):
+        docs = [doc(["a", "b", "c", "a", "b"], id="x"), doc(["c", "b", "zzz", "a"], id="y")]
+        vocab = build_vocab(docs, {1, 2}, {"a", "b", "c"})
+        wv = WordVectors(words={"a": 0, "b": 1, "c": 2}, matrix=np.eye(3))
+        count_vectors(docs, vocab)
+        embed_all(vocab, wv)
+        assert len(vocab) == 7
+        assert not {"entries", "index", "words"} & set(vars(vocab))
+        assert vocab.entries == [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")]
+        assert vocab.words == {"a", "b", "c"}
+
+    def test_duplicate_ngrams_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            NGramVocabulary([("a",), ("a",)], {1})
+        with pytest.raises(ValueError, match="duplicate"):
+            NGramVocabulary([("a", "b"), ("b",), ("a", "b")], {1, 2})
+
+    @pytest.mark.parametrize("built", ["direct", "build_vocab"])
+    def test_contains(self, built):
+        if built == "direct":
+            vocab = NGramVocabulary([("a",), ("a", "b"), ("b",)], {1, 2})
+        else:
+            vocab = build_vocab([doc(["a", "b"])], {1, 2}, {"a", "b"})
+        assert ("a", "b") in vocab and ("b",) in vocab
+        assert ("b", "a") not in vocab
+        assert ("a", "zzz") not in vocab and ("zzz",) not in vocab
+        assert ("a", "b", "a") not in vocab and () not in vocab
 
 
 class TestOrders:

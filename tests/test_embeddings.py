@@ -20,6 +20,7 @@ from conceptbag.embeddings import (
     train_sgns,
 )
 from conceptbag.errors import BadConfig, DimensionMismatch, EmptyCorpus, MalformedLine, UnknownWord
+from conceptbag.errors import SgnsDiverged
 
 
 def make_wv(mapping):
@@ -249,6 +250,15 @@ class TestBlockTrainer:
         want = reference_sgns(docs, cfg, block=embeddings._SGNS_BLOCK_PAIRS)
         np.testing.assert_allclose(got.matrix, want.matrix, rtol=0, atol=1e-12)
         assert not np.allclose(got.matrix, reference_sgns(docs, cfg, block=1).matrix)
+
+    def test_divergence_is_named(self):
+        # the three-word corpus of the test above trains at learning rate 0.05; at 0.5 its
+        # scores overflow exp
+        docs = [["a", "b", "a", "c", "b", "a", "a", "c"], ["c", "a", "b"]] * 3
+        cfg = SgnsConfig(dim=5, window=2, epochs=3, min_count=1, subsample_threshold=1.0,
+                         learning_rate=0.5, seed=8)
+        with pytest.raises(SgnsDiverged, match="diverged"):
+            train_sgns(docs, cfg)
 
     def test_target_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
