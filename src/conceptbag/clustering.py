@@ -14,6 +14,8 @@ _VERSION = 1
 VARIANTS = ("lloyd", "minibatch")
 INITS = ("kmeanspp", "random_points")
 
+_SCREEN_ROWS = 2048  # rows per block in _screen and in nearest's |x|^2
+
 
 @dataclass
 class KMeansConfig:
@@ -55,6 +57,9 @@ class KMeansResult:
     labels: np.ndarray
     inertia: float
     inertia_trace: list[float] = field(default_factory=list)
+    # per screened Lloyd pass, the rows that went to float64: all of them when a
+    # tie made the pass a full nearest (empty for mini-batch)
+    rechecked: list[int] = field(default_factory=list)
 
 
 def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray]:
@@ -73,15 +78,101 @@ def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray
     step = max(1, int(2e7 // max(1, C.shape[0])))
     for lo in range(0, X.shape[0], step):
         chunk = X[lo : lo + step]
+        # |x|^2 a block of rows at a time, each row summed as over the whole
+        # chunk, so no chunk-sized temporary sits beside d
+        x_sq = np.concatenate(
+            [(b * b).sum(axis=1) for b in np.split(chunk, range(_SCREEN_ROWS, len(chunk), _SCREEN_ROWS))]
+        )
         d = chunk @ C.T
         d *= -2.0
-        d += (chunk * chunk).sum(axis=1)[:, None]
+        d += x_sq[:, None]
         d += c_sq[None, :]
         np.maximum(d, 0.0, out=d)
         best = np.argmin(d, axis=1)
         labels[lo : lo + step] = best
         sq_dists[lo : lo + step] = d[np.arange(len(best)), best]
     return labels, sq_dists
+
+
+def _screened_labels(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, int]:
+    """The labels of ``nearest(X, centroids)``, mostly from float32 products.
+
+    Returns the labels and the number of rows that float32 left to float64.
+    ``_screen`` decides every row it can in float32; it decides the rest in
+    float64, on those rows alone. Its float64 decisions hold for any order
+    of summation, so they are the ones ``nearest`` makes on the whole of X.
+    A row that float64 cannot order either (an exact tie, say a bigram
+    halfway between the two centroids that are its words) gets whichever
+    label rounding gives it, and that depends on the shape of the product
+    BLAS computes. So a tie sends the whole pass to ``nearest``, and the
+    count is then every row.
+    """
+    C = centroids.matrix
+    c_sq = np.einsum("ij,ij->i", C, C)
+    labels, undecided = _screen(X, C, c_sq, np.float32)
+    if len(undecided):
+        labels[undecided], tied = _screen(X[undecided], C, c_sq, np.float64)
+        if len(tied):
+            return nearest(X, centroids)[0], X.shape[0]
+    return labels, len(undecided)
+
+
+def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels that arithmetic in ``dtype`` decides, and the undecided rows.
+
+    Blocks of ``_SCREEN_ROWS`` rows are rounded to ``dtype`` and scored as
+    s_k = x.(-2 c_k) + |c_k|^2, which is the exact S_k = D_k - |x|^2 up to
+    rounding (D_k the exact squared distance). A row keeps the argmin j of
+    its scores when the gap g between its two smallest scores exceeds
+
+        B = 2 (gamma + gamma64) (|x|^2 + M) + 8 (m + 2) t,
+        gamma = (m + 8) u / (1 - (m + 8) u),  gamma64 = (2m + 5) v / (1 - (2m + 5) v),
+
+    with u the unit roundoff of ``dtype`` (2^-24 for float32), v = 2^-53,
+    t the smallest normal number of ``dtype`` and M = max |c_k|^2.
+    Why that suffices: rounding x and c to ``dtype`` and the m-term dot
+    product in any order (FMA or not) cost at most gamma_{m+3} (|x|^2 +
+    |c_k|^2), since 2 |x.c| <= |x|^2 + |c|^2; rounding |c_k|^2 and the sum
+    add gamma_4 (|x|^2 + |c_k|^2). Each rounding that underflows, to a
+    subnormal or flushed to zero, costs at most t more: m + 2 of them, after
+    folding the t |x|_1 terms into u |x|^2 + m t^2 / u. So |s_k - S_k| <=
+    E = gamma_{m+7} (|x|^2 + M) + (m + 2) t for every k. ``nearest``'s float64
+    value for D_k, in any order of summation, errs by at most
+    gamma64_{2m+4} (|x|^2 + M) + (2m + 4) 2^-1022, and the computed gap is at
+    most (1 + u) times the true one. If g > B, then S_k - S_j exceeds twice
+    both errors for every k != j, so ``nearest``'s clipped distances put j
+    strictly first. The bound assumes nothing overflows: partial sums stay
+    below |x|^2 + 2 M, so rows where that passes half the largest ``dtype``
+    are not decided.
+    """
+    info = np.finfo(dtype)
+    n, m = X.shape
+    M = float(c_sq.max())
+    big = 0.5 * float(info.max) - 2.0 * M
+    k, k64 = (m + 8) * float(info.eps) / 2, (2 * m + 5) * 2.0**-53
+    labels = np.zeros(n, dtype=np.int64)
+    if big <= 0 or k >= 0.5:
+        return labels, np.arange(n)
+    slope = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64))
+    floor = 8.0 * (m + 2) * float(info.tiny) + slope * M
+    neg2_ct = (-2.0 * C.T).astype(dtype)
+    c_sq = c_sq.astype(dtype)
+    undecided = []
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
+        for lo in range(0, n, _SCREEN_ROWS):
+            block = X[lo : lo + _SCREEN_ROWS]
+            s = block.astype(dtype) @ neg2_ct
+            s += c_sq
+            rows = np.arange(len(s))
+            best = s.argmin(axis=1)
+            s_best = s[rows, best]
+            s[rows, best] = np.inf
+            gap = s.min(axis=1) - s_best
+            x_sq = np.einsum("ij,ij->i", block, block)
+            decided = (gap > slope * x_sq + floor) & (x_sq < big)
+            labels[lo : lo + len(s)] = best
+            undecided.append(lo + np.flatnonzero(~decided))
+    return labels, np.concatenate(undecided)
 
 
 def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
@@ -158,20 +249,36 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     """Lloyd's algorithm for a fixed number of iterations.
 
     Before each centroid update, empty clusters are re-seeded at the point
-    currently farthest from its assigned centroid. The final assignment can
-    still leave clusters empty, and does whenever X has fewer distinct rows
-    than K: coinciding centroids tie, and the smallest index takes the rows.
-    Deterministic for a given config.seed. Each iteration's trace value is
-    the inertia of the assignment pass that follows its centroid update, so
-    the last one equals the final inertia.
+    currently farthest from its assigned centroid. If the final assignment
+    still leaves a cluster empty and X has fewer distinct rows than K,
+    raises TooFewPoints: coinciding centroids tie there, and the smallest
+    index takes the rows. Deterministic for a given config.seed.
+
+    Every assignment pass but the last is screened in float32
+    (``_screened_labels``): a row keeps its float32 nearest centroid when
+    the gap to the runner-up exceeds a proven bound on the rounding error,
+    about 2 (m + 8) 2^-24 (|x|^2 + max |c|^2) plus a floor for underflow.
+    The other rows (near ties, values outside the float32 range) are
+    decided the same way in float64, and if an exact tie remains (such as a
+    bigram halfway between two centroids that are its words), the pass is a
+    full float64 ``nearest``. The labels, and so the centroids, are those
+    of a float64 ``nearest`` pass each time; ``rechecked`` counts the rows
+    that went to float64 in each screened pass. The last pass is a full
+    ``nearest``, which gives the labels and the inertia. Each iteration's
+    trace value is the inertia of the assignment pass that follows its
+    centroid update, so the last one equals the final inertia; the earlier
+    ones sum |x - c|^2 over each row's own centroid in float64.
     """
     X = _check_points(X, config.K)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng)
     result = Centroids(matrix=centers, seed=config.seed)
-    labels, sq_dists = nearest(X, result)
-    trace = []
-    for _ in range(config.iterations):
+    trace, rechecked = [], []
+    for it in range(config.iterations):
+        labels, n_rechecked = _screened_labels(X, result)
+        rechecked.append(n_rechecked)
+        if it:
+            trace.append(_own_inertia(X, centers, labels))
         labels = _fix_empty_clusters(X, centers, labels, config.K)
         # a stable sort keeps each cluster's rows in index order, so every
         # mean sees the same rows in the same order as X[labels == k]
@@ -181,9 +288,24 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 centers[k] = X[order[lo:hi]].mean(axis=0)
-        labels, sq_dists = nearest(X, result)
-        trace.append(float(sq_dists.sum()))
-    return KMeansResult(result, labels, float(sq_dists.sum()), trace)
+    labels, sq_dists = nearest(X, result)
+    total = float(sq_dists.sum())
+    if config.iterations:
+        trace.append(total)
+    if np.bincount(labels, minlength=config.K).min() == 0:
+        distinct = len(np.unique(X, axis=0))
+        if distinct < config.K:
+            raise TooFewPoints(f"{distinct} distinct points for K={config.K}")
+    return KMeansResult(result, labels, total, trace, rechecked)
+
+
+def _own_inertia(X, centers, labels) -> float:
+    """Sum over the rows of X of the squared distance to their own centre, in row blocks."""
+    total = 0.0
+    for lo in range(0, X.shape[0], _SCREEN_ROWS):
+        diff = X[lo : lo + _SCREEN_ROWS] - centers[labels[lo : lo + _SCREEN_ROWS]]
+        total += np.einsum("ij,ij->", diff, diff)
+    return float(total)
 
 
 def _fix_empty_clusters(X, centers, labels, K):

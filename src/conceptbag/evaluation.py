@@ -135,24 +135,23 @@ def _fold_features(
 ):
     """Featurize one train/test split; returns (train feats, test feats).
 
-    ``cache`` is an optional dict shared across experiments on one dataset
-    and one set of word vectors; vocabulary, counts, embeddings and centroids
-    are reused when every setting that shapes them coincides.
+    ``cache`` is an optional dict shared across folds or experiments on one
+    dataset and one set of word vectors. The vocabulary, n-gram table and
+    centroids are keyed on the documents they are fitted on (every document
+    under ``cluster_on_all``, else the training fold), the counts on those
+    and the split, so each is reused whenever every setting that shapes it
+    coincides.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
-    base_key = (
-        tuple(sorted(config.ngram_orders)),
-        config.cluster_on_all,
-        tuple(d.id for d in train_docs),
-        tuple(d.id for d in test_docs),
-    )
+    fit_key = (tuple(sorted(config.ngram_orders)), tuple(d.id for d in vocab_docs))
     vocab = _cached(
-        cache, ("vocab", base_key), clock, "vocab",
+        cache, ("vocab", fit_key), clock, "vocab",
         lambda: build_vocab(vocab_docs, config.ngram_orders, wv.words),
     )
+    split_key = (fit_key, tuple(d.id for d in train_docs), tuple(d.id for d in test_docs))
     counts_train, counts_test = _cached(
-        cache, ("counts", base_key), clock, "counts",
+        cache, ("counts", split_key), clock, "counts",
         lambda: (count_vectors(train_docs, vocab), count_vectors(test_docs, vocab)),
     )
     ratio = features.log_count_ratio(counts_train, y_train)
@@ -168,8 +167,8 @@ def _fold_features(
 
     assignment = None
     if config.feature_mode in features.CONCEPT_MODES:
-        table = _cached(cache, ("table", base_key), clock, "ngram_repr", lambda: embed_all(vocab, wv))
-        kmeans_key = ("kmeans", base_key, astuple(config.kmeans))
+        table = _cached(cache, ("table", fit_key), clock, "ngram_repr", lambda: embed_all(vocab, wv))
+        kmeans_key = ("kmeans", fit_key, astuple(config.kmeans))
         result = _cached(cache, kmeans_key, clock, "kmeans", lambda: clustering.fit(table, config.kmeans))
         assignment = result.labels
     with clock.stage("doc_repr"):
@@ -190,8 +189,9 @@ def run_experiment(
     All fitted parameters (vocabulary, log-count ratios, centroids, SVM
     weights) come from training documents only, unless cluster_on_all is set,
     in which case the vocabulary and clustering cover all documents while the
-    ratios and classifier stay train-only. ``cache``, if given, must only be
-    shared by runs on this ``dataset`` with these ``wv``.
+    ratios and classifier stay train-only, and are fitted once for all folds.
+    ``cache``, if given, must only be shared by runs on this ``dataset`` with
+    these ``wv``.
     """
     if config.feature_mode in features.CONCEPT_MODES and wv is None:
         raise ValueError("word vectors are required for concept feature modes")
@@ -201,6 +201,8 @@ def run_experiment(
         wv = WordVectors(words={w: i for i, w in enumerate(sorted(all_words))},
                          matrix=np.zeros((len(all_words), 1)))
 
+    if cache is None and config.cluster_on_all:
+        cache = {}  # the fits on all documents serve every fold
     clock = _StageClock()
     t_start = time.monotonic()
     docs = dataset.documents

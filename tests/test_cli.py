@@ -161,6 +161,18 @@ class TestCluster:
         assert rc == 0
         assert out.exists()
 
+    def test_fewer_distinct_vectors_than_k(self, tmp_path, polarity_root, capsys):
+        # every word has the same vector, so every n-gram row is one point
+        words = POS_WORDS + NEG_WORDS + FILLERS
+        vectors = tmp_path / "same.txt"
+        vectors.write_text(f"{len(words)} 2\n" + "".join(f"{w} 0.5 -1.0\n" for w in words),
+                           encoding="utf-8")
+        out = tmp_path / "c.bin"
+        rc = main(["cluster", *dataset_flags(polarity_root, vectors), "--K", "3", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: 1 distinct points for K=3\n"
+        assert not out.exists()
+
 
 class TestPipelineChain:
     def test_featurize_train_evaluate(self, tmp_path, polarity_root, vectors_path, capsys):

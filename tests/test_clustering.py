@@ -8,7 +8,9 @@ from conceptbag.clustering import (
     Centroids,
     KMeansConfig,
     _fix_empty_clusters,
+    _init_centers,
     _kmeanspp_init,
+    _screened_labels,
     assign,
     export_centroids_text,
     fit,
@@ -194,6 +196,118 @@ class TestLloydSteps:
         assert np.bincount(got, minlength=K).min() > 0
 
 
+def reference_kmeans(X, config):
+    """Lloyd's loop with every assignment a full float64 ``nearest`` pass (oracle)."""
+    rng = np.random.default_rng(config.seed)
+    centers = _init_centers(X, config, rng)
+    result = Centroids(matrix=centers, seed=config.seed)
+    labels, sq_dists = nearest(X, result)
+    trace = []
+    for _ in range(config.iterations):
+        labels = _fix_empty_clusters(X, centers, labels, config.K)
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(config.K + 1))
+        for k in range(config.K):
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                centers[k] = X[order[lo:hi]].mean(axis=0)
+        labels, sq_dists = nearest(X, result)
+        trace.append(float(sq_dists.sum()))
+    return labels, centers, float(sq_dists.sum()), trace
+
+
+def screen_table(kind):
+    rng = np.random.default_rng(31)
+    if kind == "wide":  # the paper's vector size
+        return rng.normal(size=(1500, 300)), KMeansConfig(K=30, seed=1)
+    if kind == "coinciding_centroids":
+        # random_points draws rows that are duplicates of each other, so
+        # initial centroids coincide until the empty-cluster repair moves them
+        base = rng.normal(loc=3.0, size=(15, 8))
+        return base[rng.integers(15, size=300)], KMeansConfig(K=12, init="random_points", seed=1)
+    if kind == "duplicates":
+        base = rng.normal(loc=3.0, size=(60, 8))
+        return base[rng.integers(60, size=300)], KMeansConfig(K=12, seed=2)
+    return rng.normal(size=(500, 8)), KMeansConfig(K=12, seed=3)
+
+
+class TestScreenedLloyd:
+    """kmeans_fit's float32 screen must reproduce the float64 Lloyd loop bit for bit."""
+
+    def assert_matches_reference(self, X, cfg):
+        res = kmeans_fit(X, cfg)
+        labels, centers, total, trace = reference_kmeans(X, cfg)
+        assert np.array_equal(res.labels, labels)
+        assert np.array_equal(res.centroids.matrix, centers)
+        assert res.inertia == total
+        assert res.inertia_trace[-1] == trace[-1]
+        # screened passes sum |x - c|^2 directly; the reference uses the
+        # expansion, which rounds relative to |x|^2 + |c|^2
+        tol = 1e-12 * np.einsum("ij,ij->", X, X)
+        np.testing.assert_allclose(res.inertia_trace, trace, rtol=1e-12, atol=tol)
+        assert len(res.rechecked) == cfg.iterations
+        return res
+
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "coinciding_centroids", "wide"])
+    def test_matches_float64_reference(self, kind):
+        X, cfg = screen_table(kind)
+        res = self.assert_matches_reference(X, cfg)
+        assert res.rechecked[-1] < len(X) // 10  # the screen decides most rows
+        if kind == "coinciding_centroids":
+            assert res.rechecked[0] > 0
+
+    @pytest.mark.parametrize("scale", [1e-18, 1e-22, 1e-40, 1e20, 1e30])
+    def test_matches_float64_reference_at_extreme_scales(self, scale):
+        # 1e-18 leaves some rows above the underflow floor; at 1e-22 and
+        # 1e-40 float32 products are subnormal or zero, and at 1e20 and 1e30
+        # they overflow, so every row must go to float64
+        X, cfg = screen_table("random")
+        res = self.assert_matches_reference(X * scale, cfg)
+        assert min(res.rechecked) > 0
+        if scale != 1e-18:
+            assert res.rechecked == [len(X)] * cfg.iterations
+
+    def test_near_ties_are_decided_in_float64(self):
+        # rows 0 and 1 are 1e-10 closer to one centroid than to the next:
+        # float32 cannot tell, float64 can in any order of summation
+        rng = np.random.default_rng(32)
+        C = Centroids(np.vstack([[1.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0], rng.normal(5.0, size=(4, 5))]))
+        X = np.vstack([[[-1e-10, 0.3, 0, 0, 0], [1e-10, -0.2, 0, 0, 0]], C.matrix + 0.01,
+                       rng.normal(size=(20, 5))])
+        labels, rechecked = _screened_labels(X, C)
+        assert np.array_equal(labels, nearest(X, C)[0])
+        assert labels[:2].tolist() == [1, 0]
+        assert rechecked == 2
+
+    def test_ties_send_the_pass_to_nearest(self):
+        # a row halfway between two centroids gets the label that rounding in
+        # nearest's own product gives it, so the whole pass is nearest's
+        rng = np.random.default_rng(33)
+        C = Centroids(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]))
+        X = np.vstack([C.matrix, [[0.5, 0.0], [0.5, 0.5]], rng.normal(size=(20, 2))])
+        labels, rechecked = _screened_labels(X, C)
+        assert np.array_equal(labels, nearest(X, C)[0])
+        assert rechecked == len(X)
+
+    def test_rows_that_overflow_float32_go_to_float64(self):
+        # row 0's float32 products (3e38) are finite but their running sum
+        # overflows to -inf, which would put centroid 0 first; row 1's
+        # products overflow; float64 decides both
+        C = Centroids(np.array([[3e18] * 4, [0.0] * 4, [-1e18] * 4]))
+        X = np.array([[5e19, 5e19, -5e19, -5e19], [-1e25] * 4, [0.1] * 4])
+        with np.errstate(all="raise"):
+            labels, rechecked = _screened_labels(X, C)
+        assert labels.tolist() == nearest(X, C)[0].tolist() == [1, 2, 1]
+        assert rechecked == 2
+
+    def test_fewer_distinct_points_than_k_rejected(self):
+        # 40 rows drawn from 5 distinct ones cannot fill K=8 clusters
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(5, 3))[rng.integers(5, size=40)]
+        with pytest.raises(TooFewPoints, match="5 distinct points for K=8"):
+            kmeans_fit(X, KMeansConfig(K=8, seed=1))
+
+
 class TestMiniBatch:
     def test_full_batch_matches_incremental_oracle(self):
         rng = np.random.default_rng(0)
@@ -240,6 +354,7 @@ class TestMiniBatch:
             X, KMeansConfig(K=7, iterations=5, variant="minibatch", batch_size=50, seed=1)
         )
         assert res.inertia == inertia(X, res.centroids)
+        assert res.rechecked == []
         assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
 
 

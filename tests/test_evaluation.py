@@ -184,6 +184,23 @@ class TestRunExperiment:
         b = run_experiment(cfg, ds, wv, cache=cache)
         assert a.per_fold == b.per_fold
 
+    @pytest.mark.parametrize("cluster_on_all, fits", [(True, 1), (False, 3)])
+    def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch, cluster_on_all, fits):
+        from conceptbag import clustering
+
+        calls = []
+        real_fit = clustering.fit
+
+        def counting_fit(X, config):
+            calls.append(len(X))
+            return real_fit(X, config)
+
+        monkeypatch.setattr(clustering, "fit", counting_fit)
+        ds, wv = make_synthetic_sentiment(seed=12, n_docs=60)
+        report = run_experiment(small_config(folds=3, cluster_on_all=cluster_on_all), ds, wv)
+        assert len(calls) == fits
+        assert len(report.per_fold) == 3
+
 
 class TestExperimentConfig:
     def test_unknown_feature_mode_rejected(self):
