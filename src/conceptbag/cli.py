@@ -12,7 +12,7 @@ from . import clustering, evaluation, features, svm
 from .clustering import KMeansConfig
 from .corpus import build_vocab, check_orders, count_vectors, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
-from .errors import BadOrders, ConceptBagError
+from .errors import BadConfig, BadOrders, ConceptBagError
 from .evaluation import ExperimentConfig, run_experiment, write_reports
 from .svm import SvmConfig
 
@@ -188,6 +188,8 @@ def _parse_experiment(entry: dict, base_dir: Path):
         emb = _resolve(base_dir, emb)
         if not emb.is_file():
             raise ValueError(f"embeddings_path does not exist: {emb}")
+    if "K" in entry.get("kmeans", {}):
+        raise BadConfig('"K" goes at the top of an experiment, not inside "kmeans"')
     config = ExperimentConfig(
         dataset=entry.get("dataset", "polarity"),
         ngram_orders=_parse_orders(entry.get("ngram_orders", [1])),

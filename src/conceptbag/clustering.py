@@ -14,7 +14,7 @@ _VERSION = 1
 VARIANTS = ("lloyd", "minibatch")
 INITS = ("kmeanspp", "random_points")
 
-_SCREEN_ROWS = 2048  # rows per block in _screen and in nearest's |x|^2
+_BLOCK_ROWS = 2048  # rows per block in every nearest-centroid computation
 
 
 @dataclass
@@ -57,70 +57,68 @@ class KMeansResult:
     labels: np.ndarray
     inertia: float
     inertia_trace: list[float] = field(default_factory=list)
-    # per screened Lloyd pass, the rows that went to float64: all of them when a
-    # tie made the pass a full nearest (empty for mini-batch)
+    # per Lloyd pass before a centroid update, the rows that float32 left to
+    # float64 (empty for mini-batch)
     rechecked: list[int] = field(default_factory=list)
 
 
 def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid index and squared distance for every row of X.
 
-    Ties go to the smallest index. Distances use the expansion
-    |x|^2 - 2 x.c + |c|^2 (cheap for K in the hundreds), clipped at 0 against
-    rounding, over row chunks that keep each chunk-by-K block near 2e7 entries.
+    The one nearest-centroid routine: Lloyd and mini-batch passes, ``assign``,
+    ``inertia`` and the CLI all call it. ``_screen`` decides each row it can
+    in float32, then the rest in float64, on those rows alone; a decided
+    row's label is its exact nearest centroid, so it does not depend on the
+    other rows of X. A row that float64 cannot order either (an exact tie,
+    such as a bigram halfway between the two centroids that are its words)
+    is decided from that row alone: |x - c_k|^2 summed directly for every
+    k, ties to the smallest index. ``sq_dists`` is |x - c_label|^2, summed
+    directly in float64.
     """
     C = centroids.matrix
     if X.shape[1] != C.shape[1]:
         raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids {C.shape[1]}")
-    labels = np.empty(X.shape[0], dtype=np.int64)
-    sq_dists = np.empty(X.shape[0])
-    c_sq = (C * C).sum(axis=1)
-    step = max(1, int(2e7 // max(1, C.shape[0])))
-    for lo in range(0, X.shape[0], step):
-        chunk = X[lo : lo + step]
-        # |x|^2 a block of rows at a time, each row summed as over the whole
-        # chunk, so no chunk-sized temporary sits beside d
-        x_sq = np.concatenate(
-            [(b * b).sum(axis=1) for b in np.split(chunk, range(_SCREEN_ROWS, len(chunk), _SCREEN_ROWS))]
-        )
-        d = chunk @ C.T
-        d *= -2.0
-        d += x_sq[:, None]
-        d += c_sq[None, :]
-        np.maximum(d, 0.0, out=d)
-        best = np.argmin(d, axis=1)
-        labels[lo : lo + step] = best
-        sq_dists[lo : lo + step] = d[np.arange(len(best)), best]
-    return labels, sq_dists
+    return _nearest(X, C)[:2]
 
 
-def _screened_labels(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, int]:
-    """The labels of ``nearest(X, centroids)``, mostly from float32 products.
-
-    Returns the labels and the number of rows that float32 left to float64.
-    ``_screen`` decides every row it can in float32; it decides the rest in
-    float64, on those rows alone. Its float64 decisions hold for any order
-    of summation, so they are the ones ``nearest`` makes on the whole of X.
-    A row that float64 cannot order either (an exact tie, say a bigram
-    halfway between the two centroids that are its words) gets whichever
-    label rounding gives it, and that depends on the shape of the product
-    BLAS computes. So a tie sends the whole pass to ``nearest``, and the
-    count is then every row.
-    """
-    C = centroids.matrix
+def _nearest(X, C) -> tuple[np.ndarray, np.ndarray, int]:
+    """``nearest``'s labels and squared distances, and the number of rows float32 left to float64."""
     c_sq = np.einsum("ij,ij->i", C, C)
     labels, undecided = _screen(X, C, c_sq, np.float32)
     if len(undecided):
         labels[undecided], tied = _screen(X[undecided], C, c_sq, np.float64)
-        if len(tied):
-            return nearest(X, centroids)[0], X.shape[0]
-    return labels, len(undecided)
+        tied = undecided[tied]
+        labels[tied] = _direct_argmin(X[tied], C)
+    sq_dists = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        diff = X[lo : lo + _BLOCK_ROWS] - C[labels[lo : lo + _BLOCK_ROWS]]
+        sq_dists[lo : lo + len(diff)] = np.einsum("ij,ij->i", diff, diff)
+    return labels, sq_dists, len(undecided)
+
+
+def _direct_argmin(X, C) -> np.ndarray:
+    """argmin_k |x - c_k|^2 for each row of X, ties to the smallest k.
+
+    Each distance is summed over the dimensions in order, elementwise over a
+    block of rows, so a row's label depends on that row alone.
+    """
+    labels = np.empty(X.shape[0], dtype=np.int64)
+    for lo in range(0, X.shape[0], _BLOCK_ROWS):
+        block = X[lo : lo + _BLOCK_ROWS]
+        d = np.zeros((len(block), C.shape[0]))
+        diff = np.empty_like(d)
+        for j in range(C.shape[1]):
+            np.subtract(block[:, j, None], C[:, j], out=diff)
+            diff *= diff
+            d += diff
+        labels[lo : lo + len(block)] = d.argmin(axis=1)
+    return labels
 
 
 def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels that arithmetic in ``dtype`` decides, and the undecided rows.
 
-    Blocks of ``_SCREEN_ROWS`` rows are rounded to ``dtype`` and scored as
+    Blocks of ``_BLOCK_ROWS`` rows are rounded to ``dtype`` and scored as
     s_k = x.(-2 c_k) + |c_k|^2, which is the exact S_k = D_k - |x|^2 up to
     rounding (D_k the exact squared distance). A row keeps the argmin j of
     its scores when the gap g between its two smallest scores exceeds
@@ -136,12 +134,13 @@ def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
     add gamma_4 (|x|^2 + |c_k|^2). Each rounding that underflows, to a
     subnormal or flushed to zero, costs at most t more: m + 2 of them, after
     folding the t |x|_1 terms into u |x|^2 + m t^2 / u. So |s_k - S_k| <=
-    E = gamma_{m+7} (|x|^2 + M) + (m + 2) t for every k. ``nearest``'s float64
-    value for D_k, in any order of summation, errs by at most
-    gamma64_{2m+4} (|x|^2 + M) + (2m + 4) 2^-1022, and the computed gap is at
-    most (1 + u) times the true one. If g > B, then S_k - S_j exceeds twice
-    both errors for every k != j, so ``nearest``'s clipped distances put j
-    strictly first. The bound assumes nothing overflows: partial sums stay
+    E = gamma_{m+7} (|x|^2 + M) + (m + 2) t for every k. A float64 value for
+    D_k, as |x|^2 - 2 x.c + |c|^2 or as a direct sum, in any order of
+    summation, errs by at most gamma64_{2m+4} (|x|^2 + M) + (2m + 4) 2^-1022,
+    and the computed gap is at most (1 + u) times the true one. If g > B,
+    then S_k - S_j exceeds twice both errors for every k != j: j is the
+    exact nearest centroid, and any float64 evaluation of the distances puts
+    it strictly first. The bound assumes nothing overflows: partial sums stay
     below |x|^2 + 2 M, so rows where that passes half the largest ``dtype``
     are not decided.
     """
@@ -157,10 +156,10 @@ def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
     floor = 8.0 * (m + 2) * float(info.tiny) + slope * M
     neg2_ct = (-2.0 * C.T).astype(dtype)
     c_sq = c_sq.astype(dtype)
-    undecided = []
+    decided = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
-        for lo in range(0, n, _SCREEN_ROWS):
-            block = X[lo : lo + _SCREEN_ROWS]
+        for lo in range(0, n, _BLOCK_ROWS):
+            block = X[lo : lo + _BLOCK_ROWS]
             s = block.astype(dtype) @ neg2_ct
             s += c_sq
             rows = np.arange(len(s))
@@ -169,10 +168,9 @@ def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
             s[rows, best] = np.inf
             gap = s.min(axis=1) - s_best
             x_sq = np.einsum("ij,ij->i", block, block)
-            decided = (gap > slope * x_sq + floor) & (x_sq < big)
+            decided[lo : lo + len(s)] = (gap > slope * x_sq + floor) & (x_sq < big)
             labels[lo : lo + len(s)] = best
-            undecided.append(lo + np.flatnonzero(~decided))
-    return labels, np.concatenate(undecided)
+    return labels, np.flatnonzero(~decided)
 
 
 def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
@@ -254,31 +252,22 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     raises TooFewPoints: coinciding centroids tie there, and the smallest
     index takes the rows. Deterministic for a given config.seed.
 
-    Every assignment pass but the last is screened in float32
-    (``_screened_labels``): a row keeps its float32 nearest centroid when
-    the gap to the runner-up exceeds a proven bound on the rounding error,
-    about 2 (m + 8) 2^-24 (|x|^2 + max |c|^2) plus a floor for underflow.
-    The other rows (near ties, values outside the float32 range) are
-    decided the same way in float64, and if an exact tie remains (such as a
-    bigram halfway between two centroids that are its words), the pass is a
-    full float64 ``nearest``. The labels, and so the centroids, are those
-    of a float64 ``nearest`` pass each time; ``rechecked`` counts the rows
-    that went to float64 in each screened pass. The last pass is a full
-    ``nearest``, which gives the labels and the inertia. Each iteration's
-    trace value is the inertia of the assignment pass that follows its
-    centroid update, so the last one equals the final inertia; the earlier
-    ones sum |x - c|^2 over each row's own centroid in float64.
+    Every assignment pass, the last included, is one ``nearest`` pass:
+    float32 under a proven error bound, float64 for the rows float32 cannot
+    order, and each row's own direct distances for exact ties.
+    ``rechecked`` holds, for the pass before each centroid update, the
+    number of rows that float32 left to float64. Each iteration's trace
+    value is the inertia (the sum of ``nearest``'s ``sq_dists``) of the pass
+    that follows its centroid update, so the last one is the final inertia.
     """
     X = _check_points(X, config.K)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng)
     result = Centroids(matrix=centers, seed=config.seed)
     trace, rechecked = [], []
-    for it in range(config.iterations):
-        labels, n_rechecked = _screened_labels(X, result)
+    labels, sq_dists, n_rechecked = _nearest(X, centers)
+    for _ in range(config.iterations):
         rechecked.append(n_rechecked)
-        if it:
-            trace.append(_own_inertia(X, centers, labels))
         labels = _fix_empty_clusters(X, centers, labels, config.K)
         # a stable sort keeps each cluster's rows in index order, so every
         # mean sees the same rows in the same order as X[labels == k]
@@ -288,24 +277,14 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 centers[k] = X[order[lo:hi]].mean(axis=0)
-    labels, sq_dists = nearest(X, result)
+        labels, sq_dists, n_rechecked = _nearest(X, centers)
+        trace.append(float(sq_dists.sum()))
     total = float(sq_dists.sum())
-    if config.iterations:
-        trace.append(total)
     if np.bincount(labels, minlength=config.K).min() == 0:
         distinct = len(np.unique(X, axis=0))
         if distinct < config.K:
             raise TooFewPoints(f"{distinct} distinct points for K={config.K}")
     return KMeansResult(result, labels, total, trace, rechecked)
-
-
-def _own_inertia(X, centers, labels) -> float:
-    """Sum over the rows of X of the squared distance to their own centre, in row blocks."""
-    total = 0.0
-    for lo in range(0, X.shape[0], _SCREEN_ROWS):
-        diff = X[lo : lo + _SCREEN_ROWS] - centers[labels[lo : lo + _SCREEN_ROWS]]
-        total += np.einsum("ij,ij->", diff, diff)
-    return float(total)
 
 
 def _fix_empty_clusters(X, centers, labels, K):
@@ -377,6 +356,8 @@ def load_centroids(path) -> Centroids:
     version, K, m, seed = struct.unpack_from("<iiiq", raw, 4)
     if version != _VERSION:
         raise BadCentroidFile(f"{path}: unsupported centroid file version {version}")
+    if K < 1 or m < 1:
+        raise BadCentroidFile(f"{path}: header gives a {K}x{m} matrix; K and m must be at least 1")
     if len(raw) != 24 + 8 * K * m:
         raise BadCentroidFile(f"{path}: {len(raw) - 24} data bytes for a {K}x{m} matrix")
     matrix = np.frombuffer(raw, dtype=np.float64, offset=24).reshape(K, m).copy()

@@ -82,7 +82,7 @@ class RankRequestTooLarge(ConceptBagError):
 
 
 class BadCentroidFile(ConceptBagError, ValueError):
-    """A centroid file has the wrong magic, version or length; message names the file."""
+    """A centroid file has the wrong magic, version, shape or length; message names the file."""
 
 
 class TooFewDocuments(ConceptBagError):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -209,7 +210,12 @@ class TestPipelineChain:
         assert capsys.readouterr().err == "error: --mode nb_max needs --centroids\n"
         assert not feats.exists()
 
-    @pytest.mark.parametrize("content", [b"NOPE" + b"\0" * 40, b"CBGC\1\0"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"NOPE" + b"\0" * 40, b"CBGC\1\0",
+         b"CBGC" + struct.pack("<iiiq", 1, -1, -1, 0) + b"\0" * 8,  # K = m = -1, 32 bytes
+         b"CBGC" + struct.pack("<iiiq", 1, 0, 4, 0)],  # K = 0, no data
+    )
     def test_featurize_bad_centroid_file(
         self, tmp_path, polarity_root, vectors_path, capsys, content
     ):
@@ -222,6 +228,7 @@ class TestPipelineChain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(cents) in err  # BadCentroidFile names the file
 
     def test_evaluate_pads_narrow_features(self, tmp_path, capsys):
         train = tmp_path / "train.svmlight"
@@ -315,7 +322,7 @@ class TestRun:
                     "feature_mode": "nb_max",
                     "folds": 3,
                     "seed": 11,
-                    "kmeans": {"K": 4, "iterations": 5},
+                    "kmeans": {"iterations": 5},
                 }
             ]
         config = {"version": 1, "experiments": experiments}
@@ -332,7 +339,7 @@ class TestRun:
             "embeddings_path": str(vectors_path),
             "K": 4,
             "folds": 3,
-            "kmeans": {"K": 4, "iterations": 5},
+            "kmeans": {"iterations": 5},
         }
         cfg = self.write_config(
             tmp_path, polarity_root, vectors_path,
@@ -413,7 +420,7 @@ class TestRun:
             "embeddings_path": str(vectors_path),
             "K": 3,
             "folds": 2,
-            "kmeans": {"K": 5, "iterations": 2},
+            "kmeans": {"iterations": 2},  # a "K" here is rejected (test_bad_value_types_rejected_before_work)
         }
         (report,) = self.run_reports(tmp_path, polarity_root, vectors_path, [experiment], "out")
         assert ran == [3, 3]
@@ -447,7 +454,8 @@ class TestRun:
          ({"kmeans": {"iterations": "5"}}, "kmeans iterations must be an int"),
          ({"kmeans": {"seed": "0"}}, "kmeans seed must be an int"),
          ({"kmeans": {"init": "kmeans++"}}, "unknown K-means init"),
-         ({"ngram_orders": 1}, "n-gram orders must be a list")],
+         ({"ngram_orders": 1}, "n-gram orders must be a list"),
+         ({"kmeans": {"K": 50}}, 'not inside "kmeans"')],
     )
     def test_bad_value_types_rejected_before_work(
         self, tmp_path, polarity_root, vectors_path, capsys, bad, message

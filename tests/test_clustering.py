@@ -10,7 +10,7 @@ from conceptbag.clustering import (
     _fix_empty_clusters,
     _init_centers,
     _kmeanspp_init,
-    _screened_labels,
+    _nearest,
     assign,
     export_centroids_text,
     fit,
@@ -196,12 +196,37 @@ class TestLloydSteps:
         assert np.bincount(got, minlength=K).min() > 0
 
 
+def reference_nearest(X, centroids):
+    """Nearest centroid by the float64 expansion |x|^2 - 2 x.c + |c|^2 over the whole table (oracle).
+
+    The earlier body of ``nearest``: ties go to the smallest index, but an
+    exact tie's label is whatever the product's rounding gives.
+    """
+    C = centroids.matrix
+    labels = np.empty(X.shape[0], dtype=np.int64)
+    sq_dists = np.empty(X.shape[0])
+    c_sq = (C * C).sum(axis=1)
+    step = max(1, int(2e7 // max(1, C.shape[0])))
+    for lo in range(0, X.shape[0], step):
+        chunk = X[lo : lo + step]
+        x_sq = np.concatenate([(b * b).sum(axis=1) for b in np.split(chunk, range(2048, len(chunk), 2048))])
+        d = chunk @ C.T
+        d *= -2.0
+        d += x_sq[:, None]
+        d += c_sq[None, :]
+        np.maximum(d, 0.0, out=d)
+        best = np.argmin(d, axis=1)
+        labels[lo : lo + step] = best
+        sq_dists[lo : lo + step] = d[np.arange(len(best)), best]
+    return labels, sq_dists
+
+
 def reference_kmeans(X, config):
-    """Lloyd's loop with every assignment a full float64 ``nearest`` pass (oracle)."""
+    """Lloyd's loop with every assignment a full float64 ``reference_nearest`` pass (oracle)."""
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng)
     result = Centroids(matrix=centers, seed=config.seed)
-    labels, sq_dists = nearest(X, result)
+    labels, sq_dists = reference_nearest(X, result)
     trace = []
     for _ in range(config.iterations):
         labels = _fix_empty_clusters(X, centers, labels, config.K)
@@ -211,7 +236,7 @@ def reference_kmeans(X, config):
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 centers[k] = X[order[lo:hi]].mean(axis=0)
-        labels, sq_dists = nearest(X, result)
+        labels, sq_dists = reference_nearest(X, result)
         trace.append(float(sq_dists.sum()))
     return labels, centers, float(sq_dists.sum()), trace
 
@@ -231,19 +256,43 @@ def screen_table(kind):
     return rng.normal(size=(500, 8)), KMeansConfig(K=12, seed=3)
 
 
+def tie_table(kind):
+    """Rows, centroids, and for each row with an exact tie, the labels it may get."""
+    rng = np.random.default_rng(33)
+    if kind == "midpoints":
+        # rows on centroids that coincide, or halfway between two of them
+        C = Centroids(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]))
+        X = np.vstack([C.matrix, [[0.5, 0.0], [0.5, 0.5]], rng.normal(size=(20, 2))])
+        # |x - c|^2 is exact here, so the tie goes to the smallest index
+        return X, C, {0: {0}, 2: {0}, 4: {0}}
+    # centroid 2i + 1 is centroid 2i with two coordinates swapped, and row i
+    # is equal in those two coordinates, so it is exactly as far from both;
+    # in float64 each distance sums the same terms in another order, so
+    # either centroid may come first
+    m, pairs = 100, 40
+    C = rng.normal(size=(2 * pairs, m))
+    X = rng.normal(scale=0.1, size=(pairs, m)) + C[::2]
+    for i in range(pairs):
+        a, b = rng.choice(m, size=2, replace=False)
+        C[2 * i + 1] = C[2 * i]
+        C[2 * i + 1, [a, b]] = C[2 * i, [b, a]]
+        X[i, b] = X[i, a]
+    X = np.vstack([X, rng.normal(size=(30, m)) + C[rng.integers(2 * pairs, size=30)]])
+    return X, Centroids(C), {i: {2 * i, 2 * i + 1} for i in range(pairs)}
+
+
 class TestScreenedLloyd:
-    """kmeans_fit's float32 screen must reproduce the float64 Lloyd loop bit for bit."""
+    """On tables without exact ties, kmeans_fit's labels and centroids are the float64 Lloyd loop's bits."""
 
     def assert_matches_reference(self, X, cfg):
         res = kmeans_fit(X, cfg)
         labels, centers, total, trace = reference_kmeans(X, cfg)
         assert np.array_equal(res.labels, labels)
         assert np.array_equal(res.centroids.matrix, centers)
-        assert res.inertia == total
-        assert res.inertia_trace[-1] == trace[-1]
-        # screened passes sum |x - c|^2 directly; the reference uses the
-        # expansion, which rounds relative to |x|^2 + |c|^2
+        # nearest sums |x - c|^2 directly; the reference uses the expansion,
+        # which rounds relative to |x|^2 + |c|^2
         tol = 1e-12 * np.einsum("ij,ij->", X, X)
+        np.testing.assert_allclose(res.inertia, total, rtol=1e-12, atol=tol)
         np.testing.assert_allclose(res.inertia_trace, trace, rtol=1e-12, atol=tol)
         assert len(res.rechecked) == cfg.iterations
         return res
@@ -274,20 +323,24 @@ class TestScreenedLloyd:
         C = Centroids(np.vstack([[1.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0], rng.normal(5.0, size=(4, 5))]))
         X = np.vstack([[[-1e-10, 0.3, 0, 0, 0], [1e-10, -0.2, 0, 0, 0]], C.matrix + 0.01,
                        rng.normal(size=(20, 5))])
-        labels, rechecked = _screened_labels(X, C)
-        assert np.array_equal(labels, nearest(X, C)[0])
+        labels, _, rechecked = _nearest(X, C.matrix)
+        assert np.array_equal(labels, reference_nearest(X, C)[0])
         assert labels[:2].tolist() == [1, 0]
         assert rechecked == 2
 
-    def test_ties_send_the_pass_to_nearest(self):
-        # a row halfway between two centroids gets the label that rounding in
-        # nearest's own product gives it, so the whole pass is nearest's
-        rng = np.random.default_rng(33)
-        C = Centroids(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]))
-        X = np.vstack([C.matrix, [[0.5, 0.0], [0.5, 0.5]], rng.normal(size=(20, 2))])
-        labels, rechecked = _screened_labels(X, C)
-        assert np.array_equal(labels, nearest(X, C)[0])
-        assert rechecked == len(X)
+    @pytest.mark.parametrize("kind", ["midpoints", "swapped_coordinates"])
+    def test_labels_do_not_depend_on_the_other_rows(self, kind):
+        X, C, tied = tie_table(kind)
+        labels = nearest(X, C)[0]
+        assert all(labels[i] in allowed for i, allowed in tied.items())
+        rng = np.random.default_rng(34)
+        subsets = [[i] for i in range(len(X))] + [rng.choice(len(X), size=n, replace=False)
+                                                   for n in (2, 3, 5, 17, len(X) // 2) for _ in range(4)]
+        for rows in subsets:
+            assert np.array_equal(nearest(X[rows], C)[0], labels[rows])
+        assert [assign(x, C) for x in X] == labels.tolist()
+        empty_labels, empty_dists = nearest(X[:0], C)
+        assert empty_labels.shape == empty_dists.shape == (0,)
 
     def test_rows_that_overflow_float32_go_to_float64(self):
         # row 0's float32 products (3e38) are finite but their running sum
@@ -296,8 +349,8 @@ class TestScreenedLloyd:
         C = Centroids(np.array([[3e18] * 4, [0.0] * 4, [-1e18] * 4]))
         X = np.array([[5e19, 5e19, -5e19, -5e19], [-1e25] * 4, [0.1] * 4])
         with np.errstate(all="raise"):
-            labels, rechecked = _screened_labels(X, C)
-        assert labels.tolist() == nearest(X, C)[0].tolist() == [1, 2, 1]
+            labels, _, rechecked = _nearest(X, C.matrix)
+        assert labels.tolist() == reference_nearest(X, C)[0].tolist() == [1, 2, 1]
         assert rechecked == 2
 
     def test_fewer_distinct_points_than_k_rejected(self):
