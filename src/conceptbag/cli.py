@@ -4,41 +4,36 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, evaluation, features, svm
-from .clustering import KMeansConfig
 from .corpus import build_vocab, check_orders, count_vectors, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
-from .errors import BadConfig, BadOrders, ConceptBagError
+from .errors import BadConfig, BadOrders, ConceptBagError, config_from
 from .evaluation import ExperimentConfig, run_experiment, write_reports
-from .svm import SvmConfig
 
 CONFIG_VERSION = 1
 
 _LOADERS = {"polarity": load_polarity_dataset, "imdb": load_imdb_dataset}
 
-_EXPERIMENT_KEYS = {
-    "dataset",
-    "dataset_type",
-    "dataset_root",
-    "embeddings_path",
-    "ngram_orders",
-    "K",
-    "feature_mode",
-    "folds",
-    "seed",
-    "kmeans",
-    "svm",
-    "cluster_on_all",
-}
 
-
-def _seed_override(seed: int) -> int:
+def _env_seed() -> int | None:
+    """``CONCEPTBAG_SEED``, which replaces every configured seed, or None when unset."""
     env = os.environ.get("CONCEPTBAG_SEED")
-    return int(env) if env is not None else seed
+    try:
+        return None if env is None else int(env)
+    except ValueError:
+        raise BadConfig(f"CONCEPTBAG_SEED must be an int, got {env!r}") from None
+
+
+def _flags_config(cls, args):
+    """``cls`` from the flags whose dest is one of its fields; a flag not given keeps its default."""
+    names = {f.name for f in fields(cls)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return config_from(cls, given, seed=_env_seed())
 
 
 def _parse_orders(text) -> tuple[int, ...]:
@@ -63,17 +58,7 @@ def cmd_train_embeddings(args) -> int:
         print(f"error: corpus file not found: {corpus_path}", file=sys.stderr)
         return 1
     docs = [line.split() for line in corpus_path.read_text(encoding="utf-8").splitlines()]
-    config = SgnsConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        subsample_threshold=args.subsample,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        min_count=args.min_count,
-        seed=_seed_override(args.seed),
-    )
-    wv = train_sgns(docs, config)
+    wv = train_sgns(docs, _flags_config(SgnsConfig, args))
     save_word_vectors(wv, args.out)
     print(f"wrote {len(wv)} vectors of dim {wv.dim} to {args.out}")
     return 0
@@ -92,14 +77,7 @@ def _dataset_vocab(args):
 
 
 def cmd_cluster(args) -> int:
-    config = KMeansConfig(
-        K=args.K,
-        iterations=args.iterations,
-        variant=args.variant,
-        batch_size=args.batch_size,
-        init=args.init,
-        seed=_seed_override(args.seed),
-    )
+    config = _flags_config(clustering.KMeansConfig, args)
     _, vocab, wv = _dataset_vocab(args)
     result = clustering.fit(embed_all(vocab, wv), config)
     clustering.save_centroids(result.centroids, args.out)
@@ -133,7 +111,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train_svm(args) -> int:
-    config = SvmConfig(C=args.C, max_epochs=args.max_epochs, tolerance=args.tolerance)
+    config = _flags_config(svm.SvmConfig, args)
     mat, labels = features.load_svmlight(args.features)
     model = svm.svm_train(mat, labels, config)
     svm.save_model(model, args.out)
@@ -172,35 +150,25 @@ def _resolve(base_dir: Path, path) -> Path:
 
 
 def _parse_experiment(entry: dict, base_dir: Path):
-    unknown = set(entry) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
+    entry = dict(entry)
     if "dataset_root" not in entry:
         raise ValueError("experiment entry is missing dataset_root")
-    dtype = entry.get("dataset_type", "polarity")
+    dtype = entry.pop("dataset_type", "polarity")
     if dtype not in _LOADERS:
         raise ValueError(f"unknown dataset_type {dtype!r}; expected one of {list(_LOADERS)}")
-    root = _resolve(base_dir, entry["dataset_root"])
+    root = _resolve(base_dir, entry.pop("dataset_root"))
     if not root.exists():
         raise ValueError(f"dataset_root does not exist: {root}")
-    emb = entry.get("embeddings_path")
+    emb = entry.pop("embeddings_path", None)
     if emb is not None:
         emb = _resolve(base_dir, emb)
         if not emb.is_file():
             raise ValueError(f"embeddings_path does not exist: {emb}")
-    if "K" in entry.get("kmeans", {}):
+    if "ngram_orders" in entry:
+        entry["ngram_orders"] = _parse_orders(entry["ngram_orders"])
+    if isinstance(entry.get("kmeans"), dict) and "K" in entry["kmeans"]:
         raise BadConfig('"K" goes at the top of an experiment, not inside "kmeans"')
-    config = ExperimentConfig(
-        dataset=entry.get("dataset", "polarity"),
-        ngram_orders=_parse_orders(entry.get("ngram_orders", [1])),
-        K=entry.get("K", 300),
-        feature_mode=entry.get("feature_mode", "nb_max"),
-        kmeans=KMeansConfig(**entry.get("kmeans", {})),
-        svm=SvmConfig(**entry.get("svm", {})),
-        folds=entry.get("folds", 10),
-        seed=_seed_override(entry.get("seed", 42)),
-        cluster_on_all=entry.get("cluster_on_all", False),
-    )
+    config = config_from(ExperimentConfig, entry, "experiment config", _env_seed())
     if config.feature_mode in features.CONCEPT_MODES and emb is None:
         raise ValueError(f"feature_mode {config.feature_mode!r} needs an embeddings_path")
     return config, root, dtype, emb
@@ -287,24 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-embeddings", help="train toy skip-gram vectors")
     p.add_argument("--corpus", required=True, help="one whitespace-tokenized document per line")
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--subsample", type=float, default=1e-5)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--min-count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--negatives", type=int)
+    p.add_argument("--subsample", type=float, dest="subsample_threshold")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--min-count", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train_embeddings)
 
     p = sub.add_parser("cluster", help="build vocab, embed n-grams, run K-means")
     _add_dataset_args(p)
-    p.add_argument("--K", type=int, default=300)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--variant", default="lloyd", choices=clustering.VARIANTS)
-    p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--init", default="kmeanspp", choices=clustering.INITS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--K", type=int)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--variant", choices=clustering.VARIANTS)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--init", choices=clustering.INITS)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--text-out", default=None, help="also write a text export")
     p.set_defaults(func=cmd_cluster)
@@ -319,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-svm", help="train the linear SVM on a feature file")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--C", type=float)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--tolerance", type=float)
     p.set_defaults(func=cmd_train_svm)
 
     p = sub.add_parser("evaluate", help="accuracy of a saved model on a feature file")

@@ -65,15 +65,15 @@ class KMeansResult:
 def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid index and squared distance for every row of X.
 
-    The one nearest-centroid routine: Lloyd and mini-batch passes, ``assign``,
-    ``inertia`` and the CLI all call it. ``_screen`` decides each row it can
-    in float32, then the rest in float64, on those rows alone; a decided
-    row's label is its exact nearest centroid, so it does not depend on the
-    other rows of X. A row that float64 cannot order either (an exact tie,
-    such as a bigram halfway between the two centroids that are its words)
-    is decided from that row alone: |x - c_k|^2 summed directly for every
-    k, ties to the smallest index. ``sq_dists`` is |x - c_label|^2, summed
-    directly in float64.
+    The one nearest-centroid routine, for Lloyd and mini-batch passes, ``assign``,
+    ``inertia`` and the CLI, in two steps that each look at a row alone, so a
+    label does not depend on the other rows of X. ``_screen`` gives each row it
+    can decide in float32 its exact nearest centroid. ``_direct_argmin`` decides
+    the rest, exact ties among them (a bigram halfway between the centroids of
+    its two words): |x - c_k|^2 summed in float64 for every k, ties to the
+    smallest index, about 75 us per row at K=300, m=100. So input beyond
+    float32 range, which the screen leaves undecided, costs a direct pass.
+    ``sq_dists`` is |x - c_label|^2, summed directly in float64.
     """
     C = centroids.matrix
     if X.shape[1] != C.shape[1]:
@@ -82,13 +82,10 @@ def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray
 
 
 def _nearest(X, C) -> tuple[np.ndarray, np.ndarray, int]:
-    """``nearest``'s labels and squared distances, and the number of rows float32 left to float64."""
+    """``nearest``'s labels and squared distances, and the number of rows float32 left undecided."""
     c_sq = np.einsum("ij,ij->i", C, C)
-    labels, undecided = _screen(X, C, c_sq, np.float32)
-    if len(undecided):
-        labels[undecided], tied = _screen(X[undecided], C, c_sq, np.float64)
-        tied = undecided[tied]
-        labels[tied] = _direct_argmin(X[tied], C)
+    labels, undecided = _screen(X, C, c_sq)
+    labels[undecided] = _direct_argmin(X[undecided], C)
     sq_dists = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
         diff = X[lo : lo + _BLOCK_ROWS] - C[labels[lo : lo + _BLOCK_ROWS]]
@@ -115,10 +112,10 @@ def _direct_argmin(X, C) -> np.ndarray:
     return labels
 
 
-def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels that arithmetic in ``dtype`` decides, and the undecided rows.
+def _screen(X, C, c_sq) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels that float32 arithmetic decides, and the undecided rows.
 
-    Blocks of ``_BLOCK_ROWS`` rows are rounded to ``dtype`` and scored as
+    Blocks of ``_BLOCK_ROWS`` rows are rounded to float32 and scored as
     s_k = x.(-2 c_k) + |c_k|^2, which is the exact S_k = D_k - |x|^2 up to
     rounding (D_k the exact squared distance). A row keeps the argmin j of
     its scores when the gap g between its two smallest scores exceeds
@@ -126,9 +123,9 @@ def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
         B = 2 (gamma + gamma64) (|x|^2 + M) + 8 (m + 2) t,
         gamma = (m + 8) u / (1 - (m + 8) u),  gamma64 = (2m + 5) v / (1 - (2m + 5) v),
 
-    with u the unit roundoff of ``dtype`` (2^-24 for float32), v = 2^-53,
-    t the smallest normal number of ``dtype`` and M = max |c_k|^2.
-    Why that suffices: rounding x and c to ``dtype`` and the m-term dot
+    with u = 2^-24 the unit roundoff of float32, v = 2^-53, t the smallest
+    normal float32 and M = max |c_k|^2.
+    Why that suffices: rounding x and c to float32 and the m-term dot
     product in any order (FMA or not) cost at most gamma_{m+3} (|x|^2 +
     |c_k|^2), since 2 |x.c| <= |x|^2 + |c|^2; rounding |c_k|^2 and the sum
     add gamma_4 (|x|^2 + |c_k|^2). Each rounding that underflows, to a
@@ -141,10 +138,10 @@ def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
     then S_k - S_j exceeds twice both errors for every k != j: j is the
     exact nearest centroid, and any float64 evaluation of the distances puts
     it strictly first. The bound assumes nothing overflows: partial sums stay
-    below |x|^2 + 2 M, so rows where that passes half the largest ``dtype``
+    below |x|^2 + 2 M, so rows where that passes half the largest float32
     are not decided.
     """
-    info = np.finfo(dtype)
+    info = np.finfo(np.float32)
     n, m = X.shape
     M = float(c_sq.max())
     big = 0.5 * float(info.max) - 2.0 * M
@@ -154,13 +151,13 @@ def _screen(X, C, c_sq, dtype) -> tuple[np.ndarray, np.ndarray]:
         return labels, np.arange(n)
     slope = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64))
     floor = 8.0 * (m + 2) * float(info.tiny) + slope * M
-    neg2_ct = (-2.0 * C.T).astype(dtype)
-    c_sq = c_sq.astype(dtype)
+    neg2_ct = (-2.0 * C.T).astype(np.float32)
+    c_sq = c_sq.astype(np.float32)
     decided = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
         for lo in range(0, n, _BLOCK_ROWS):
             block = X[lo : lo + _BLOCK_ROWS]
-            s = block.astype(dtype) @ neg2_ct
+            s = block.astype(np.float32) @ neg2_ct
             s += c_sq
             rows = np.arange(len(s))
             best = s.argmin(axis=1)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import NGram, NGramVocabulary
 from .errors import (
-    DimensionMismatch, EmptyCorpus, MalformedLine, SgnsDiverged, UnknownWord, check_finite, check_int,
+    DimensionMismatch, EmptyCorpus, SgnsDiverged, UnknownWord, check_finite, check_int, numbered_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -49,30 +49,28 @@ def load_word_vectors(path) -> WordVectors:
 
     The first line is a "<count> <dim>" header when both of its fields are
     integers; otherwise it is a regular row and the dimension is inferred
-    from it. Duplicate words keep the last occurrence with a warning.
+    from it. Duplicate words keep the last occurrence with a warning. A line that
+    is not UTF-8 or does not parse (MalformedLine) or has the wrong length
+    (DimensionMismatch) fails naming the file and the line.
     """
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            parts = [p for p in parts if p]
+    with numbered_lines(path) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            parts = [p for p in line.rstrip("\r\n").split(" ") if p]
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
                 dim = int(parts[1])
                 continue
             word, values = parts[0], parts[1:]
-            try:
-                vec = np.array(values, dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedLine(f"line {lineno}: cannot parse {line!r}") from exc
+            vec = np.array(values, dtype=np.float64)
             if dim is None:
                 dim = len(vec)
             if len(vec) != dim:
                 raise DimensionMismatch(
-                    f"line {lineno}: row has {len(vec)} values, expected {dim}"
+                    f"{path} line {lineno}: row has {len(vec)} values, expected {dim}"
                 )
             if word in words:
                 logger.warning("duplicate word %r at line %d; keeping last", word, lineno)

@@ -1,7 +1,10 @@
-"""Exception types raised across the library, and the config checks that raise BadConfig."""
+"""Library exception types, the config checks and builder that raise them, and the line reader."""
 
+import dataclasses
 import math
 import numbers
+from collections.abc import Mapping
+from contextlib import contextmanager
 
 
 class ConceptBagError(Exception):
@@ -33,9 +36,9 @@ class DimensionMismatch(ConceptBagError):
 
 
 class MalformedLine(ConceptBagError):
-    """A line of a word-vector, SVM model or svmlight feature file could not be parsed.
+    """A line of a word-vector, SVM model or svmlight feature file is not UTF-8 or does not parse.
 
-    The message carries the line number; the model and feature loaders also name the file.
+    The message names the file and the line (``numbered_lines``).
     """
 
 
@@ -107,3 +110,51 @@ def check_finite(what: str, value, minimum: float, strict: bool) -> None:
             or (value <= minimum if strict else value < minimum)):
         bound = f"{'>' if strict else '>='} {minimum:g}"
         raise BadConfig(f"{what} must be a finite number {bound}, got {value!r}")
+
+
+def config_from(cls, given: Mapping, what: str = "config", seed: int | None = None):
+    """The config dataclass ``cls`` from ``given``, its field names to values; others keep defaults.
+
+    A key that is not a field raises BadConfig naming it. A config-valued field
+    (``ExperimentConfig.kmeans``, ``.svm``) is built the same way from a given
+    mapping, and raises BadConfig if given anything else. ``seed``, unless None,
+    replaces every ``seed`` field, nested ones included.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(given) - set(fields)
+    if unknown:
+        raise BadConfig(f"unknown {what} keys: {sorted(unknown)}")
+    values = dict(given)
+    for name, f in fields.items():
+        if dataclasses.is_dataclass(f.default_factory):
+            nested = values.get(name, {})
+            if not isinstance(nested, Mapping):
+                raise BadConfig(f'"{name}" must be a JSON object, got {type(nested).__name__}')
+            values[name] = config_from(f.default_factory, nested, name, seed)
+        elif name == "seed" and seed is not None:
+            values[name] = seed
+    return cls(**values)
+
+
+@contextmanager
+def numbered_lines(path):
+    """Yield an iterator over the lines of the file ``path``, each decoded as strict UTF-8.
+
+    A ValueError in the ``with`` block, a byte that is not UTF-8 included, becomes
+    MalformedLine naming the file and the line last read; past the end, that is
+    the first missing line.
+    """
+    lineno = 0
+
+    def lines(fh):
+        nonlocal lineno
+        for raw in fh:
+            lineno += 1
+            yield raw.decode("utf-8")
+        lineno += 1
+
+    with open(path, "rb") as fh:
+        try:
+            yield lines(fh)
+        except ValueError as exc:
+            raise MalformedLine(f"{path} line {lineno}: {exc}") from exc

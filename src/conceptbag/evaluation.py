@@ -14,7 +14,7 @@ from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
 from .corpus import Dataset, build_vocab, check_orders, count_vectors
 from .embeddings import WordVectors, embed_all
-from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int
+from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int, config_from
 from .svm import SvmConfig
 
 STAGES = ("vocab", "counts", "ngram_repr", "kmeans", "doc_repr", "svm_train", "total")
@@ -58,14 +58,11 @@ class ExperimentReport:
     def from_json(cls, text: str) -> "ExperimentReport":
         raw = json.loads(text)
         cfg = raw["config_echo"]
-        cfg["ngram_orders"] = tuple(cfg["ngram_orders"])
-        cfg["kmeans"] = KMeansConfig(**cfg["kmeans"])
-        cfg["svm"] = SvmConfig(**cfg["svm"])
         return cls(
             accuracy=raw["accuracy"],
             per_fold=list(raw["per_fold"]),
             stage_times=dict(raw["stage_times"]),
-            config_echo=ExperimentConfig(**cfg),
+            config_echo=config_from(ExperimentConfig, {**cfg, "ngram_orders": tuple(cfg["ngram_orders"])}),
         )
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LengthMismatch, MalformedLine, SingleClass
+from .errors import LengthMismatch, SingleClass, numbered_lines
 
 CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
 MODES = CONCEPT_MODES + ("bow_nb",)
@@ -129,30 +129,26 @@ def export_svmlight(features, labels, path) -> None:
 def load_svmlight(path) -> tuple[sp.csr_matrix, np.ndarray]:
     """Read the format written by export_svmlight. Width is the max seen index.
 
-    A line that does not parse raises MalformedLine naming the file and
-    line; bytes that are not UTF-8 fail as part of their line.
+    A line that is not UTF-8 or does not parse raises MalformedLine naming
+    the file and the line.
     """
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
     labels: list[int] = []
-    lineno = 0
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                labels.append(int(parts[0]))
-                for item in parts[1:]:
-                    idx, val = item.split(":")
-                    if int(idx) < 1:
-                        raise ValueError(f"index {idx} is below 1")
-                    indices.append(int(idx) - 1)
-                    data.append(float(val))
-                indptr.append(len(indices))
-    except ValueError as exc:
-        raise MalformedLine(f"{path} line {lineno}: {exc}") from exc
+    with numbered_lines(path) as lines:
+        for line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            labels.append(int(parts[0]))
+            for item in parts[1:]:
+                idx, val = item.split(":")
+                if int(idx) < 1:
+                    raise ValueError(f"index {idx} is below 1")
+                indices.append(int(idx) - 1)
+                data.append(float(val))
+            indptr.append(len(indices))
     width = max(indices) + 1 if indices else 0
     mat = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=np.int64), indptr),

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadLabel, DimensionMismatch, MalformedLine, NonFiniteFeature, check_finite, check_int
+from .errors import BadLabel, DimensionMismatch, NonFiniteFeature, check_finite, check_int, numbered_lines
 
 # CG stops once the Newton system's residual is below this fraction of |grad|
 CG_RELATIVE_TOLERANCE = 1e-4
@@ -186,19 +186,11 @@ def save_model(model: LinearModel, path) -> None:
 def load_model(path) -> LinearModel:
     """Read the format written by save_model.
 
-    A line that does not parse raises MalformedLine naming the file and
-    line; bytes that are not UTF-8 fail as part of their line.
+    A line that is not UTF-8 or does not parse, a missing one included,
+    raises MalformedLine naming the file and the line.
     """
-    lineno = 1
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            dim = int(fh.readline().split()[1])
-            lineno += 1
-            c_val = float(fh.readline().split()[1])
-            w = []
-            for _ in range(dim):
-                lineno += 1
-                w.append(float(fh.readline()))
-    except (IndexError, ValueError) as exc:
-        raise MalformedLine(f"{path} line {lineno}: {exc}") from exc
+    with numbered_lines(path) as lines:
+        dim = int(next(lines, "").removeprefix("dim "))
+        c_val = float(next(lines, "").removeprefix("C "))
+        w = [float(next(lines, "")) for _ in range(dim)]
     return LinearModel(w=np.array(w), trained_C=c_val)

@@ -6,7 +6,9 @@ import pytest
 
 from conceptbag import cli
 from conceptbag.cli import main
-from conceptbag.embeddings import load_word_vectors
+from conceptbag.clustering import Centroids, KMeansConfig, save_centroids
+from conceptbag.embeddings import SgnsConfig, load_word_vectors
+from conceptbag.svm import SvmConfig
 
 POS_WORDS = ["good", "great", "nice", "superb"]
 NEG_WORDS = ["bad", "awful", "poor", "dull"]
@@ -125,6 +127,79 @@ class TestTrainEmbeddings:
         err = capsys.readouterr().err
         assert err.startswith("error: skip-gram training diverged") and len(err.splitlines()) == 1
         assert not out.exists()
+
+
+class Captured(Exception):
+    """Raised by a stand-in for a stage's solver, carrying the config it was passed."""
+
+
+class TestFlagConfigs:
+    """Each stage command builds its config from its config dataclass: one default per setting."""
+
+    @pytest.fixture
+    def commands(self, tmp_path, polarity_root, vectors_path, monkeypatch):
+        """Each command's required flags; its solver is replaced by one that raises Captured."""
+        def capture(*args):
+            raise Captured(args[-1])
+
+        monkeypatch.setattr(cli, "train_sgns", capture)
+        monkeypatch.setattr(cli.clustering, "fit", capture)
+        monkeypatch.setattr(cli.svm, "svm_train", capture)
+        monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c\n", encoding="utf-8")
+        feats = tmp_path / "f.svmlight"
+        feats.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
+        return {
+            "train-embeddings": ["--corpus", str(corpus), "--out", str(tmp_path / "v.txt")],
+            "cluster": [*dataset_flags(polarity_root, vectors_path), "--out", str(tmp_path / "c.bin")],
+            "train-svm": ["--features", str(feats), "--out", str(tmp_path / "m.txt")],
+        }
+
+    def config_of(self, argv):
+        with pytest.raises(Captured) as caught:
+            main(argv)
+        return caught.value.args[0]
+
+    def test_required_flags_only_give_the_dataclass_defaults(self, commands):
+        for command, expected in (
+            ("train-embeddings", SgnsConfig()), ("cluster", KMeansConfig()), ("train-svm", SvmConfig()),
+        ):
+            assert self.config_of([command, *commands[command]]) == expected
+
+    def test_every_flag_sets_its_field(self, commands):
+        sgns = self.config_of([
+            "train-embeddings", *commands["train-embeddings"], "--dim", "7", "--window", "3",
+            "--negatives", "2", "--subsample", "0.001", "--lr", "0.05", "--epochs", "4",
+            "--min-count", "2", "--seed", "9",
+        ])
+        assert sgns == SgnsConfig(dim=7, window=3, negatives=2, subsample_threshold=0.001,
+                                  learning_rate=0.05, epochs=4, min_count=2, seed=9)
+        kmeans = self.config_of([
+            "cluster", *commands["cluster"], "--K", "4", "--iterations", "3", "--variant", "minibatch",
+            "--batch-size", "16", "--init", "random_points", "--seed", "7",
+        ])
+        assert kmeans == KMeansConfig(K=4, iterations=3, variant="minibatch", batch_size=16,
+                                      init="random_points", seed=7)
+        svm_config = self.config_of([
+            "train-svm", *commands["train-svm"], "--C", "0.5", "--max-epochs", "50",
+            "--tolerance", "0.001",
+        ])
+        assert svm_config == SvmConfig(C=0.5, max_epochs=50, tolerance=0.001)
+        # no field was left at its default, so each flag above reached its own field
+        for config in (sgns, kmeans, svm_config):
+            defaults = type(config)()
+            assert all(getattr(config, f) != getattr(defaults, f) for f in vars(defaults))
+
+    def test_env_seed_replaces_every_seed_flag(self, commands, monkeypatch):
+        monkeypatch.setenv("CONCEPTBAG_SEED", "123")
+        for command in ("train-embeddings", "cluster"):
+            assert self.config_of([command, *commands[command], "--seed", "9"]).seed == 123
+
+    def test_env_seed_must_be_an_int(self, commands, monkeypatch, capsys):
+        monkeypatch.setenv("CONCEPTBAG_SEED", "abc")
+        assert main(["train-embeddings", *commands["train-embeddings"]]) == 1
+        assert capsys.readouterr().err == "error: CONCEPTBAG_SEED must be an int, got 'abc'\n"
 
 
 class TestCluster:
@@ -455,7 +530,11 @@ class TestRun:
          ({"kmeans": {"seed": "0"}}, "kmeans seed must be an int"),
          ({"kmeans": {"init": "kmeans++"}}, "unknown K-means init"),
          ({"ngram_orders": 1}, "n-gram orders must be a list"),
-         ({"kmeans": {"K": 50}}, 'not inside "kmeans"')],
+         ({"kmeans": {"K": 50}}, 'not inside "kmeans"'),
+         ({"kmeans": {"bogus": 1}}, "unknown kmeans keys: ['bogus']"),
+         ({"kmeans": 5}, '"kmeans" must be a JSON object, got int'),
+         ({"kmeans": "K"}, '"kmeans" must be a JSON object, got str'),
+         ({"svm": []}, '"svm" must be a JSON object, got list')],
     )
     def test_bad_value_types_rejected_before_work(
         self, tmp_path, polarity_root, vectors_path, capsys, bad, message
@@ -562,6 +641,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out_dir)]) == 0
         rep = json.loads((out_dir / "report_000.json").read_text())
         assert rep["config_echo"]["seed"] == 123
+        assert rep["config_echo"]["kmeans"]["seed"] == 123
 
 
 class TestErrorHandling:
@@ -605,3 +685,27 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {feats} line ") and len(err.splitlines()) == 1
         assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "featurize", "inspect-cluster", "run"])
+    @pytest.mark.parametrize("row", [b"v 1.0 \xff 2.0\n", b"v 1.0 x\n"], ids=["not-utf8", "not-a-number"])
+    def test_malformed_vectors_file(self, tmp_path, polarity_root, capsys, command, row):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"2 2\nw 1.0 2.0\n" + row)
+        cents = tmp_path / "c.bin"
+        save_centroids(Centroids(np.zeros((2, 2))), cents)
+        flags = {
+            "cluster": ["--out", str(tmp_path / "out.bin")],
+            "featurize": ["--mode", "bow_nb", "--out", str(tmp_path / "f.svmlight")],
+            "inspect-cluster": ["--centroids", str(cents)],
+        }
+        if command == "run":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"version": 1, "experiments": [
+                {"dataset_root": str(polarity_root), "embeddings_path": str(vectors), "folds": 2}
+            ]}), encoding="utf-8")
+            argv = ["run", "--config", str(config), "--output-dir", str(tmp_path / "r")]
+        else:
+            argv = [command, *dataset_flags(polarity_root, vectors), *flags[command]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vectors} line 3: ") and len(err.splitlines()) == 1

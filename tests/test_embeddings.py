@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -53,14 +54,20 @@ class TestLoader:
     def test_dimension_mismatch(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("2 3\na 1 0 0\nb 0 1\n")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{p} line 3: ")):
             load_word_vectors(p)
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("2 2\na 1 0\nb x y\n")
-        with pytest.raises(MalformedLine, match="line 3"):
+        with pytest.raises(MalformedLine, match=re.escape(f"{p} line 3: ")):
             load_word_vectors(p)
+
+    def test_crlf_line_ends(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"2 2\r\na 1 0\r\nb 0 1\r\n")
+        wv = load_word_vectors(p)
+        assert wv.dim == 2 and wv.vector("b").tolist() == [0.0, 1.0]
 
     def test_duplicate_keeps_last(self, tmp_path, caplog):
         p = tmp_path / "v.txt"
