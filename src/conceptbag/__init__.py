@@ -21,7 +21,6 @@ from .corpus import (
     NGramVocabulary,
     build_vocab,
     count_vectors,
-    extract_ngrams,
     load_imdb_dataset,
     load_polarity_dataset,
     tokenize,

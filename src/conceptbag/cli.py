@@ -12,7 +12,7 @@ import numpy as np
 from . import clustering, evaluation, features, svm
 from .corpus import build_vocab, check_orders, count_vectors, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
-from .errors import BadConfig, BadOrders, ConceptBagError, config_from
+from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
 from .evaluation import ExperimentConfig, run_experiment, write_reports
 
 CONFIG_VERSION = 1
@@ -53,12 +53,14 @@ def _orders_arg(text) -> tuple[int, ...]:
 
 
 def cmd_train_embeddings(args) -> int:
+    config = _flags_config(SgnsConfig, args)
     corpus_path = Path(args.corpus)
     if not corpus_path.is_file():
         print(f"error: corpus file not found: {corpus_path}", file=sys.stderr)
         return 1
-    docs = [line.split() for line in corpus_path.read_text(encoding="utf-8").splitlines()]
-    wv = train_sgns(docs, _flags_config(SgnsConfig, args))
+    with numbered_lines(corpus_path) as lines:
+        docs = [line.split() for line in lines]
+    wv = train_sgns(docs, config)
     save_word_vectors(wv, args.out)
     print(f"wrote {len(wv)} vectors of dim {wv.dim} to {args.out}")
     return 0
@@ -130,7 +132,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect_cluster(args) -> int:
+    check_int("--top", args.top, minimum=1)
     centroids = clustering.load_centroids(args.centroids)
+    if args.cluster is not None:
+        check_int("--cluster", args.cluster, 0, centroids.K - 1)
     _, vocab, wv = _dataset_vocab(args)
     which = range(centroids.K) if args.cluster is None else [args.cluster]
     assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
@@ -156,6 +161,7 @@ def _parse_experiment(entry: dict, base_dir: Path):
     dtype = entry.pop("dataset_type", "polarity")
     if dtype not in _LOADERS:
         raise ValueError(f"unknown dataset_type {dtype!r}; expected one of {list(_LOADERS)}")
+    entry.setdefault("dataset", dtype)
     root = _resolve(base_dir, entry.pop("dataset_root"))
     if not root.exists():
         raise ValueError(f"dataset_root does not exist: {root}")

@@ -31,8 +31,10 @@ class KMeansConfig:
             raise BadConfig(f"unknown K-means variant {self.variant!r}; expected one of {VARIANTS}")
         if self.init not in INITS:
             raise BadConfig(f"unknown K-means init {self.init!r}; expected one of {INITS}")
-        for name, minimum in (("K", 1), ("iterations", 0), ("batch_size", 1), ("seed", None)):
+        for name, minimum in (("K", 1), ("iterations", 0), ("batch_size", 1)):
             check_int(f"kmeans {name}", getattr(self, name), minimum)
+        # save_centroids stores the seed as a signed 64-bit int
+        check_int("kmeans seed", self.seed, 0, 2**63 - 1)
 
 
 @dataclass

@@ -2,7 +2,6 @@
 
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -156,36 +155,13 @@ def _decode(keys: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def extract_ngrams(
-    tokens: Sequence[str],
-    orders: Iterable[int],
-    dictionary,
-) -> Counter:
-    """Count every contiguous n-gram whose words are all in ``dictionary``.
-
-    ``orders`` is a non-empty subset of {1, 2, 3}. Returns a Counter keyed by
-    word tuples; windows never cross the token sequence boundary.
-    """
-    orders = check_orders(orders)
-    tokens = list(tokens)
-    word_ids: dict[str, int] = {}
-    ids, _ = _token_ids([tokens], word_ids, dictionary)
-    base = _key_base(len(word_ids), orders)
-    grams: Counter = Counter()
-    for n in orders:
-        starts = np.flatnonzero(_windows(ids, n, base))
-        grams.update(tuple(tokens[s : s + n]) for s in starts.tolist())
-    return grams
-
-
 class NGramVocabulary:
     """Bijection between n-grams and column indices, in first-occurrence order.
 
     The vocabulary numbers words (``word_ids``, ids 0, 1, ... in insertion
     order) and stores each n-gram once, as its integer key: ``keys`` is
     sorted and ``columns[i]`` is the column of the n-gram whose key is
-    ``keys[i]``. ``entries`` (the n-grams by column), ``index`` (n-gram to
-    column) and ``words`` (the words of any n-gram) are decoded from the
+    ``keys[i]``. ``entries``, the n-grams by column, is decoded from the
     keys when first read. Every n-gram's length must be one of ``orders``.
     """
 
@@ -241,20 +217,8 @@ class NGramVocabulary:
             entries[members] = np.fromiter(grams, dtype=object, count=len(members))
         return entries.tolist()
 
-    @cached_property
-    def index(self) -> dict[NGram, int]:
-        return {g: i for i, g in enumerate(self.entries)}
-
-    @cached_property
-    def words(self) -> frozenset[str]:
-        used = np.unique(self.word_id_matrix())
-        return frozenset(np.array(list(self.word_ids), dtype=object)[used[used >= 0]].tolist())
-
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __contains__(self, ngram: NGram) -> bool:
-        return ngram in self.index
 
 
 def build_vocab(documents: Iterable[Document], orders, dictionary) -> NGramVocabulary:

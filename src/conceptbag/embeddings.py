@@ -151,8 +151,8 @@ class SgnsConfig:
     def __post_init__(self):
         for name in ("dim", "window", "negatives", "min_count"):
             check_int(f"sgns {name}", getattr(self, name), minimum=1)
-        check_int("sgns epochs", self.epochs, minimum=0)
-        check_int("sgns seed", self.seed)
+        for name in ("epochs", "seed"):
+            check_int(f"sgns {name}", getattr(self, name), minimum=0)
         for name in ("learning_rate", "subsample_threshold"):
             check_finite(f"sgns {name}", getattr(self, name), minimum=0.0, strict=True)
 

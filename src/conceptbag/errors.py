@@ -96,11 +96,13 @@ class BadConfig(ConceptBagError, ValueError):
     """A configuration value has the wrong type or is out of range."""
 
 
-def check_int(what: str, value, minimum: int | None = None) -> None:
-    """Raise BadConfig unless ``value`` is an int (not a bool), and >= ``minimum`` if given."""
+def check_int(what: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
+    """Raise BadConfig unless ``value`` is an int (not a bool) within the bounds given, inclusive."""
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or (minimum is not None and value < minimum)):
+            or (minimum is not None and value < minimum) or (maximum is not None and value > maximum)):
         bound = "" if minimum is None else f" >= {minimum}"
+        if maximum is not None:
+            bound = f" in [{minimum}, {maximum}]"
         raise BadConfig(f"{what} must be an int{bound}, got {value!r}")
 
 

@@ -34,8 +34,11 @@ class ExperimentConfig:
     cluster_on_all: bool = False
 
     def __post_init__(self):
-        for name in ("K", "folds", "seed"):
-            check_int(name, getattr(self, name))
+        check_int("K", self.K)
+        check_int("folds", self.folds)
+        if self.folds == 1 or self.folds < 0:
+            raise BadConfig(f"folds must be 0 (the dataset's own split) or >= 2, got {self.folds}")
+        check_int("seed", self.seed, minimum=0)
         if not isinstance(self.cluster_on_all, (bool, np.bool_)):
             raise BadConfig(f"cluster_on_all must be a bool, got {self.cluster_on_all!r}")
         check_orders(self.ngram_orders)
@@ -133,11 +136,11 @@ def _fold_features(
     """Featurize one train/test split; returns (train feats, test feats).
 
     ``cache`` is an optional dict shared across folds or experiments on one
-    dataset and one set of word vectors. The vocabulary, n-gram table and
-    centroids are keyed on the documents they are fitted on (every document
-    under ``cluster_on_all``, else the training fold), the counts on those
-    and the split, so each is reused whenever every setting that shapes it
-    coincides.
+    dataset and one set of word vectors. The vocabulary and K-means result
+    are keyed on the documents they are fitted on (every document under
+    ``cluster_on_all``, else the training fold), the counts on those and the
+    split, so each is reused whenever every setting that shapes it
+    coincides. The n-gram table is built only to fit K-means, and not kept.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
@@ -164,10 +167,13 @@ def _fold_features(
 
     assignment = None
     if config.feature_mode in features.CONCEPT_MODES:
-        table = _cached(cache, ("table", fit_key), clock, "ngram_repr", lambda: embed_all(vocab, wv))
         kmeans_key = ("kmeans", fit_key, astuple(config.kmeans))
-        result = _cached(cache, kmeans_key, clock, "kmeans", lambda: clustering.fit(table, config.kmeans))
-        assignment = result.labels
+        if kmeans_key not in cache:
+            with clock.stage("ngram_repr"):
+                table = embed_all(vocab, wv)
+            with clock.stage("kmeans"):
+                cache[kmeans_key] = clustering.fit(table, config.kmeans)
+        assignment = cache[kmeans_key].labels
     with clock.stage("doc_repr"):
         return tuple(
             features.document_features(config.feature_mode, counts, ratio, assignment, config.K)

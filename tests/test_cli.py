@@ -102,7 +102,31 @@ class TestTrainEmbeddings:
             outs.append(out.read_text())
         assert outs[0] != outs[1]
 
-    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--dim", "0")])
+    def test_non_utf8_corpus_names_the_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"a b c\nd \xff e\n")
+        out = tmp_path / "v.txt"
+        assert main([
+            "train-embeddings", "--corpus", str(corpus), "--out", str(out), "--min-count", "1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus} line 2: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_documents_split_at_newlines_only(self, tmp_path, monkeypatch):
+        def capture(docs, config):
+            raise Captured(docs)
+
+        monkeypatch.setattr(cli, "train_sgns", capture)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b\u2028c d\r\ne\x0cf\n\ng\n", encoding="utf-8")
+        with pytest.raises(Captured) as caught:
+            main(["train-embeddings", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt")])
+        assert caught.value.args[0] == [["a", "b", "c", "d"], ["e", "f"], [], ["g"]]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--lr", "nan"), ("--dim", "0"), ("--seed", "-1")]
+    )
     def test_bad_hyperparameter_rejected_before_training(self, tmp_path, capsys, flag, value):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b c d e\n" * 20, encoding="utf-8")
@@ -195,6 +219,24 @@ class TestFlagConfigs:
         monkeypatch.setenv("CONCEPTBAG_SEED", "123")
         for command in ("train-embeddings", "cluster"):
             assert self.config_of([command, *commands[command], "--seed", "9"]).seed == 123
+
+    @pytest.mark.parametrize(
+        "command, seed, env",
+        [("train-embeddings", "-1", None), ("cluster", "-1", None),
+         ("cluster", str(2**63), None),  # the centroid file stores a signed 64-bit seed
+         ("train-embeddings", "0", "-1"), ("cluster", "0", "-1")],
+    )
+    def test_seed_out_of_range_rejected_before_work(
+        self, commands, monkeypatch, capsys, command, seed, env
+    ):
+        monkeypatch.setattr(cli, "numbered_lines", lambda *a: pytest.fail("read the corpus"))
+        monkeypatch.setattr(cli, "_dataset_vocab", lambda *a: pytest.fail("loaded the dataset"))
+        if env is not None:
+            monkeypatch.setenv("CONCEPTBAG_SEED", env)
+        assert main([command, *commands[command], "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be an int" in err
+        assert len(err.splitlines()) == 1
 
     def test_env_seed_must_be_an_int(self, commands, monkeypatch, capsys):
         monkeypatch.setenv("CONCEPTBAG_SEED", "abc")
@@ -382,6 +424,24 @@ class TestInspectCluster:
         assert rc == 0
         assert capsys.readouterr().out.startswith("cluster 0:")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--cluster", "20"], "--cluster must be an int in [0, 19], got 20"),
+         (["--cluster", "-1"], "--cluster must be an int in [0, 19], got -1"),
+         (["--top", "0"], "--top must be an int >= 1, got 0"),
+         (["--top", "-3"], "--top must be an int >= 1, got -3")],
+    )
+    def test_cluster_and_top_out_of_range_rejected_before_work(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, flags, message
+    ):
+        cents = tmp_path / "c.bin"
+        save_centroids(Centroids(np.zeros((20, 6))), cents)
+        monkeypatch.setattr(cli, "_dataset_vocab", lambda *a: pytest.fail("loaded the dataset"))
+        assert main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path),
+                     "--centroids", str(cents), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
 
 class TestRun:
     def write_config(self, tmp_path, polarity_root, vectors_path, experiments=None, **top):
@@ -534,7 +594,12 @@ class TestRun:
          ({"kmeans": {"bogus": 1}}, "unknown kmeans keys: ['bogus']"),
          ({"kmeans": 5}, '"kmeans" must be a JSON object, got int'),
          ({"kmeans": "K"}, '"kmeans" must be a JSON object, got str'),
-         ({"svm": []}, '"svm" must be a JSON object, got list')],
+         ({"svm": []}, '"svm" must be a JSON object, got list'),
+         ({"seed": -1}, "seed must be an int >= 0, got -1"),
+         ({"kmeans": {"seed": -1}}, "kmeans seed must be an int in [0, 9223372036854775807]"),
+         ({"kmeans": {"seed": 2**63}}, "kmeans seed must be an int in [0, 9223372036854775807]"),
+         ({"folds": 1}, "folds must be 0 (the dataset's own split) or >= 2, got 1"),
+         ({"folds": -2}, "folds must be 0 (the dataset's own split) or >= 2, got -2")],
     )
     def test_bad_value_types_rejected_before_work(
         self, tmp_path, polarity_root, vectors_path, capsys, bad, message
@@ -631,6 +696,34 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--output-dir", str(out_dir)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_negative_env_seed_rejected_before_work(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys
+    ):
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path)
+        monkeypatch.setenv("CONCEPTBAG_SEED", "-1")
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be an int" in err
+        assert len(err.splitlines()) == 1
+
+    def test_imdb_run_reports_imdb(self, tmp_path, polarity_root, vectors_path, capsys):
+        root = tmp_path / "imdb"
+        write_polarity(root / "train", POS_WORDS, NEG_WORDS, seed=2)
+        write_polarity(root / "test", POS_WORDS, NEG_WORDS, seed=3)
+        base = {"dataset_root": str(root), "dataset_type": "imdb", "feature_mode": "bow_nb",
+                "folds": 0}
+        cfg = self.write_config(tmp_path, polarity_root, vectors_path,
+                                experiments=[base, {**base, "dataset": "toy"}])
+        out_dir = tmp_path / "reports"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out_dir)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out[:2]] == ["imdb", "toy"]
+        rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["imdb", "toy"]
+        echoes = [json.loads((out_dir / f"report_{i:03d}.json").read_text())["config_echo"]
+                  for i in range(2)]
+        assert [e["dataset"] for e in echoes] == ["imdb", "toy"]
 
     def test_env_seed_changes_folds(
         self, tmp_path, polarity_root, vectors_path, monkeypatch

@@ -435,7 +435,7 @@ class TestFit:
     @pytest.mark.parametrize(
         "name, value",
         [("K", 0), ("K", 3.0), ("iterations", -1), ("iterations", "5"), ("batch_size", 0),
-         ("seed", "0"), ("seed", True), ("init", "kmeans++")],
+         ("seed", "0"), ("seed", True), ("seed", -1), ("seed", 2**63), ("init", "kmeans++")],
     )
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(BadConfig, match=name):
@@ -499,6 +499,12 @@ class TestSerialization:
         back = load_centroids(p)
         assert back.seed == 123
         assert np.array_equal(back.matrix, c.matrix)
+
+    def test_largest_config_seed_round_trips(self, tmp_path):
+        seed = KMeansConfig(seed=2**63 - 1).seed
+        p = tmp_path / "c.bin"
+        save_centroids(Centroids(np.eye(2), seed=seed), p)
+        assert load_centroids(p).seed == seed
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"

@@ -298,7 +298,7 @@ class TestSgnsConfig:
         [("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", 0.0),
          ("learning_rate", "0.1"), ("epochs", -1), ("epochs", 1.0), ("subsample_threshold", 0.0),
          ("dim", 0), ("negatives", -1), ("window", 0), ("min_count", 0), ("seed", "0"),
-         ("seed", True)],
+         ("seed", True), ("seed", -1)],
     )
     def test_bad_values_rejected(self, name, value):
         with pytest.raises(BadConfig, match=name):

@@ -184,6 +184,15 @@ class TestRunExperiment:
         b = run_experiment(cfg, ds, wv, cache=cache)
         assert a.per_fold == b.per_fold
 
+    def test_cache_keeps_no_ngram_table(self):
+        # the table is K-means' only input, so it is rebuilt on a K-means miss, never stored
+        ds, wv = make_synthetic_sentiment(seed=11, n_docs=60)
+        cache = {}
+        for config in (small_config(folds=2), small_config(folds=2, ngram_orders=(1, 2)),
+                       small_config(folds=2, cluster_on_all=True)):
+            run_experiment(config, ds, wv, cache=cache)
+        assert {key[0] for key in cache} == {"vocab", "counts", "kmeans"}
+
     @pytest.mark.parametrize("cluster_on_all, fits", [(True, 1), (False, 3)])
     def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch, cluster_on_all, fits):
         from conceptbag import clustering
@@ -214,7 +223,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("K", "1"), ("K", 6.0), ("folds", "2"), ("seed", True), ("cluster_on_all", "no")],
+        [("K", "1"), ("K", 6.0), ("folds", "2"), ("folds", 1), ("folds", -1), ("seed", True),
+         ("seed", -1), ("cluster_on_all", "no")],
     )
     def test_wrong_value_types_rejected(self, name, value):
         with pytest.raises(BadConfig, match=name):

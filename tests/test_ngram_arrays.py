@@ -19,7 +19,6 @@ from conceptbag.corpus import (
     NGramVocabulary,
     build_vocab,
     count_vectors,
-    extract_ngrams,
 )
 from conceptbag.embeddings import WordVectors, embed_all
 from conceptbag.errors import EmptyVocabulary, UnknownWord
@@ -117,8 +116,6 @@ class TestAgainstPerWindowLoop:
             return
         vocab = build_vocab(docs, ords, dictionary)
         assert vocab.entries == want
-        assert vocab.index == {g: i for i, g in enumerate(want)}
-        assert vocab.words == frozenset(w for g in want for w in g)
         for counted in (docs, other_docs):
             assert_same_csr(count_vectors(counted, vocab), reference_counts(counted, want, ords))
 
@@ -150,11 +147,6 @@ class TestAgainstPerWindowLoop:
             assert (got.value.word, got.value.position) == (exc.word, exc.position)
             return
         assert_same_bits(embed_all(vocab, wv), want)
-
-    @given(tokens, orders, dictionaries)
-    def test_extract_ngrams(self, toks, ords, dictionary):
-        want = Counter(reference_windows(toks, ords, dictionary))
-        assert extract_ngrams(toks, ords, dictionary) == want
 
     def test_negative_zero_rows_average_to_positive_zero(self):
         wv = WordVectors(words={"a": 0, "b": 1}, matrix=np.array([[-0.0, 1.0], [-0.0, -1.0]]))
