@@ -4,13 +4,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import clustering, evaluation, features, svm
-from .corpus import build_vocab, check_orders, count_vectors, load_imdb_dataset, load_polarity_dataset
+from .corpus import build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
 from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
 from .evaluation import ExperimentConfig, run_experiment, write_reports
@@ -66,21 +66,24 @@ def cmd_train_embeddings(args) -> int:
     return 0
 
 
-def _dataset_vocab(args):
-    """(training documents, their vocabulary, word vectors) for a dataset command."""
+def _dataset_split(args):
+    """(training documents, held-out documents, word vectors) for a dataset command.
+
+    The held-out documents are the dataset's predefined test split (IMDB); a
+    corpus without one trains on every document and holds none out.
+    """
     wv = load_word_vectors(args.embeddings)
     dataset = _LOADERS[args.dataset_type](args.dataset_root)
-    docs = (
-        [dataset.documents[i] for i in dataset.train_ids]
-        if dataset.train_ids is not None
-        else dataset.documents
-    )
-    return docs, build_vocab(docs, args.orders, wv.words), wv
+    docs = dataset.documents
+    if dataset.train_ids is None:
+        return docs, [], wv
+    return [docs[i] for i in dataset.train_ids], [docs[i] for i in dataset.test_ids], wv
 
 
 def cmd_cluster(args) -> int:
     config = _flags_config(clustering.KMeansConfig, args)
-    _, vocab, wv = _dataset_vocab(args)
+    train, _, wv = _dataset_split(args)
+    vocab = build_vocab(train, args.orders, wv.words)
     result = clustering.fit(embed_all(vocab, wv), config)
     clustering.save_centroids(result.centroids, args.out)
     if args.text_out:
@@ -93,22 +96,25 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    centroids = assignment = K = None
+    config = ExperimentConfig(ngram_orders=args.orders, feature_mode=args.mode)
+    centroids = None
     if args.mode in features.CONCEPT_MODES:
         if args.centroids is None:
             print(f"error: --mode {args.mode} needs --centroids", file=sys.stderr)
             return 1
         centroids = clustering.load_centroids(args.centroids)
-    docs, vocab, wv = _dataset_vocab(args)
-    labeled = [d for d in docs if d.label is not None]
-    counts = count_vectors(labeled, vocab)
-    labels = np.array([d.label for d in labeled])
-    ratio = features.log_count_ratio(counts, labels)
-    if centroids is not None:
-        assignment, K = clustering.nearest(embed_all(vocab, wv), centroids)[0], centroids.K
-    mat = features.document_features(args.mode, counts, ratio, assignment, K)
-    features.export_svmlight(mat, labels, args.out)
-    print(f"wrote {counts.shape[0]} feature rows to {args.out}")
+        config = replace(config, K=centroids.K)
+    train, test, wv = _dataset_split(args)
+    y_train, y_test = (np.array([d.label for d in docs], dtype=np.int64) for docs in (train, test))
+    f_train, f_test = evaluation._fold_features(
+        train, test, y_train, config, wv, evaluation._StageClock(), centroids=centroids
+    )
+    outputs = [(f_train, y_train, args.out)]
+    if test:
+        outputs.append((f_test, y_test, f"{args.out}.test"))
+    for mat, labels, path in outputs:
+        features.export_svmlight(mat, labels, path)
+        print(f"wrote {len(labels)} feature rows to {path}")
     return 0
 
 
@@ -136,7 +142,8 @@ def cmd_inspect_cluster(args) -> int:
     centroids = clustering.load_centroids(args.centroids)
     if args.cluster is not None:
         check_int("--cluster", args.cluster, 0, centroids.K - 1)
-    _, vocab, wv = _dataset_vocab(args)
+    train, _, wv = _dataset_split(args)
+    vocab = build_vocab(train, args.orders, wv.words)
     which = range(centroids.K) if args.cluster is None else [args.cluster]
     assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
     for k in which:

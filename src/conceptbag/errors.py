@@ -89,7 +89,7 @@ class BadCentroidFile(ConceptBagError, ValueError):
 
 
 class TooFewDocuments(ConceptBagError):
-    """Not enough documents to build the requested folds."""
+    """Not enough documents to build the requested folds, or none to score."""
 
 
 class BadConfig(ConceptBagError, ValueError):

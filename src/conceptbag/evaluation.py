@@ -70,11 +70,13 @@ class ExperimentReport:
 
 
 def accuracy(predictions, labels) -> float:
-    """Fraction of exact matches."""
+    """Fraction of exact matches; raises TooFewDocuments when there are none to score."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
     if len(predictions) != len(labels):
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
+    if not len(predictions):
+        raise TooFewDocuments("no documents to score: accuracy over 0 predictions is undefined")
     return float(np.mean(predictions == labels))
 
 
@@ -131,7 +133,7 @@ def _cached(cache, key, clock, stage, compute):
 
 
 def _fold_features(
-    train_docs, test_docs, y_train, config, wv, clock, all_docs=None, cache=None
+    train_docs, test_docs, y_train, config, wv, clock, all_docs=None, cache=None, centroids=None
 ):
     """Featurize one train/test split; returns (train feats, test feats).
 
@@ -141,6 +143,8 @@ def _fold_features(
     ``cluster_on_all``, else the training fold), the counts on those and the
     split, so each is reused whenever every setting that shapes it
     coincides. The n-gram table is built only to fit K-means, and not kept.
+    ``centroids``, if given (``config.K`` of them), replace the K-means fit:
+    each n-gram goes to its nearest centroid.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
@@ -168,12 +172,16 @@ def _fold_features(
     assignment = None
     if config.feature_mode in features.CONCEPT_MODES:
         kmeans_key = ("kmeans", fit_key, astuple(config.kmeans))
-        if kmeans_key not in cache:
+        if centroids is not None or kmeans_key not in cache:
             with clock.stage("ngram_repr"):
                 table = embed_all(vocab, wv)
             with clock.stage("kmeans"):
-                cache[kmeans_key] = clustering.fit(table, config.kmeans)
-        assignment = cache[kmeans_key].labels
+                if centroids is not None:
+                    assignment = clustering.nearest(table, centroids)[0]
+                else:
+                    cache[kmeans_key] = clustering.fit(table, config.kmeans)
+        if assignment is None:
+            assignment = cache[kmeans_key].labels
     with clock.stage("doc_repr"):
         return tuple(
             features.document_features(config.feature_mode, counts, ratio, assignment, config.K)

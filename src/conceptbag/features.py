@@ -129,8 +129,9 @@ def export_svmlight(features, labels, path) -> None:
 def load_svmlight(path) -> tuple[sp.csr_matrix, np.ndarray]:
     """Read the format written by export_svmlight. Width is the max seen index.
 
-    A line that is not UTF-8 or does not parse raises MalformedLine naming
-    the file and the line.
+    A line that is not UTF-8, does not parse, has a label other than +1 or -1,
+    or has indices that do not strictly ascend from 1 raises MalformedLine
+    naming the file and the line.
     """
     indptr = [0]
     indices: list[int] = []
@@ -141,12 +142,17 @@ def load_svmlight(path) -> tuple[sp.csr_matrix, np.ndarray]:
             parts = line.split()
             if not parts:
                 continue
-            labels.append(int(parts[0]))
+            label = int(parts[0])
+            if label not in (1, -1):
+                raise ValueError(f"label must be +1 or -1, got {parts[0]}")
+            labels.append(label)
+            last = 0
             for item in parts[1:]:
                 idx, val = item.split(":")
-                if int(idx) < 1:
-                    raise ValueError(f"index {idx} is below 1")
-                indices.append(int(idx) - 1)
+                if int(idx) <= last:
+                    raise ValueError(f"index {idx} after {last}: indices start at 1 and strictly ascend")
+                last = int(idx)
+                indices.append(last - 1)
                 data.append(float(val))
             indptr.append(len(indices))
     width = max(indices) + 1 if indices else 0

@@ -4,9 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from conceptbag import cli
+from conceptbag import cli, evaluation, features
 from conceptbag.cli import main
 from conceptbag.clustering import Centroids, KMeansConfig, save_centroids
+from conceptbag.corpus import load_imdb_dataset
 from conceptbag.embeddings import SgnsConfig, load_word_vectors
 from conceptbag.svm import SvmConfig
 
@@ -230,7 +231,7 @@ class TestFlagConfigs:
         self, commands, monkeypatch, capsys, command, seed, env
     ):
         monkeypatch.setattr(cli, "numbered_lines", lambda *a: pytest.fail("read the corpus"))
-        monkeypatch.setattr(cli, "_dataset_vocab", lambda *a: pytest.fail("loaded the dataset"))
+        monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
         if env is not None:
             monkeypatch.setenv("CONCEPTBAG_SEED", env)
         assert main([command, *commands[command], "--seed", seed]) == 1
@@ -304,6 +305,7 @@ class TestPipelineChain:
             ["featurize", *dataset_flags(polarity_root, vectors_path),
              "--centroids", str(cents), "--mode", "nb_max", "--out", str(feats)]
         ) == 0
+        assert not (tmp_path / "train.svmlight.test").exists()  # polarity has no held-out split
         model = tmp_path / "model.txt"
         assert main(
             ["train-svm", "--features", str(feats), "--out", str(model), "--C", "1.0"]
@@ -358,6 +360,20 @@ class TestPipelineChain:
         assert main(["evaluate", "--model", str(model), "--features", str(narrow)]) == 0
         assert capsys.readouterr().out == "accuracy 1.0000 over 2 documents\n"
 
+    def test_evaluate_empty_feature_file(self, tmp_path, capsys, recwarn):
+        train = tmp_path / "train.svmlight"
+        train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
+        empty = tmp_path / "empty.svmlight"
+        empty.write_text("", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["train-svm", "--features", str(train), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--features", str(empty)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no documents to score: accuracy over 0 predictions is undefined\n"
+        assert not recwarn.list
+
     def test_train_svm_rejects_negative_C(self, tmp_path, capsys):
         train = tmp_path / "train.svmlight"
         train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
@@ -385,7 +401,8 @@ class TestPipelineChain:
     ):
         calls = []
         embed_all = cli.embed_all
-        monkeypatch.setattr(cli, "embed_all", lambda *a: calls.append(1) or embed_all(*a))
+        for module in (cli, evaluation):  # cluster embeds in the CLI, featurize in _fold_features
+            monkeypatch.setattr(module, "embed_all", lambda *a: calls.append(1) or embed_all(*a))
         flags = dataset_flags(polarity_root, vectors_path)
         cents = tmp_path / "c.bin"
         assert main(["cluster", *flags, "--K", "3", "--out", str(cents)]) == 0
@@ -407,6 +424,40 @@ class TestPipelineChain:
                   "--orders", orders, "--K", "3", "--out", str(tmp_path / "c.bin")])
         assert exc.value.code == 2
         assert "--orders" in capsys.readouterr().err
+
+
+def write_imdb(root):
+    """Toy IMDB layout. Its test documents carry a word of each side that no training document
+    has, so a fit on them would differ, and two words of the other side, so no mode scores 1.0."""
+    write_polarity(root / "train", POS_WORDS[:3], NEG_WORDS[:3], seed=2)
+    write_polarity(root / "test", POS_WORDS + NEG_WORDS[:2], NEG_WORDS + POS_WORDS[:2], seed=3)
+    (root / "train" / "unsup").mkdir()
+    return root
+
+
+class TestHeldOutChain:
+    """The stage commands score the test split under the training fit, as ``run`` does."""
+
+    @pytest.mark.parametrize("mode", features.MODES)
+    def test_evaluate_test_split_equals_run(self, tmp_path, vectors_path, monkeypatch, capsys, mode):
+        monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
+        root = write_imdb(tmp_path / "imdb")
+        flags = ["--embeddings", str(vectors_path), "--dataset-root", str(root), "--dataset-type", "imdb"]
+        cents, feats, model = tmp_path / "c.bin", tmp_path / "f.svmlight", tmp_path / "m.txt"
+        assert main(["cluster", *flags, "--K", "4", "--out", str(cents)]) == 0
+        capsys.readouterr()
+        assert main(["featurize", *flags, "--centroids", str(cents), "--mode", mode,
+                     "--out", str(feats)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 24 feature rows to {feats}\nwrote 24 feature rows to {feats}.test\n"
+        )
+        assert main(["train-svm", "--features", str(feats), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--features", f"{feats}.test"]) == 0
+        report = evaluation.run_experiment(evaluation.ExperimentConfig(K=4, feature_mode=mode, folds=0),
+                                           load_imdb_dataset(root), load_word_vectors(vectors_path))
+        assert capsys.readouterr().out == f"accuracy {report.accuracy:.4f} over 24 documents\n"
+        assert 0.5 < report.accuracy < 1.0
 
 
 class TestInspectCluster:
@@ -436,7 +487,7 @@ class TestInspectCluster:
     ):
         cents = tmp_path / "c.bin"
         save_centroids(Centroids(np.zeros((20, 6))), cents)
-        monkeypatch.setattr(cli, "_dataset_vocab", lambda *a: pytest.fail("loaded the dataset"))
+        monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
         assert main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path),
                      "--centroids", str(cents), *flags]) == 1
         out, err = capsys.readouterr()
@@ -768,7 +819,9 @@ class TestErrorHandling:
         assert err.startswith(f"error: {model} line ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "content", ["+1 1:1.0\nfoo 2:1.0\n", "+1 1=1.0\n", "+1 0:1.0\n", "+1 1:x\n", "\xff\xfe\n"]
+        "content",
+        ["+1 1:1.0\nfoo 2:1.0\n", "+1 1=1.0\n", "+1 0:1.0\n", "+1 1:x\n", "\xff\xfe\n",
+         "+2 1:1.0\n-1 2:1.0\n", "+1 1:1.0\n-1 1:1.0 1:2.0\n", "+1 1:1.0\n-1 3:1.0 2:1.0\n"],
     )
     def test_malformed_feature_file(self, tmp_path, capsys, content):
         feats = tmp_path / "f.svmlight"

@@ -46,6 +46,10 @@ class TestAccuracy:
         with pytest.raises(LengthMismatch):
             accuracy([1], [1, -1])
 
+    def test_no_predictions(self):
+        with pytest.raises(TooFewDocuments, match="no documents to score"):
+            accuracy([], [])
+
 
 class TestKFold:
     def test_partition(self):
