@@ -11,7 +11,7 @@ import numpy as np
 
 from . import clustering, evaluation, features, svm
 from .corpus import build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset
-from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
+from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns, word_rows
 from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
 from .evaluation import ExperimentConfig, run_experiment, write_reports
 
@@ -84,7 +84,7 @@ def cmd_cluster(args) -> int:
     config = _flags_config(clustering.KMeansConfig, args)
     train, _, wv = _dataset_split(args)
     vocab = build_vocab(train, args.orders, wv.words)
-    result = clustering.fit(embed_all(vocab, wv), config)
+    result = clustering.fit(embed_all(vocab, wv), config, words=(wv.matrix, word_rows(vocab, wv)))
     clustering.save_centroids(result.centroids, args.out)
     if args.text_out:
         clustering.export_centroids_text(result.centroids, args.text_out)

@@ -172,24 +172,36 @@ def _screen(X, C, c_sq) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.flatnonzero(~decided)
 
 
-def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii 2007).
+def _distances_to(X: np.ndarray, words=None):
+    """The function c -> squared distance from every row of X to c, for k-means++ seeding.
 
-    Each step draws the next centre with probability proportional to every
-    row's squared distance to its closest centre so far. The distance to the
-    new centre c is one matrix-vector product in the expansion
-    |x|^2 - 2 x.c + |c|^2, with |x|^2 computed once. Where that value is
-    within rounding of zero, the row is recomputed as |x - c|^2 directly: a
-    chosen point and its exact duplicates must keep exactly zero weight, so
-    that they are never drawn again and, once every row coincides with a
-    centre, the total is 0 and the remaining centres are drawn uniformly.
+    A distance is |x|^2 - 2 x.c + |c|^2, with |x|^2 computed once. Where
+    that value is within rounding of zero, the row is recomputed as
+    |x - c|^2 directly, so a row equal to c gets exactly 0.
+
+    ``words``, if given, is (W, ids): row t of X is the mean of the rows of W
+    that row t of the N x width int array ``ids`` names, padded with -1 (an
+    n-gram table and its word vectors). Then x.c is the mean over those rows
+    of W c, so a call costs one product over W and a gather over ``ids`` in
+    place of a product over X. Rows whose ids do not give X[t] are a caller
+    error: the distances are then wrong. When W has no fewer rows than X, or
+    ``words`` is None, X itself is the word matrix, one word per row, and
+    x.c is the product X c.
     """
     n = X.shape[0]
-    centers = np.empty((K, X.shape[1]))
+    if words is None or len(words[0]) >= n:
+        words = (X, np.arange(n)[:, None])
+    W, ids = words
+    lengths = np.count_nonzero(ids >= 0, axis=1).astype(np.float64)
+    wc = np.zeros(len(W) + 1)  # the -1 padding reads wc[-1], which stays 0
     x_sq = np.einsum("ij,ij->i", X, X)
 
     def sq_dists_to(c):
-        d = X @ c
+        np.matmul(W, c, out=wc[:-1])
+        d = wc[ids[:, 0]]
+        for j in range(1, ids.shape[1]):
+            d += wc[ids[:, j]]
+        d /= lengths
         d *= -2.0
         d += x_sq
         c_sq = c @ c
@@ -198,6 +210,22 @@ def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
         d[near] = ((X[near] - c) ** 2).sum(axis=1)
         return d
 
+    return sq_dists_to
+
+
+def _kmeanspp_init(X: np.ndarray, K: int, rng, words=None) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007).
+
+    Each step draws the next centre with probability proportional to every
+    row's squared distance to its closest centre so far, from
+    ``_distances_to(X, words)``. A chosen point and its exact duplicates
+    keep exactly zero weight, so that they are never drawn again and, once
+    every row coincides with a centre, the total is 0 and the remaining
+    centres are drawn uniformly.
+    """
+    n = X.shape[0]
+    sq_dists_to = _distances_to(X, words)
+    centers = np.empty((K, X.shape[1]))
     centers[0] = X[rng.integers(n)]
     closest = sq_dists_to(centers[0])
     for k in range(1, K):
@@ -212,9 +240,9 @@ def _kmeanspp_init(X: np.ndarray, K: int, rng) -> np.ndarray:
     return centers
 
 
-def _init_centers(X: np.ndarray, config: KMeansConfig, rng) -> np.ndarray:
+def _init_centers(X: np.ndarray, config: KMeansConfig, rng, words=None) -> np.ndarray:
     if config.init == "kmeanspp":
-        return _kmeanspp_init(X, config.K, rng)
+        return _kmeanspp_init(X, config.K, rng, words)
     idx = rng.choice(X.shape[0], size=config.K, replace=False)  # "random_points"
     return X[idx].copy()
 
@@ -233,8 +261,12 @@ def assign(x: np.ndarray, centroids: Centroids) -> int:
     return int(nearest(x[None, :], centroids)[0][0])
 
 
-def _check_points(X, K: int) -> np.ndarray:
+def _check_points(X, K: int, words=None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
+    if words is not None and (words[0].shape[1:] != X.shape[1:] or len(words[1]) != len(X)):
+        raise DimensionMismatch(
+            f"{X.shape} points, but a {words[0].shape} word matrix and {np.shape(words[1])} word rows"
+        )
     if X.shape[0] < K:
         raise TooFewPoints(f"{X.shape[0]} points for K={K}")
     if not np.isfinite(X).all():
@@ -242,7 +274,7 @@ def _check_points(X, K: int) -> np.ndarray:
     return X
 
 
-def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
+def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     """Lloyd's algorithm for a fixed number of iterations.
 
     Before each centroid update, empty clusters are re-seeded at the point
@@ -258,10 +290,12 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     number of rows that float32 left to float64. Each iteration's trace
     value is the inertia (the sum of ``nearest``'s ``sq_dists``) of the pass
     that follows its centroid update, so the last one is the final inertia.
+    ``words`` (W, ids), if X is an n-gram table, speeds up k-means++ seeding;
+    see ``_distances_to``.
     """
-    X = _check_points(X, config.K)
+    X = _check_points(X, config.K, words)
     rng = np.random.default_rng(config.seed)
-    centers = _init_centers(X, config, rng)
+    centers = _init_centers(X, config, rng, words)
     result = Centroids(matrix=centers, seed=config.seed)
     trace, rechecked = [], []
     labels, sq_dists, n_rechecked = _nearest(X, centers)
@@ -305,18 +339,19 @@ def _fix_empty_clusters(X, centers, labels, K):
     return labels
 
 
-def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
+def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     """Mini-batch K-means with per-centroid learning rates.
 
     Each iteration samples batch_size points; a point assigned to centroid k
     moves it by (x - c) / n_k where n_k counts all points ever assigned to k.
-    Labels come from one full assignment pass at the end.
+    Labels come from one full assignment pass at the end. ``words`` is as
+    for ``kmeans_fit``.
     """
-    X = _check_points(X, config.K)
+    X = _check_points(X, config.K, words)
     if config.batch_size > X.shape[0]:
         raise ValueError("batch_size exceeds the number of points")
     rng = np.random.default_rng(config.seed)
-    centers = _init_centers(X, config, rng)
+    centers = _init_centers(X, config, rng, words)
     result = Centroids(matrix=centers, seed=config.seed)
     counts = np.zeros(config.K, dtype=np.int64)
     for _ in range(config.iterations):
@@ -332,11 +367,17 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
     return KMeansResult(result, labels, float(sq_dists.sum()))
 
 
-def fit(X: np.ndarray, config: KMeansConfig) -> KMeansResult:
-    """Cluster the rows of X with ``config.variant``, capping mini-batches at the row count."""
+def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
+    """Cluster the rows of X with ``config.variant``, capping mini-batches at the row count.
+
+    ``words`` is (W, ids) when X is an n-gram table: row t of X is the mean
+    of the rows of the word matrix W named in row t of ``ids`` (padded with
+    -1). k-means++ seeding is faster with it, and draws the same centres
+    unless a draw falls within rounding of a boundary (see ``_distances_to``).
+    """
     if config.variant == "minibatch":
-        return minibatch_kmeans_fit(X, replace(config, batch_size=min(config.batch_size, X.shape[0])))
-    return kmeans_fit(X, config)
+        return minibatch_kmeans_fit(X, replace(config, batch_size=min(config.batch_size, X.shape[0])), words)
+    return kmeans_fit(X, config, words)
 
 
 def save_centroids(centroids: Centroids, path) -> None:

@@ -103,31 +103,43 @@ def embed_ngram(ngram: NGram, wv: WordVectors) -> np.ndarray:
     return total / len(ngram)
 
 
-def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
-    """N x m table whose row t is embed_ngram(vocab.entries[t]), bit for bit.
+def word_rows(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
+    """len(vocab) x max(orders) rows of ``wv.matrix``: row t names entries[t]'s words, padded with -1.
 
-    Each row starts at 0.0 and adds its words' vectors in order, then is
-    divided by the n-gram's length, as embed_ngram does. A shorter n-gram
-    adds 0.0 for its missing words, which leaves a sum started at +0.0
-    unchanged. Rows are gathered _EMBED_ROWS at a time into the table.
+    Raises UnknownWord for the first n-gram, in column order, with a word
+    that ``wv`` lacks, naming the word and its position.
     """
     ids = vocab.word_id_matrix()
     to_row = np.fromiter(
         map(wv.words.get, vocab.word_ids, repeat(-1)), dtype=np.int64, count=len(vocab.word_ids)
     )
     present = ids >= 0
-    rows = np.where(present, to_row[ids], 0)
+    rows = np.where(present, to_row[ids], -1)
     missing = present & (rows < 0)
     if missing.any():
         t = int(np.argmax(missing.any(axis=1)))
         pos = int(np.argmax(missing[t]))
         raise UnknownWord(vocab.entries[t][pos], position=pos)
+    return rows
+
+
+def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
+    """N x m table whose row t is embed_ngram(vocab.entries[t]), bit for bit.
+
+    Row t is the mean of the ``wv.matrix`` rows that ``word_rows`` names.
+    Each row starts at 0.0 and adds its words' vectors in order, then is
+    divided by the n-gram's length, as embed_ngram does. A shorter n-gram
+    adds 0.0 for its missing words, which leaves a sum started at +0.0
+    unchanged. Rows are gathered _EMBED_ROWS at a time into the table.
+    """
+    rows = word_rows(vocab, wv)
+    present = rows >= 0
     table = np.zeros((len(vocab), wv.dim))
     gathered = np.empty((_EMBED_ROWS, wv.dim), dtype=wv.matrix.dtype)
     for lo in range(0, len(vocab), _EMBED_ROWS):
         hi = min(lo + _EMBED_ROWS, len(vocab))
         out = gathered[: hi - lo]
-        for j in range(ids.shape[1]):
+        for j in range(rows.shape[1]):
             np.take(wv.matrix, rows[lo:hi, j], axis=0, out=out, mode="clip")
             out[~present[lo:hi, j]] = 0.0
             table[lo:hi] += out

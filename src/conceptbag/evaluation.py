@@ -13,7 +13,7 @@ import numpy as np
 from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
 from .corpus import Dataset, build_vocab, check_orders, count_vectors
-from .embeddings import WordVectors, embed_all
+from .embeddings import WordVectors, embed_all, word_rows
 from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int, config_from
 from .svm import SvmConfig
 
@@ -179,7 +179,9 @@ def _fold_features(
                 if centroids is not None:
                     assignment = clustering.nearest(table, centroids)[0]
                 else:
-                    cache[kmeans_key] = clustering.fit(table, config.kmeans)
+                    cache[kmeans_key] = clustering.fit(
+                        table, config.kmeans, words=(wv.matrix, word_rows(vocab, wv))
+                    )
         if assignment is None:
             assignment = cache[kmeans_key].labels
     with clock.stage("doc_repr"):

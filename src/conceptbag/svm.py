@@ -67,6 +67,12 @@ def _matrix(features):
     return np.asarray(features, dtype=np.float64)
 
 
+def _check_finite(X) -> None:
+    """Raise NonFiniteFeature if the dense or sparse feature matrix X holds a NaN or inf."""
+    if not np.all(np.isfinite(X.data if sp.issparse(X) else X)):
+        raise NonFiniteFeature("feature matrix contains NaN or inf")
+
+
 def _scores(features, w) -> np.ndarray:
     if sp.issparse(features):
         return np.asarray(features @ w).ravel()
@@ -92,8 +98,7 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     """
     y = np.asarray(labels, dtype=np.float64)
     X = _matrix(features)
-    if not np.all(np.isfinite(X.data if sp.issparse(X) else X)):
-        raise NonFiniteFeature("feature matrix contains NaN or inf")
+    _check_finite(X)
     if X.shape[0] != len(y):
         raise DimensionMismatch(f"{X.shape[0]} rows vs {len(y)} labels")
     bad = y[np.abs(y) != 1.0]
@@ -167,10 +172,11 @@ def _cg(hessvec, b, max_iter, tol):
 
 
 def svm_predict(model: LinearModel, f) -> np.ndarray:
-    """Sign of w.f per row; an exact zero score maps to +1."""
+    """Sign of w.f per row; an exact zero score maps to +1. NaN or inf features raise NonFiniteFeature."""
     f = np.atleast_2d(np.asarray(f, dtype=np.float64)) if not sp.issparse(f) else f
     if f.shape[1] != len(model.w):
         raise DimensionMismatch(f"features have dim {f.shape[1]}, model {len(model.w)}")
+    _check_finite(f)
     scores = _scores(f, model.w)
     return np.where(scores >= 0.0, 1, -1).astype(np.int64)
 

@@ -4,11 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from conceptbag import cli, evaluation, features
+from conceptbag import cli, clustering, evaluation, features
 from conceptbag.cli import main
 from conceptbag.clustering import Centroids, KMeansConfig, save_centroids
-from conceptbag.corpus import load_imdb_dataset
-from conceptbag.embeddings import SgnsConfig, load_word_vectors
+from conceptbag.corpus import build_vocab, load_imdb_dataset
+from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors, word_rows
 from conceptbag.svm import SvmConfig
 
 POS_WORDS = ["good", "great", "nice", "superb"]
@@ -164,7 +164,7 @@ class TestFlagConfigs:
     @pytest.fixture
     def commands(self, tmp_path, polarity_root, vectors_path, monkeypatch):
         """Each command's required flags; its solver is replaced by one that raises Captured."""
-        def capture(*args):
+        def capture(*args, **kwargs):
             raise Captured(args[-1])
 
         monkeypatch.setattr(cli, "train_sgns", capture)
@@ -374,6 +374,19 @@ class TestPipelineChain:
         assert err == "error: no documents to score: accuracy over 0 predictions is undefined\n"
         assert not recwarn.list
 
+    def test_evaluate_nonfinite_feature_file(self, tmp_path, capsys):
+        train = tmp_path / "train.svmlight"
+        train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
+        bad = tmp_path / "bad.svmlight"
+        bad.write_text("+1 1:nan\n-1 2:inf\n", encoding="utf-8")
+        model = tmp_path / "model.txt"
+        assert main(["train-svm", "--features", str(train), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--features", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: feature matrix contains NaN or inf\n"
+
     def test_train_svm_rejects_negative_C(self, tmp_path, capsys):
         train = tmp_path / "train.svmlight"
         train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
@@ -458,6 +471,20 @@ class TestHeldOutChain:
                                            load_imdb_dataset(root), load_word_vectors(vectors_path))
         assert capsys.readouterr().out == f"accuracy {report.accuracy:.4f} over 24 documents\n"
         assert 0.5 < report.accuracy < 1.0
+
+
+    def test_cluster_writes_the_fit_on_the_training_documents(self, tmp_path, vectors_path, monkeypatch):
+        monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
+        root = write_imdb(tmp_path / "imdb")
+        cents = tmp_path / "c.bin"
+        assert main(["cluster", "--embeddings", str(vectors_path), "--dataset-root", str(root),
+                     "--dataset-type", "imdb", "--orders", "1,2", "--K", "4", "--out", str(cents)]) == 0
+        wv, dataset = load_word_vectors(vectors_path), load_imdb_dataset(root)
+        vocab = build_vocab([dataset.documents[i] for i in dataset.train_ids], (1, 2), wv.words)
+        assert len(vocab) > len(wv)  # seeding goes through word products
+        result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=(wv.matrix, word_rows(vocab, wv)))
+        save_centroids(result.centroids, tmp_path / "fit.bin")
+        assert cents.read_bytes() == (tmp_path / "fit.bin").read_bytes()
 
 
 class TestInspectCluster:
@@ -596,9 +623,9 @@ class TestRun:
         ran = []
         original = clustering.kmeans_fit
 
-        def recording(X, config):
+        def recording(X, config, words=None):
             ran.append(config.K)
-            return original(X, config)
+            return original(X, config, words)
 
         monkeypatch.setattr(clustering, "kmeans_fit", recording)
         experiment = {

@@ -7,6 +7,7 @@ import pytest
 from conceptbag.clustering import (
     Centroids,
     KMeansConfig,
+    _distances_to,
     _fix_empty_clusters,
     _init_centers,
     _kmeanspp_init,
@@ -21,6 +22,8 @@ from conceptbag.clustering import (
     nearest,
     save_centroids,
 )
+from conceptbag.corpus import Document, build_vocab
+from conceptbag.embeddings import WordVectors, embed_all, word_rows
 from conceptbag.errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
@@ -139,6 +142,40 @@ def direct_kmeanspp(X, K, rng):
     return centers
 
 
+def reference_kmeanspp(X, K, rng):
+    """k-means++ seeding from one product over the whole table per step (oracle).
+
+    The earlier body of ``_kmeanspp_init``: |x|^2 - 2 x.c + |c|^2 with x.c
+    from X @ c, and rows within rounding of zero recomputed as |x - c|^2.
+    """
+    n = X.shape[0]
+    centers = np.empty((K, X.shape[1]))
+    x_sq = np.einsum("ij,ij->i", X, X)
+
+    def sq_dists_to(c):
+        d = X @ c
+        d *= -2.0
+        d += x_sq
+        c_sq = c @ c
+        d += c_sq
+        near = np.flatnonzero(d <= 1e-9 * (x_sq + c_sq))
+        d[near] = ((X[near] - c) ** 2).sum(axis=1)
+        return d
+
+    centers[0] = X[rng.integers(n)]
+    closest = sq_dists_to(centers[0])
+    for k in range(1, K):
+        total = closest.sum()
+        if total <= 0:
+            idx = rng.integers(n)
+        else:
+            idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
+            idx = min(idx, n - 1)
+        centers[k] = X[idx]
+        np.minimum(closest, sq_dists_to(centers[k]), out=closest)
+    return centers
+
+
 def per_cluster_fix_empty(X, centers, labels, K):
     """Empty-cluster repair with a fresh distance pass per empty cluster (oracle)."""
     for k in np.flatnonzero(np.bincount(labels, minlength=K) == 0):
@@ -168,6 +205,7 @@ class TestLloydSteps:
         got = _kmeanspp_init(X, K, np.random.default_rng(seed))
         want = direct_kmeanspp(X, K, np.random.default_rng(seed))
         assert np.array_equal(got, want)
+        assert np.array_equal(got, reference_kmeanspp(X, K, np.random.default_rng(seed)))
 
     def test_one_iteration_centroids_are_exact_member_means(self):
         X = np.random.default_rng(22).normal(size=(500, 6))
@@ -194,6 +232,76 @@ class TestLloydSteps:
         assert np.array_equal(got, want)
         assert np.array_equal(c_got, c_want)
         assert np.bincount(got, minlength=K).min() > 0
+
+
+WORD_ORDERS = [(1,), (1, 2), (1, 3), (1, 2, 3)]
+
+
+def word_table(orders, kind):
+    """An n-gram table from ``embed_all`` and its (word matrix, ``word_rows``).
+
+    Word vectors are long, so |x|^2 - 2 x.c + |c|^2 rounds away from 0 for a
+    row and its duplicate, and point every way, so that value is far from 0
+    for most pairs of rows. "duplicates" gives words that
+    share a vector, so distinct n-grams share a row; "fewer_distinct_than_k"
+    has three words, two of them alike, so every table has at most 4
+    distinct rows. Past unigrams the table has more rows than there are
+    words, so seeding goes through word products.
+    """
+    rng = np.random.default_rng(41)
+    names = [f"w{i}" for i in range(3 if kind == "fewer_distinct_than_k" else 30)]
+    W = rng.normal(scale=3.0, size=(len(names), 8))
+    if kind != "random":
+        W[1::3] = W[0::3][: len(W[1::3])]
+    wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=W)
+    docs = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=20))) for i in range(10)]
+    vocab = build_vocab(docs, orders, wv.words)
+    return embed_all(vocab, wv), (W, word_rows(vocab, wv))
+
+
+class TestWordProductSeeding:
+    """k-means++ seeding from word products picks the centres of one product over X per step."""
+
+    @pytest.mark.parametrize("orders", WORD_ORDERS)
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "fewer_distinct_than_k"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference(self, orders, kind, seed):
+        X, words = word_table(orders, kind)
+        K = min(12, len(X))
+        if kind == "fewer_distinct_than_k":
+            assert len(np.unique(X, axis=0)) < K  # the total reaches 0: uniform draws
+        got = _kmeanspp_init(X, K, np.random.default_rng(seed), words)
+        assert np.array_equal(got, reference_kmeanspp(X, K, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("orders", WORD_ORDERS)
+    @pytest.mark.parametrize("kind", ["duplicates", "fewer_distinct_than_k"])
+    def test_chosen_row_and_its_duplicates_get_zero_weight(self, orders, kind):
+        X, words = word_table(orders, kind)
+        sq_dists_to = _distances_to(X, words)
+        duplicated = 0
+        for t in range(len(X)):
+            same = (X == X[t]).all(axis=1)
+            duplicated += same.sum() > 1
+            d = sq_dists_to(X[t])
+            assert (d[same] == 0.0).all()
+            assert (d[~same] > 0.0).all()
+            np.testing.assert_allclose(d, ((X - X[t]) ** 2).sum(axis=1), rtol=1e-9)
+        assert duplicated
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    def test_fit_with_word_rows_equals_fit_without(self, variant):
+        X, words = word_table((1, 2), "random")
+        cfg = KMeansConfig(K=10, iterations=3, variant=variant, batch_size=64, seed=4)
+        got, want = fit(X, cfg, words=words), fit(X, cfg)
+        assert np.array_equal(got.centroids.matrix, want.centroids.matrix)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.inertia == want.inertia
+
+    def test_word_rows_of_another_shape_rejected(self):
+        X, (W, ids) = word_table((1, 2), "random")
+        for words in ((W, ids[1:]), (W[:, 1:], ids)):
+            with pytest.raises(DimensionMismatch):
+                kmeans_fit(X, KMeansConfig(K=3), words=words)
 
 
 def reference_nearest(X, centroids):

@@ -19,6 +19,7 @@ from conceptbag.embeddings import (
     save_word_vectors,
     sgns_loss_and_grad,
     train_sgns,
+    word_rows,
 )
 from conceptbag.errors import BadConfig, DimensionMismatch, EmptyCorpus, MalformedLine, UnknownWord
 from conceptbag.errors import SgnsDiverged
@@ -131,6 +132,13 @@ class TestEmbedAll:
         wv = make_wv({"a": [1.0, 2.0]})
         table = embed_all(NGramVocabulary([], {1}), wv)
         assert table.shape == (0, 2)
+
+    def test_word_rows_name_the_vector_rows(self):
+        wv = make_wv({"x": [0.0, 0.0], "b": [3.0, 4.0], "a": [1.0, 2.0]})
+        vocab = NGramVocabulary([("a",), ("a", "b"), ("b", "a")], {1, 2})
+        assert word_rows(vocab, wv).tolist() == [[2, -1], [2, 1], [1, 2]]
+        with pytest.raises(UnknownWord, match="'b'"):
+            word_rows(vocab, make_wv({"a": [1.0, 2.0]}))
 
 
 class TestSgns:

@@ -204,9 +204,9 @@ class TestRunExperiment:
         calls = []
         real_fit = clustering.fit
 
-        def counting_fit(X, config):
+        def counting_fit(X, config, words=None):
             calls.append(len(X))
-            return real_fit(X, config)
+            return real_fit(X, config, words)
 
         monkeypatch.setattr(clustering, "fit", counting_fit)
         ds, wv = make_synthetic_sentiment(seed=12, n_docs=60)

@@ -214,6 +214,13 @@ class TestPredict:
         with pytest.raises(DimensionMismatch):
             svm_predict(model, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_nonfinite_rejected(self, value, sparse):
+        f = np.array([[1.0, 0.0], [0.0, value]])
+        with pytest.raises(NonFiniteFeature):
+            svm_predict(LinearModel(w=np.ones(2), trained_C=1.0), sp.csr_matrix(f) if sparse else f)
+
 
 class TestSerialization:
     def test_roundtrip_exact(self, tmp_path):
