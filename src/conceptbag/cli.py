@@ -86,8 +86,6 @@ def cmd_cluster(args) -> int:
     vocab = build_vocab(train, args.orders, wv.words)
     result = clustering.fit(embed_all(vocab, wv), config, words=(wv.matrix, word_rows(vocab, wv)))
     clustering.save_centroids(result.centroids, args.out)
-    if args.text_out:
-        clustering.export_centroids_text(result.centroids, args.text_out)
     print(
         f"clustered {len(vocab)} n-grams into K={config.K} "
         f"(inertia {result.inertia:.4f}); centroids -> {args.out}"
@@ -286,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.add_argument("--init", choices=clustering.INITS)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--text-out", default=None, help="also write a text export")
+    p.add_argument("--out", required=True, help="centroid file: K x m word vectors named c0 ... c<K-1>")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("featurize", help="write document features in svmlight format")

@@ -1,15 +1,11 @@
 """K-means partitioning of n-gram vectors into semantic concepts."""
 
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import WordVectors, save_word_vectors
+from .embeddings import WordVectors, load_word_vectors, save_word_vectors
 from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
-
-_MAGIC = b"CBGC"
-_VERSION = 1
 
 VARIANTS = ("lloyd", "minibatch")
 INITS = ("kmeanspp", "random_points")
@@ -33,13 +29,12 @@ class KMeansConfig:
             raise BadConfig(f"unknown K-means init {self.init!r}; expected one of {INITS}")
         for name, minimum in (("K", 1), ("iterations", 0), ("batch_size", 1)):
             check_int(f"kmeans {name}", getattr(self, name), minimum)
-        # save_centroids stores the seed as a signed 64-bit int
         check_int("kmeans seed", self.seed, 0, 2**63 - 1)
 
 
 @dataclass
 class Centroids:
-    """K x m centroid matrix plus the seed that produced it."""
+    """K x m centroid matrix plus the seed of the fit that produced it; a centroid file keeps no seed."""
 
     matrix: np.ndarray
     seed: int = 0
@@ -342,23 +337,20 @@ def _fix_empty_clusters(X, centers, labels, K):
 def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     """Mini-batch K-means with per-centroid learning rates.
 
-    Each iteration samples batch_size points; a point assigned to centroid k
-    moves it by (x - c) / n_k where n_k counts all points ever assigned to k.
-    Labels come from one full assignment pass at the end. ``words`` is as
-    for ``kmeans_fit``.
+    Each iteration samples min(batch_size, N) points; a point assigned to
+    centroid k moves it by (x - c) / n_k where n_k counts all points ever
+    assigned to k. Labels come from one full assignment pass at the end.
+    ``words`` is as for ``kmeans_fit``.
     """
     X = _check_points(X, config.K, words)
-    if config.batch_size > X.shape[0]:
-        raise ValueError("batch_size exceeds the number of points")
+    n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
     result = Centroids(matrix=centers, seed=config.seed)
     counts = np.zeros(config.K, dtype=np.int64)
     for _ in range(config.iterations):
-        if config.batch_size == X.shape[0]:
-            batch = np.arange(X.shape[0])
-        else:
-            batch = rng.choice(X.shape[0], size=config.batch_size, replace=False)
+        # a batch of all n rows (batch_size capped at n) goes in row order
+        batch = np.arange(n) if config.batch_size >= n else rng.choice(n, config.batch_size, replace=False)
         batch_labels = nearest(X[batch], result)[0]
         for idx, k in zip(batch, batch_labels):
             counts[k] += 1
@@ -368,43 +360,31 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
 
 
 def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
-    """Cluster the rows of X with ``config.variant``, capping mini-batches at the row count.
+    """Cluster the rows of X with ``config.variant``.
 
     ``words`` is (W, ids) when X is an n-gram table: row t of X is the mean
     of the rows of the word matrix W named in row t of ``ids`` (padded with
     -1). k-means++ seeding is faster with it, and draws the same centres
     unless a draw falls within rounding of a boundary (see ``_distances_to``).
     """
-    if config.variant == "minibatch":
-        return minibatch_kmeans_fit(X, replace(config, batch_size=min(config.batch_size, X.shape[0])), words)
-    return kmeans_fit(X, config, words)
+    fit_variant = minibatch_kmeans_fit if config.variant == "minibatch" else kmeans_fit
+    return fit_variant(X, config, words)
 
 
 def save_centroids(centroids: Centroids, path) -> None:
-    """Versioned binary format: magic, version, K, m, seed, row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<iiiq", _VERSION, centroids.K, centroids.dim, centroids.seed))
-        fh.write(np.ascontiguousarray(centroids.matrix, dtype=np.float64).tobytes())
+    """Write the centroids as word vectors named c0 ... c<K-1> (``save_word_vectors``)."""
+    save_word_vectors(WordVectors({f"c{k}": k for k in range(centroids.K)}, centroids.matrix), path)
 
 
 def load_centroids(path) -> Centroids:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC or len(raw) < 24:
-        raise BadCentroidFile(f"{path}: not a centroid file (magic {raw[:4]!r})")
-    version, K, m, seed = struct.unpack_from("<iiiq", raw, 4)
-    if version != _VERSION:
-        raise BadCentroidFile(f"{path}: unsupported centroid file version {version}")
-    if K < 1 or m < 1:
-        raise BadCentroidFile(f"{path}: header gives a {K}x{m} matrix; K and m must be at least 1")
-    if len(raw) != 24 + 8 * K * m:
-        raise BadCentroidFile(f"{path}: {len(raw) - 24} data bytes for a {K}x{m} matrix")
-    matrix = np.frombuffer(raw, dtype=np.float64, offset=24).reshape(K, m).copy()
-    return Centroids(matrix=matrix, seed=seed)
+    """Read a ``save_centroids`` file with ``load_word_vectors``.
 
-
-def export_centroids_text(centroids: Centroids, path) -> None:
-    """Text mirror of the embedding format for inspection; rows named c<k>."""
-    names = {f"c{k}": k for k in range(centroids.K)}
-    save_word_vectors(WordVectors(words=names, matrix=centroids.matrix), path)
+    Raises BadCentroidFile, naming the file, unless its rows are c0 ... c<K-1>
+    in order, with K and m at least 1.
+    """
+    wv = load_word_vectors(path)
+    K, m = wv.matrix.shape
+    if K < 1 or m < 1 or wv.words != {f"c{k}": k for k in range(K)}:
+        raise BadCentroidFile(f"{path}: not a centroid file (rows c0 ... c<K-1>, K and m at least 1); "
+                              f"read a {K}x{m} matrix")
+    return Centroids(matrix=wv.matrix)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .corpus import NGram, NGramVocabulary
 from .errors import (
-    DimensionMismatch, EmptyCorpus, SgnsDiverged, UnknownWord, check_finite, check_int, numbered_lines,
+    DimensionMismatch, EmptyCorpus, MalformedLine, SgnsDiverged, UnknownWord, check_finite, check_int,
+    numbered_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -49,21 +50,28 @@ def load_word_vectors(path) -> WordVectors:
 
     The first line is a "<count> <dim>" header when both of its fields are
     integers; otherwise it is a regular row and the dimension is inferred
-    from it. Duplicate words keep the last occurrence with a warning. A line that
-    is not UTF-8 or does not parse (MalformedLine) or has the wrong length
-    (DimensionMismatch) fails naming the file and the line.
+    from it. With a header, the file holds exactly <count> rows, duplicates
+    included. Duplicate words keep the last occurrence with a warning. A line
+    that is not UTF-8 or does not parse, a row missing or beyond the header's
+    count, or a NaN or infinite value (MalformedLine), or a row of the wrong
+    length (DimensionMismatch), fails naming the file and the line.
     """
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
-    dim = None
+    row_lines: list[int] = []  # the line each row was last read from
+    count = dim = None
+    read = 0
     with numbered_lines(path) as lines:
         for lineno, line in enumerate(lines, start=1):
             parts = [p for p in line.rstrip("\r\n").split(" ") if p]
             if not parts:
                 continue
             if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
-                dim = int(parts[1])
+                count, dim = int(parts[0]), int(parts[1])
                 continue
+            read += 1
+            if count is not None and read > count:
+                raise ValueError(f"row {read}, but the header gives {count} rows")
             word, values = parts[0], parts[1:]
             vec = np.array(values, dtype=np.float64)
             if dim is None:
@@ -75,10 +83,17 @@ def load_word_vectors(path) -> WordVectors:
             if word in words:
                 logger.warning("duplicate word %r at line %d; keeping last", word, lineno)
                 rows[words[word]] = vec
+                row_lines[words[word]] = lineno
             else:
                 words[word] = len(rows)
                 rows.append(vec)
+                row_lines.append(lineno)
+        if count is not None and read < count:
+            raise ValueError(f"{read} rows, but the header gives {count}")
     matrix = np.vstack(rows) if rows else np.zeros((0, dim or 0))
+    if not np.isfinite(matrix).all():
+        first = min(row_lines[i] for i in np.flatnonzero(~np.isfinite(matrix).all(axis=1)))
+        raise MalformedLine(f"{path} line {first}: row holds a NaN or infinite value")
     return WordVectors(words=words, matrix=matrix)
 
 

@@ -38,7 +38,8 @@ class DimensionMismatch(ConceptBagError):
 class MalformedLine(ConceptBagError):
     """A line of a word-vector, SVM model or svmlight feature file is not UTF-8 or does not parse.
 
-    The message names the file and the line (``numbered_lines``).
+    Also a word-vector row beyond or missing from its header's count, or one
+    holding NaN or infinity. The message names the file and the line.
     """
 
 
@@ -85,7 +86,7 @@ class RankRequestTooLarge(ConceptBagError):
 
 
 class BadCentroidFile(ConceptBagError, ValueError):
-    """A centroid file has the wrong magic, version, shape or length; message names the file."""
+    """A centroid file's rows are not c0 ... c<K-1>, or K or m is 0; the message names the file."""
 
 
 class TooFewDocuments(ConceptBagError):

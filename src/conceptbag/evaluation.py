@@ -43,7 +43,7 @@ class ExperimentConfig:
             raise BadConfig(f"cluster_on_all must be a bool, got {self.cluster_on_all!r}")
         check_orders(self.ngram_orders)
         if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"unknown feature_mode {self.feature_mode!r}; expected one of {FEATURE_MODES}")
+            raise BadConfig(f"unknown feature_mode {self.feature_mode!r}; expected one of {FEATURE_MODES}")
         self.kmeans = replace(self.kmeans, K=self.K)
 
 

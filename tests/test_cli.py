@@ -177,7 +177,7 @@ class TestFlagConfigs:
         feats.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
         return {
             "train-embeddings": ["--corpus", str(corpus), "--out", str(tmp_path / "v.txt")],
-            "cluster": [*dataset_flags(polarity_root, vectors_path), "--out", str(tmp_path / "c.bin")],
+            "cluster": [*dataset_flags(polarity_root, vectors_path), "--out", str(tmp_path / "c.txt")],
             "train-svm": ["--features", str(feats), "--out", str(tmp_path / "m.txt")],
         }
 
@@ -224,7 +224,7 @@ class TestFlagConfigs:
     @pytest.mark.parametrize(
         "command, seed, env",
         [("train-embeddings", "-1", None), ("cluster", "-1", None),
-         ("cluster", str(2**63), None),  # the centroid file stores a signed 64-bit seed
+         ("cluster", str(2**63), None),  # kmeans seeds are below 2**63
          ("train-embeddings", "0", "-1"), ("cluster", "0", "-1")],
     )
     def test_seed_out_of_range_rejected_before_work(
@@ -248,7 +248,7 @@ class TestFlagConfigs:
 class TestCluster:
     def test_deterministic_byte_identical(self, tmp_path, polarity_root, vectors_path):
         outs = []
-        for name in ("c1.bin", "c2.bin"):
+        for name in ("c1.txt", "c2.txt"):
             out = tmp_path / name
             rc = main(
                 ["cluster", *dataset_flags(polarity_root, vectors_path),
@@ -259,19 +259,18 @@ class TestCluster:
         assert outs[0] == outs[1]
 
     def test_text_export(self, tmp_path, polarity_root, vectors_path):
-        out = tmp_path / "c.bin"
-        txt = tmp_path / "c.txt"
+        out = tmp_path / "c.txt"
         rc = main(
             ["cluster", *dataset_flags(polarity_root, vectors_path),
-             "--K", "3", "--out", str(out), "--text-out", str(txt)]
+             "--K", "3", "--out", str(out)]
         )
         assert rc == 0
-        lines = txt.read_text().splitlines()
+        lines = out.read_text().splitlines()  # the centroid file is the text export
         assert lines[0] == "3 6"
         assert lines[1].startswith("c0 ")
 
     def test_minibatch_variant(self, tmp_path, polarity_root, vectors_path):
-        out = tmp_path / "c.bin"
+        out = tmp_path / "c.txt"
         rc = main(
             ["cluster", *dataset_flags(polarity_root, vectors_path),
              "--K", "3", "--variant", "minibatch", "--batch-size", "8",
@@ -286,7 +285,7 @@ class TestCluster:
         vectors = tmp_path / "same.txt"
         vectors.write_text(f"{len(words)} 2\n" + "".join(f"{w} 0.5 -1.0\n" for w in words),
                            encoding="utf-8")
-        out = tmp_path / "c.bin"
+        out = tmp_path / "c.txt"
         rc = main(["cluster", *dataset_flags(polarity_root, vectors), "--K", "3", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: 1 distinct points for K=3\n"
@@ -295,7 +294,7 @@ class TestCluster:
 
 class TestPipelineChain:
     def test_featurize_train_evaluate(self, tmp_path, polarity_root, vectors_path, capsys):
-        cents = tmp_path / "c.bin"
+        cents = tmp_path / "c.txt"
         assert main(
             ["cluster", *dataset_flags(polarity_root, vectors_path),
              "--K", "4", "--out", str(cents)]
@@ -331,9 +330,14 @@ class TestPipelineChain:
 
     @pytest.mark.parametrize(
         "content",
-        [b"NOPE" + b"\0" * 40, b"CBGC\1\0",
+        [b"NOPE" + b"\0" * 40, b"CBGC\1\0",  # the old binary format, and bytes like it
          b"CBGC" + struct.pack("<iiiq", 1, -1, -1, 0) + b"\0" * 8,  # K = m = -1, 32 bytes
-         b"CBGC" + struct.pack("<iiiq", 1, 0, 4, 0)],  # K = 0, no data
+         b"CBGC" + struct.pack("<iiiq", 1, 0, 4, 0),  # K = 0, no data
+         b"3 2\nc0 1.0 2.0\nc1 3.0 4.0\n",  # truncated: the header gives 3 rows
+         b"2 2\ngood 1.0 2.0\nbad 3.0 4.0\n",  # word vectors, not centroids
+         b"2 2\nc1 1.0 2.0\nc0 3.0 4.0\n",  # rows out of order
+         b"2 2\nc0 1.0 2.0\nc1 nan 4.0\n",
+         b"0 4\n"],  # K = 0, no rows
     )
     def test_featurize_bad_centroid_file(
         self, tmp_path, polarity_root, vectors_path, capsys, content
@@ -417,7 +421,7 @@ class TestPipelineChain:
         for module in (cli, evaluation):  # cluster embeds in the CLI, featurize in _fold_features
             monkeypatch.setattr(module, "embed_all", lambda *a: calls.append(1) or embed_all(*a))
         flags = dataset_flags(polarity_root, vectors_path)
-        cents = tmp_path / "c.bin"
+        cents = tmp_path / "c.txt"
         assert main(["cluster", *flags, "--K", "3", "--out", str(cents)]) == 0
         assert len(calls) == 1
         out = str(tmp_path / "f.svmlight")
@@ -434,7 +438,7 @@ class TestPipelineChain:
         monkeypatch.setattr(cli, "load_word_vectors", lambda *a: pytest.fail("loaded vectors"))
         with pytest.raises(SystemExit) as exc:
             main(["cluster", *dataset_flags(polarity_root, vectors_path),
-                  "--orders", orders, "--K", "3", "--out", str(tmp_path / "c.bin")])
+                  "--orders", orders, "--K", "3", "--out", str(tmp_path / "c.txt")])
         assert exc.value.code == 2
         assert "--orders" in capsys.readouterr().err
 
@@ -456,7 +460,7 @@ class TestHeldOutChain:
         monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
         root = write_imdb(tmp_path / "imdb")
         flags = ["--embeddings", str(vectors_path), "--dataset-root", str(root), "--dataset-type", "imdb"]
-        cents, feats, model = tmp_path / "c.bin", tmp_path / "f.svmlight", tmp_path / "m.txt"
+        cents, feats, model = tmp_path / "c.txt", tmp_path / "f.svmlight", tmp_path / "m.txt"
         assert main(["cluster", *flags, "--K", "4", "--out", str(cents)]) == 0
         capsys.readouterr()
         assert main(["featurize", *flags, "--centroids", str(cents), "--mode", mode,
@@ -476,20 +480,20 @@ class TestHeldOutChain:
     def test_cluster_writes_the_fit_on_the_training_documents(self, tmp_path, vectors_path, monkeypatch):
         monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
         root = write_imdb(tmp_path / "imdb")
-        cents = tmp_path / "c.bin"
+        cents = tmp_path / "c.txt"
         assert main(["cluster", "--embeddings", str(vectors_path), "--dataset-root", str(root),
                      "--dataset-type", "imdb", "--orders", "1,2", "--K", "4", "--out", str(cents)]) == 0
         wv, dataset = load_word_vectors(vectors_path), load_imdb_dataset(root)
         vocab = build_vocab([dataset.documents[i] for i in dataset.train_ids], (1, 2), wv.words)
         assert len(vocab) > len(wv)  # seeding goes through word products
         result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=(wv.matrix, word_rows(vocab, wv)))
-        save_centroids(result.centroids, tmp_path / "fit.bin")
-        assert cents.read_bytes() == (tmp_path / "fit.bin").read_bytes()
+        save_centroids(result.centroids, tmp_path / "fit.txt")
+        assert cents.read_bytes() == (tmp_path / "fit.txt").read_bytes()
 
 
 class TestInspectCluster:
     def test_prints_members(self, tmp_path, polarity_root, vectors_path, capsys):
-        cents = tmp_path / "c.bin"
+        cents = tmp_path / "c.txt"
         assert main(
             ["cluster", *dataset_flags(polarity_root, vectors_path),
              "--K", "3", "--out", str(cents)]
@@ -512,7 +516,7 @@ class TestInspectCluster:
     def test_cluster_and_top_out_of_range_rejected_before_work(
         self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, flags, message
     ):
-        cents = tmp_path / "c.bin"
+        cents = tmp_path / "c.txt"
         save_centroids(Centroids(np.zeros((20, 6))), cents)
         monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
         assert main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path),
@@ -828,7 +832,7 @@ class TestErrorHandling:
         (data / "neg" / "b.txt").write_text("v", encoding="utf-8")
         rc = main(
             ["cluster", "--embeddings", str(bad), "--dataset-root", str(data),
-             "--K", "1", "--out", str(tmp_path / "c.bin")]
+             "--K", "1", "--out", str(tmp_path / "c.txt")]
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
@@ -860,14 +864,17 @@ class TestErrorHandling:
         assert not model.exists()
 
     @pytest.mark.parametrize("command", ["cluster", "featurize", "inspect-cluster", "run"])
-    @pytest.mark.parametrize("row", [b"v 1.0 \xff 2.0\n", b"v 1.0 x\n"], ids=["not-utf8", "not-a-number"])
+    @pytest.mark.parametrize(
+        "row", [b"v 1.0 \xff 2.0\n", b"v 1.0 x\n", b"v 1.0 nan\n", b""],
+        ids=["not-utf8", "not-a-number", "nan", "truncated"],  # truncated: the header gives 2 rows
+    )
     def test_malformed_vectors_file(self, tmp_path, polarity_root, capsys, command, row):
         vectors = tmp_path / "vectors.txt"
         vectors.write_bytes(b"2 2\nw 1.0 2.0\n" + row)
-        cents = tmp_path / "c.bin"
+        cents = tmp_path / "c.txt"
         save_centroids(Centroids(np.zeros((2, 2))), cents)
         flags = {
-            "cluster": ["--out", str(tmp_path / "out.bin")],
+            "cluster": ["--out", str(tmp_path / "out.txt")],
             "featurize": ["--mode", "bow_nb", "--out", str(tmp_path / "f.svmlight")],
             "inspect-cluster": ["--centroids", str(cents)],
         }

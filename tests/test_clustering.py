@@ -13,7 +13,6 @@ from conceptbag.clustering import (
     _kmeanspp_init,
     _nearest,
     assign,
-    export_centroids_text,
     fit,
     inertia,
     kmeans_fit,
@@ -23,8 +22,8 @@ from conceptbag.clustering import (
     save_centroids,
 )
 from conceptbag.corpus import Document, build_vocab
-from conceptbag.embeddings import WordVectors, embed_all, word_rows
-from conceptbag.errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
+from conceptbag.embeddings import WordVectors, embed_all, load_word_vectors, word_rows
+from conceptbag.errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
 def best_partition_inertia(X, K):
@@ -535,6 +534,9 @@ class TestFit:
         assert cfg.batch_size == 1024
         expected = minibatch_kmeans_fit(X, replace(cfg, batch_size=30))
         assert np.array_equal(result.centroids.matrix, expected.centroids.matrix)
+        # minibatch_kmeans_fit caps the batch itself
+        direct = minibatch_kmeans_fit(X, cfg)
+        assert np.array_equal(direct.centroids.matrix, expected.centroids.matrix)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="minibach"):
@@ -600,30 +602,30 @@ class TestAssignAndInertia:
 
 class TestSerialization:
     def test_binary_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        c = Centroids(rng.normal(size=(7, 5)), seed=123)
-        p = tmp_path / "c.bin"
-        save_centroids(c, p)
-        back = load_centroids(p)
-        assert back.seed == 123
-        assert np.array_equal(back.matrix, c.matrix)
+        # the text file gives back every float64 bit for bit
+        tiny = np.finfo(np.float64).tiny
+        for matrix in (
+            np.random.default_rng(9).normal(size=(7, 5)),
+            np.array([[-0.0, 5e-324, tiny / 3, 1e308, -1e308, 0.1]]),  # K = 1: signed zero, subnormals
+        ):
+            p = tmp_path / "c.txt"
+            save_centroids(Centroids(matrix), p)
+            assert load_centroids(p).matrix.tobytes() == matrix.tobytes()
 
-    def test_largest_config_seed_round_trips(self, tmp_path):
-        seed = KMeansConfig(seed=2**63 - 1).seed
-        p = tmp_path / "c.bin"
-        save_centroids(Centroids(np.eye(2), seed=seed), p)
-        assert load_centroids(p).seed == seed
+    def test_text_export(self, tmp_path):
+        # a centroid file is a word-vector file: a "K m" header and rows c0 ... c<K-1>
+        matrix = np.array([[1.5, -2.0], [0.25, 3.0], [-1.0, 0.0]])
+        p = tmp_path / "c.txt"
+        save_centroids(Centroids(matrix), p)
+        lines = p.read_text().splitlines()
+        assert lines[0] == "3 2"
+        assert [line.split()[0] for line in lines[1:]] == ["c0", "c1", "c2"]
+        wv = load_word_vectors(p)
+        assert wv.words == {"c0": 0, "c1": 1, "c2": 2}
+        assert np.array_equal(wv.matrix, matrix)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + b"\0" * 40)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadCentroidFile, match="not a centroid file"):
             load_centroids(p)
-
-    def test_text_export(self, tmp_path):
-        c = Centroids(np.array([[1.5, -2.0]]))
-        p = tmp_path / "c.txt"
-        export_centroids_text(c, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "1 2"
-        assert lines[1].startswith("c0 ")

@@ -217,7 +217,7 @@ class TestRunExperiment:
 
 class TestExperimentConfig:
     def test_unknown_feature_mode_rejected(self):
-        with pytest.raises(ValueError, match="nbmax"):
+        with pytest.raises(BadConfig, match="nbmax"):
             small_config(feature_mode="nbmax")
 
     @pytest.mark.parametrize("orders", [(0, 1), (4,), ()])
