@@ -1,21 +1,18 @@
 """LSA baseline: truncated SVD of the word log-count-ratio matrix.
 
-Factorizes the presence-binarized, r-weighted word-by-document matrix
-with the randomized truncated SVD, folds test documents into the factor
-space, and classifies in the K-dimensional latent space.
+Factorizes the presence-binarized, r-weighted word-by-document matrix of
+the training documents (the transpose of their NBSVM rows) with the
+randomized truncated SVD. Every document, training or test, is its NBSVM
+row projected on the top-K left singular vectors U; classification runs
+in that K-dimensional space.
 Run with: python demos/04_lsa_baseline.py
 """
 
 import numpy as np
 
 from conceptbag.corpus import Dataset, Document, build_vocab, count_vectors
-from conceptbag.features import log_count_ratio
-from conceptbag.lsa import (
-    build_lsa_matrix,
-    lsa_document_features,
-    lsa_fold_in,
-    truncated_svd,
-)
+from conceptbag.features import bow_nb_features, log_count_ratio
+from conceptbag.lsa import truncated_svd
 from conceptbag.svm import SvmConfig, svm_predict, svm_train
 
 rng = np.random.default_rng(3)
@@ -44,13 +41,13 @@ counts_train = count_vectors(train, vocab)
 counts_test = count_vectors(test, vocab)
 ratio = log_count_ratio(counts_train, y_train)
 
-X = build_lsa_matrix(counts_train, ratio)
+rows_train, rows_test = (bow_nb_features(counts, ratio) for counts in (counts_train, counts_test))
+X = rows_train.T.tocsr()
 print(f"word-by-document matrix: {X.shape[0]} words x {X.shape[1]} documents")
 
 for K in (2, 5, 10):
     factors = truncated_svd(X, K, seed=0)
-    f_train = lsa_document_features(factors)
-    f_test = lsa_fold_in(factors, build_lsa_matrix(counts_test, ratio))
+    f_train, f_test = rows_train @ factors.U, rows_test @ factors.U
     model = svm_train(f_train, y_train, SvmConfig(C=1.0))
     acc = float(np.mean(svm_predict(model, f_test) == y_test))
     spectrum = ", ".join(f"{s:.2f}" for s in factors.S[:3])

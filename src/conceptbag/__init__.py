@@ -48,7 +48,7 @@ from .features import (
     concept_features_nb,
     log_count_ratio,
 )
-from .lsa import SvdFactors, build_lsa_matrix, lsa_document_features, truncated_svd
+from .lsa import SvdFactors, truncated_svd
 from .svm import LinearModel, SvmConfig, svm_objective, svm_predict, svm_train
 
 __version__ = "0.1.0"

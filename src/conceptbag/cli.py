@@ -235,8 +235,7 @@ def cmd_run(args) -> int:
     ]
 
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_reports(reports, json_dir=out_dir, csv_path=out_dir / "results.csv")
+    write_reports(reports, out_dir)
     for rep in reports:
         cfg = rep.config_echo
         orders = "+".join(str(n) for n in cfg.ngram_orders)

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import WordVectors, load_word_vectors, save_word_vectors
+from .embeddings import WordVectors, _read_word_vectors, save_word_vectors
 from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 VARIANTS = ("lloyd", "minibatch")
@@ -380,11 +380,11 @@ def load_centroids(path) -> Centroids:
     """Read a ``save_centroids`` file with ``load_word_vectors``.
 
     Raises BadCentroidFile, naming the file, unless its rows are c0 ... c<K-1>
-    in order, with K and m at least 1.
+    in order, each once, with K and m at least 1.
     """
-    wv = load_word_vectors(path)
+    wv, rows = _read_word_vectors(path)
     K, m = wv.matrix.shape
-    if K < 1 or m < 1 or wv.words != {f"c{k}": k for k in range(K)}:
-        raise BadCentroidFile(f"{path}: not a centroid file (rows c0 ... c<K-1>, K and m at least 1); "
-                              f"read a {K}x{m} matrix")
+    if K < 1 or m < 1 or rows != K or wv.words != {f"c{k}": k for k in range(K)}:
+        raise BadCentroidFile(f"{path}: not a centroid file (rows c0 ... c<K-1>, each once, K and m at "
+                              f"least 1); read {rows} rows of a {K}x{m} matrix")
     return Centroids(matrix=wv.matrix)

@@ -56,6 +56,11 @@ def load_word_vectors(path) -> WordVectors:
     count, or a NaN or infinite value (MalformedLine), or a row of the wrong
     length (DimensionMismatch), fails naming the file and the line.
     """
+    return _read_word_vectors(path)[0]
+
+
+def _read_word_vectors(path) -> tuple[WordVectors, int]:
+    """``load_word_vectors(path)`` and the number of rows read, duplicates included."""
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
     row_lines: list[int] = []  # the line each row was last read from
@@ -94,7 +99,7 @@ def load_word_vectors(path) -> WordVectors:
     if not np.isfinite(matrix).all():
         first = min(row_lines[i] for i in np.flatnonzero(~np.isfinite(matrix).all(axis=1)))
         raise MalformedLine(f"{path} line {first}: row holds a NaN or infinite value")
-    return WordVectors(words=words, matrix=matrix)
+    return WordVectors(words=words, matrix=matrix), read
 
 
 def save_word_vectors(wv: WordVectors, path) -> None:

@@ -39,7 +39,8 @@ class MalformedLine(ConceptBagError):
     """A line of a word-vector, SVM model or svmlight feature file is not UTF-8 or does not parse.
 
     Also a word-vector row beyond or missing from its header's count, or one
-    holding NaN or infinity. The message names the file and the line.
+    holding NaN or infinity, and a model file's negative dim or a line after
+    its dim weights. The message names the file and the line.
     """
 
 
@@ -86,7 +87,7 @@ class RankRequestTooLarge(ConceptBagError):
 
 
 class BadCentroidFile(ConceptBagError, ValueError):
-    """A centroid file's rows are not c0 ... c<K-1>, or K or m is 0; the message names the file."""
+    """A centroid file's rows are not c0 ... c<K-1>, each once, or K or m is 0; the message names the file."""
 
 
 class TooFewDocuments(ConceptBagError):

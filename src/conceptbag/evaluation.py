@@ -161,13 +161,11 @@ def _fold_features(
     ratio = features.log_count_ratio(counts_train, y_train)
 
     if config.feature_mode == "lsa":
+        # each row is an NBSVM row projected on U; training rows are V diag(S) (see truncated_svd)
         with clock.stage("doc_repr"):
-            X = lsa.build_lsa_matrix(counts_train, ratio)
-            factors = lsa.truncated_svd(X, config.K, seed=config.seed)
-            f_train = lsa.lsa_document_features(factors)
-            X_test = lsa.build_lsa_matrix(counts_test, ratio)
-            f_test = lsa.lsa_fold_in(factors, X_test)
-        return f_train, f_test
+            rows = tuple(features.bow_nb_features(counts, ratio) for counts in (counts_train, counts_test))
+            U = lsa.truncated_svd(rows[0].T.tocsr(), config.K, seed=config.seed).U
+            return tuple(r @ U for r in rows)
 
     assignment = None
     if config.feature_mode in features.CONCEPT_MODES:
@@ -254,28 +252,26 @@ def run_experiment(
     )
 
 
-def write_reports(reports, json_dir=None, csv_path=None) -> None:
-    """Write one JSON document per report plus an aggregate CSV."""
-    if json_dir is not None:
-        json_dir = Path(json_dir)
-        json_dir.mkdir(parents=True, exist_ok=True)
-        for i, rep in enumerate(reports):
-            (json_dir / f"report_{i:03d}.json").write_text(rep.to_json())
-    if csv_path is not None:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+def write_reports(reports, out_dir) -> None:
+    """Write one JSON document per report plus an aggregate results.csv into ``out_dir``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for i, rep in enumerate(reports):
+        (out_dir / f"report_{i:03d}.json").write_text(rep.to_json())
+    with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["dataset", "orders", "K", "mode", "accuracy"] + [f"time_{s}" for s in STAGES]
+        )
+        for rep in reports:
+            cfg = rep.config_echo
             writer.writerow(
-                ["dataset", "orders", "K", "mode", "accuracy"] + [f"time_{s}" for s in STAGES]
+                [
+                    cfg.dataset,
+                    "+".join(str(n) for n in cfg.ngram_orders),
+                    cfg.K,
+                    cfg.feature_mode,
+                    f"{rep.accuracy:.4f}",
+                ]
+                + [f"{rep.stage_times[s]:.2f}" for s in STAGES]
             )
-            for rep in reports:
-                cfg = rep.config_echo
-                writer.writerow(
-                    [
-                        cfg.dataset,
-                        "+".join(str(n) for n in cfg.ngram_orders),
-                        cfg.K,
-                        cfg.feature_mode,
-                        f"{rep.accuracy:.4f}",
-                    ]
-                    + [f"{rep.stage_times[s]:.2f}" for s in STAGES]
-                )

@@ -192,11 +192,16 @@ def save_model(model: LinearModel, path) -> None:
 def load_model(path) -> LinearModel:
     """Read the format written by save_model.
 
-    A line that is not UTF-8 or does not parse, a missing one included,
-    raises MalformedLine naming the file and the line.
+    A line that is not UTF-8 or does not parse, a missing one included, a
+    negative dim, or a line after the header's dim weights raises
+    MalformedLine naming the file and the line.
     """
     with numbered_lines(path) as lines:
         dim = int(next(lines, "").removeprefix("dim "))
+        if dim < 0:
+            raise ValueError(f"dim must be at least 0, got {dim}")
         c_val = float(next(lines, "").removeprefix("C "))
         w = [float(next(lines, "")) for _ in range(dim)]
+        if next(lines, None) is not None:
+            raise ValueError(f"a line after the last of the header's {dim} weights")
     return LinearModel(w=np.array(w), trained_C=c_val)

@@ -838,7 +838,9 @@ class TestErrorHandling:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "content", ["dim 3\nC 1.0\n0.5\n", "hello\n", "dim x\n", "CBGC\x01\x00\xff\xfe"]
+        "content",
+        ["dim 3\nC 1.0\n0.5\n", "hello\n", "dim x\n", "CBGC\x01\x00\xff\xfe",
+         "dim 1\nC 1.0\n0.5\n0.7\n", "dim -2\nC 1.0\n"],
     )
     def test_malformed_model_file(self, tmp_path, capsys, content):
         feats = tmp_path / "f.svmlight"

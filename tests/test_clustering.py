@@ -629,3 +629,11 @@ class TestSerialization:
         p.write_bytes(b"NOPE" + b"\0" * 40)
         with pytest.raises(BadCentroidFile, match="not a centroid file"):
             load_centroids(p)
+
+    @pytest.mark.parametrize("header", ["3 2\n", ""], ids=["header", "no-header"])
+    def test_repeated_row_name(self, tmp_path, header):
+        # load_word_vectors keeps the last of a repeated word, so this folds to a 2x2 matrix
+        p = tmp_path / "c.txt"
+        p.write_text(header + "c0 1 2\nc1 3 4\nc0 5 6\n")
+        with pytest.raises(BadCentroidFile, match="read 3 rows of a 2x2 matrix"):
+            load_centroids(p)

@@ -2,14 +2,18 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conceptbag.clustering import KMeansConfig
 from conceptbag.corpus import Dataset, Document
 from conceptbag.errors import BadConfig, LengthMismatch, TooFewDocuments, TooFewPoints
 from conceptbag.evaluation import (
+    FEATURE_MODES,
     STAGES,
     ExperimentConfig,
     ExperimentReport,
+    _fold_features,
+    _StageClock,
     accuracy,
     kfold_split,
     run_experiment,
@@ -18,6 +22,10 @@ from conceptbag.evaluation import (
 from conceptbag.svm import SvmConfig
 
 from conftest import make_synthetic_sentiment
+
+
+def _dense(f):
+    return sp.csr_matrix(f).toarray()
 
 
 def small_config(**overrides):
@@ -162,11 +170,10 @@ class TestRunExperiment:
         with pytest.raises(TooFewDocuments):
             run_experiment(small_config(folds=0), ds, wv)
 
-    def test_fitted_parameters_ignore_test_documents(self):
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_fitted_parameters_ignore_test_documents(self, mode):
         # replacing every test document with gibberish must not change
         # per-fold training feature matrices (train-only fitting)
-        from conceptbag.evaluation import _StageClock, _fold_features
-
         ds, wv = make_synthetic_sentiment(seed=10, n_docs=40)
         train = ds.documents[:30]
         test = ds.documents[30:]
@@ -174,10 +181,20 @@ class TestRunExperiment:
             Document(id=d.id, label=d.label, tokens=("filler0",) * 5) for d in test
         ]
         y = np.array([d.label for d in train])
-        cfg = small_config(folds=2)
+        cfg = small_config(folds=2, feature_mode=mode)
         f1, _ = _fold_features(train, test, y, cfg, wv, _StageClock())
         f2, _ = _fold_features(train, junk, y, cfg, wv, _StageClock())
-        assert np.array_equal(np.asarray(f1), np.asarray(f2))
+        assert _dense(f1).tobytes() == _dense(f2).tobytes()
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_training_documents_as_test_documents(self, mode):
+        # one featurizer for both sides: a training document featurized as a test
+        # document gets its training row, bit for bit
+        ds, wv = make_synthetic_sentiment(seed=10, n_docs=40)
+        train = ds.documents[:30]
+        y = np.array([d.label for d in train])
+        f_train, f_test = _fold_features(train, train, y, small_config(feature_mode=mode), wv, _StageClock())
+        assert _dense(f_train).tobytes() == _dense(f_test).tobytes()
 
     def test_cache_reuse_gives_identical_results(self):
         ds, wv = make_synthetic_sentiment(seed=11, n_docs=60)
@@ -267,9 +284,9 @@ class TestWriteReports:
             run_experiment(small_config(folds=2, feature_mode="frequency"), ds, wv),
         ]
         out = tmp_path / "reports"
-        csv_path = tmp_path / "results.csv"
-        write_reports(reps, json_dir=out, csv_path=csv_path)
-        assert sorted(p.name for p in out.iterdir()) == [
+        csv_path = out / "results.csv"
+        write_reports(reps, out)
+        assert sorted(p.name for p in out.glob("*.json")) == [
             "report_000.json",
             "report_001.json",
         ]

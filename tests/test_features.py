@@ -163,6 +163,11 @@ class TestBowNbFeatures:
         assert out[0] == pytest.approx([0.81093, 0.0], abs=5e-6)
         assert out[1] == pytest.approx([0.0, -0.98083], abs=5e-6)
 
+    def test_length_mismatch(self):
+        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        with pytest.raises(LengthMismatch):
+            bow_nb_features(sp.csr_matrix(np.zeros((2, 3))), ratio)
+
 
 class TestDocumentFeatures:
     def test_each_mode_matches_its_featurizer(self):

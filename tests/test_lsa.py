@@ -2,48 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conceptbag.errors import LengthMismatch, RankRequestTooLarge
+from conceptbag.errors import RankRequestTooLarge
 from conceptbag.features import bow_nb_features, log_count_ratio
-from conceptbag.lsa import (
-    build_lsa_matrix,
-    lsa_document_features,
-    lsa_fold_in,
-    truncated_svd,
-)
+from conceptbag.lsa import truncated_svd
 
 TOY_COUNTS = sp.csr_matrix(np.array([[2, 0], [0, 1]]))
 TOY_LABELS = np.array([1, -1])
-
-
-class TestBuildLsaMatrix:
-    def test_zero_r(self):
-        ratio = log_count_ratio(sp.csr_matrix(np.array([[1, 1], [1, 1]])), TOY_LABELS)
-        X = build_lsa_matrix(TOY_COUNTS, ratio)
-        assert np.allclose(X.toarray(), 0.0)
-
-    def test_presence_not_count(self):
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        counts = sp.csr_matrix(np.array([[3, 0]]))
-        X = build_lsa_matrix(counts, ratio)
-        assert X[0, 0] == pytest.approx(ratio.r[0])
-
-    def test_toy_composition(self):
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        X = build_lsa_matrix(TOY_COUNTS, ratio).toarray()
-        # words x documents orientation
-        assert X == pytest.approx(np.array([[0.81093, 0.0], [0.0, -0.98083]]), abs=5e-6)
-
-    def test_length_mismatch(self):
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        with pytest.raises(LengthMismatch):
-            build_lsa_matrix(sp.csr_matrix(np.zeros((2, 3))), ratio)
-
-    def test_transpose_of_nbsvm_features(self):
-        rng = np.random.default_rng(0)
-        counts = sp.csr_matrix(rng.poisson(0.7, size=(12, 9)))
-        ratio = log_count_ratio(counts, np.array([1, -1] * 6))
-        X = build_lsa_matrix(counts, ratio)
-        assert np.array_equal(X.toarray(), bow_nb_features(counts, ratio).T.toarray())
 
 
 class TestTruncatedSvd:
@@ -108,30 +72,41 @@ class TestTruncatedSvd:
         assert np.allclose(g.S, f.S**2, rtol=1e-8)
 
 
+def v_times_s(factors):
+    """The LSA document rows of the factored documents, V diag(S): the reference for projections."""
+    return factors.V * factors.S[None, :]
+
+
 class TestDocumentFeatures:
+    """A document's LSA row is its column of X projected on U: Xᵀ U."""
+
     def test_diagonal_recovers_scaled_basis(self):
         X = np.diag([3.0, 2.0])
         f = truncated_svd(X, K=2, seed=0)
-        feats = lsa_document_features(f)
-        assert np.allclose(np.abs(feats), np.diag([3.0, 2.0]), atol=1e-10)
+        assert np.allclose(np.abs(X.T @ f.U), np.diag([3.0, 2.0]), atol=1e-10)
+        assert np.allclose(X.T @ f.U, v_times_s(f), atol=1e-10)
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(10, 8))
         f = truncated_svd(X, K=8, seed=0)
-        feats = lsa_document_features(f)
+        feats = X.T @ f.U
+        assert np.allclose(feats, v_times_s(f), atol=1e-8)
         assert np.allclose(feats @ f.U.T, X.T, atol=1e-8)
 
     def test_toy_exact_rank_two(self):
         ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        X = build_lsa_matrix(TOY_COUNTS, ratio)
+        X = bow_nb_features(TOY_COUNTS, ratio).T.tocsr()
         f = truncated_svd(X, K=2, seed=0)
         recon = f.U @ np.diag(f.S) @ f.V.T
         assert np.allclose(recon, X.toarray(), atol=1e-10)
 
     def test_fold_in_matches_train_features(self):
+        # the harness's LSA rows, NBSVM rows @ U, are V diag(S) for the training
+        # documents below full rank too, since truncated_svd factors B = QᵀX exactly
         rng = np.random.default_rng(8)
-        X = rng.normal(size=(20, 12))
-        f = truncated_svd(X, K=12, seed=0)
-        folded = lsa_fold_in(f, X)
-        assert np.allclose(folded, lsa_document_features(f), atol=1e-8)
+        counts = sp.csr_matrix(rng.poisson(0.7, size=(30, 40)))
+        rows = bow_nb_features(counts, log_count_ratio(counts, np.array([1, -1] * 15)))
+        f = truncated_svd(rows.T.tocsr(), K=10, seed=0)
+        ref = v_times_s(f)
+        assert np.abs(rows @ f.U - ref).max() <= 1e-12 * np.abs(ref).max()
