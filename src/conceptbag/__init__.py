@@ -7,7 +7,6 @@ baseline and an evaluation harness are included.
 """
 
 from .clustering import (
-    Centroids,
     KMeansConfig,
     KMeansResult,
     assign,
@@ -42,7 +41,6 @@ from .evaluation import (
     run_experiment,
 )
 from .features import (
-    LogCountRatio,
     bow_nb_features,
     concept_features_freq,
     concept_features_nb,

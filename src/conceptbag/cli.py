@@ -101,7 +101,7 @@ def cmd_featurize(args) -> int:
             print(f"error: --mode {args.mode} needs --centroids", file=sys.stderr)
             return 1
         centroids = clustering.load_centroids(args.centroids)
-        config = replace(config, K=centroids.K)
+        config = replace(config, K=len(centroids))
     train, test, wv = _dataset_split(args)
     y_train, y_test = (np.array([d.label for d in docs], dtype=np.int64) for docs in (train, test))
     f_train, f_test = evaluation._fold_features(
@@ -139,10 +139,10 @@ def cmd_inspect_cluster(args) -> int:
     check_int("--top", args.top, minimum=1)
     centroids = clustering.load_centroids(args.centroids)
     if args.cluster is not None:
-        check_int("--cluster", args.cluster, 0, centroids.K - 1)
+        check_int("--cluster", args.cluster, 0, len(centroids) - 1)
     train, _, wv = _dataset_split(args)
     vocab = build_vocab(train, args.orders, wv.words)
-    which = range(centroids.K) if args.cluster is None else [args.cluster]
+    which = range(len(centroids)) if args.cluster is None else [args.cluster]
     assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
     for k in which:
         members = np.flatnonzero(assignment == k)

@@ -33,24 +33,8 @@ class KMeansConfig:
 
 
 @dataclass
-class Centroids:
-    """K x m centroid matrix plus the seed of the fit that produced it; a centroid file keeps no seed."""
-
-    matrix: np.ndarray
-    seed: int = 0
-
-    @property
-    def K(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass
 class KMeansResult:
-    centroids: Centroids
+    centroids: np.ndarray  # K x m
     labels: np.ndarray
     inertia: float
     inertia_trace: list[float] = field(default_factory=list)
@@ -59,8 +43,8 @@ class KMeansResult:
     rechecked: list[int] = field(default_factory=list)
 
 
-def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid index and squared distance for every row of X.
+def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid index and squared distance for every row of X, given the K x m centroids C.
 
     The one nearest-centroid routine, for Lloyd and mini-batch passes, ``assign``,
     ``inertia`` and the CLI, in two steps that each look at a row alone, so a
@@ -72,9 +56,8 @@ def nearest(X: np.ndarray, centroids: Centroids) -> tuple[np.ndarray, np.ndarray
     float32 range, which the screen leaves undecided, costs a direct pass.
     ``sq_dists`` is |x - c_label|^2, summed directly in float64.
     """
-    C = centroids.matrix
-    if X.shape[1] != C.shape[1]:
-        raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids {C.shape[1]}")
+    if C.ndim != 2 or X.shape[1] != C.shape[1]:
+        raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids are {C.shape}")
     return _nearest(X, C)[:2]
 
 
@@ -242,18 +225,17 @@ def _init_centers(X: np.ndarray, config: KMeansConfig, rng, words=None) -> np.nd
     return X[idx].copy()
 
 
-def inertia(X: np.ndarray, centroids: Centroids) -> float:
-    """Sum of squared distances from each row of X to its nearest centroid."""
-    return float(nearest(X, centroids)[1].sum())
+def inertia(X: np.ndarray, C: np.ndarray) -> float:
+    """Sum of squared distances from each row of X to its nearest row of C."""
+    return float(nearest(X, C)[1].sum())
 
 
-def assign(x: np.ndarray, centroids: Centroids) -> int:
-    """Nearest-centroid index for a single vector; ties go to the smallest index."""
+def assign(x: np.ndarray, C: np.ndarray) -> int:
+    """Index of the row of C nearest to the single vector x; ties go to the smallest index."""
     x = np.asarray(x, dtype=np.float64)
-    C = centroids.matrix
-    if x.shape != (C.shape[1],):
+    if C.ndim != 2 or x.shape != (C.shape[1],):
         raise DimensionMismatch(f"query has shape {x.shape}, centroids are {C.shape}")
-    return int(nearest(x[None, :], centroids)[0][0])
+    return int(nearest(x[None, :], C)[0][0])
 
 
 def _check_points(X, K: int, words=None) -> np.ndarray:
@@ -291,7 +273,6 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     X = _check_points(X, config.K, words)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
-    result = Centroids(matrix=centers, seed=config.seed)
     trace, rechecked = [], []
     labels, sq_dists, n_rechecked = _nearest(X, centers)
     for _ in range(config.iterations):
@@ -312,7 +293,7 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
         distinct = len(np.unique(X, axis=0))
         if distinct < config.K:
             raise TooFewPoints(f"{distinct} distinct points for K={config.K}")
-    return KMeansResult(result, labels, total, trace, rechecked)
+    return KMeansResult(centers, labels, total, trace, rechecked)
 
 
 def _fix_empty_clusters(X, centers, labels, K):
@@ -346,17 +327,16 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
-    result = Centroids(matrix=centers, seed=config.seed)
     counts = np.zeros(config.K, dtype=np.int64)
     for _ in range(config.iterations):
         # a batch of all n rows (batch_size capped at n) goes in row order
         batch = np.arange(n) if config.batch_size >= n else rng.choice(n, config.batch_size, replace=False)
-        batch_labels = nearest(X[batch], result)[0]
+        batch_labels = nearest(X[batch], centers)[0]
         for idx, k in zip(batch, batch_labels):
             counts[k] += 1
             centers[k] += (X[idx] - centers[k]) / counts[k]
-    labels, sq_dists = nearest(X, result)
-    return KMeansResult(result, labels, float(sq_dists.sum()))
+    labels, sq_dists = nearest(X, centers)
+    return KMeansResult(centers, labels, float(sq_dists.sum()))
 
 
 def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
@@ -371,20 +351,21 @@ def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     return fit_variant(X, config, words)
 
 
-def save_centroids(centroids: Centroids, path) -> None:
-    """Write the centroids as word vectors named c0 ... c<K-1> (``save_word_vectors``)."""
-    save_word_vectors(WordVectors({f"c{k}": k for k in range(centroids.K)}, centroids.matrix), path)
+def save_centroids(C: np.ndarray, path) -> None:
+    """Write the K x m centroids C as word vectors named c0 ... c<K-1> (``save_word_vectors``)."""
+    save_word_vectors(WordVectors({f"c{k}": k for k in range(len(C))}, C), path)
 
 
-def load_centroids(path) -> Centroids:
+def load_centroids(path) -> np.ndarray:
     """Read a ``save_centroids`` file with ``load_word_vectors``.
 
     Raises BadCentroidFile, naming the file, unless its rows are c0 ... c<K-1>
-    in order, each once, with K and m at least 1.
+    in order, each once, with K at least 1 (``load_word_vectors`` rejects 0
+    values per row).
     """
     wv, rows = _read_word_vectors(path)
     K, m = wv.matrix.shape
-    if K < 1 or m < 1 or rows != K or wv.words != {f"c{k}": k for k in range(K)}:
-        raise BadCentroidFile(f"{path}: not a centroid file (rows c0 ... c<K-1>, each once, K and m at "
-                              f"least 1); read {rows} rows of a {K}x{m} matrix")
-    return Centroids(matrix=wv.matrix)
+    if K < 1 or rows != K or wv.words != {f"c{k}": k for k in range(K)}:
+        raise BadCentroidFile(f"{path}: not a centroid file (rows c0 ... c<K-1>, each once, K at least 1); "
+                              f"read {rows} rows of a {K}x{m} matrix")
+    return wv.matrix

@@ -52,9 +52,10 @@ def load_word_vectors(path) -> WordVectors:
     integers; otherwise it is a regular row and the dimension is inferred
     from it. With a header, the file holds exactly <count> rows, duplicates
     included. Duplicate words keep the last occurrence with a warning. A line
-    that is not UTF-8 or does not parse, a row missing or beyond the header's
-    count, or a NaN or infinite value (MalformedLine), or a row of the wrong
-    length (DimensionMismatch), fails naming the file and the line.
+    that is not UTF-8 or does not parse, a header or first row giving 0 values
+    per row, a row missing or beyond the header's count, or a NaN or infinite
+    value (MalformedLine), or a row of the wrong length (DimensionMismatch),
+    fails naming the file and the line.
     """
     return _read_word_vectors(path)[0]
 
@@ -73,6 +74,8 @@ def _read_word_vectors(path) -> tuple[WordVectors, int]:
                 continue
             if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
                 count, dim = int(parts[0]), int(parts[1])
+                if dim == 0:
+                    raise ValueError("the header gives 0 values per row")
                 continue
             read += 1
             if count is not None and read > count:
@@ -81,6 +84,8 @@ def _read_word_vectors(path) -> tuple[WordVectors, int]:
             vec = np.array(values, dtype=np.float64)
             if dim is None:
                 dim = len(vec)
+                if dim == 0:
+                    raise ValueError(f"row {word!r} has no values")
             if len(vec) != dim:
                 raise DimensionMismatch(
                     f"{path} line {lineno}: row has {len(vec)} values, expected {dim}"

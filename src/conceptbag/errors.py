@@ -38,9 +38,11 @@ class DimensionMismatch(ConceptBagError):
 class MalformedLine(ConceptBagError):
     """A line of a word-vector, SVM model or svmlight feature file is not UTF-8 or does not parse.
 
-    Also a word-vector row beyond or missing from its header's count, or one
-    holding NaN or infinity, and a model file's negative dim or a line after
-    its dim weights. The message names the file and the line.
+    Also a word-vector file with 0 values per row, a row beyond or missing
+    from its header's count, or one holding NaN or infinity, and a model
+    file's negative dim, a C that is not finite and positive, a NaN or
+    infinite weight, or a line after its dim weights. The message names the
+    file and the line.
     """
 
 
@@ -87,7 +89,7 @@ class RankRequestTooLarge(ConceptBagError):
 
 
 class BadCentroidFile(ConceptBagError, ValueError):
-    """A centroid file's rows are not c0 ... c<K-1>, each once, or K or m is 0; the message names the file."""
+    """A centroid file's rows are not c0 ... c<K-1>, each once, or K is 0; the message names the file."""
 
 
 class TooFewDocuments(ConceptBagError):

@@ -143,8 +143,8 @@ def _fold_features(
     ``cluster_on_all``, else the training fold), the counts on those and the
     split, so each is reused whenever every setting that shapes it
     coincides. The n-gram table is built only to fit K-means, and not kept.
-    ``centroids``, if given (``config.K`` of them), replace the K-means fit:
-    each n-gram goes to its nearest centroid.
+    ``centroids``, if given (a ``config.K`` x m array), replace the K-means
+    fit: each n-gram goes to its nearest centroid.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
@@ -158,14 +158,15 @@ def _fold_features(
         cache, ("counts", split_key), clock, "counts",
         lambda: (count_vectors(train_docs, vocab), count_vectors(test_docs, vocab)),
     )
-    ratio = features.log_count_ratio(counts_train, y_train)
+    with clock.stage("doc_repr"):
+        r = features.log_count_ratio(counts_train, y_train)
 
     if config.feature_mode == "lsa":
         # each row is an NBSVM row projected on U; training rows are V diag(S) (see truncated_svd)
         with clock.stage("doc_repr"):
-            rows = tuple(features.bow_nb_features(counts, ratio) for counts in (counts_train, counts_test))
+            rows = tuple(features.bow_nb_features(counts, r) for counts in (counts_train, counts_test))
             U = lsa.truncated_svd(rows[0].T.tocsr(), config.K, seed=config.seed).U
-            return tuple(r @ U for r in rows)
+            return tuple(row @ U for row in rows)
 
     assignment = None
     if config.feature_mode in features.CONCEPT_MODES:
@@ -184,7 +185,7 @@ def _fold_features(
             assignment = cache[kmeans_key].labels
     with clock.stage("doc_repr"):
         return tuple(
-            features.document_features(config.feature_mode, counts, ratio, assignment, config.K)
+            features.document_features(config.feature_mode, counts, r, assignment, config.K)
             for counts in (counts_train, counts_test)
         )
 

@@ -1,7 +1,5 @@
 """Naive-Bayes log-count ratios and bag-of-concepts document features."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -11,17 +9,8 @@ CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
 MODES = CONCEPT_MODES + ("bow_nb",)
 
 
-@dataclass
-class LogCountRatio:
-    """Per-n-gram discriminativeness r with smoothed class counts p, q."""
-
-    r: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-
-def log_count_ratio(counts: sp.spmatrix, labels) -> LogCountRatio:
-    """r = log((p/|p|_1) / (q/|q|_1)) with p, q the +1-smoothed class counts.
+def log_count_ratio(counts: sp.spmatrix, labels) -> np.ndarray:
+    """Per-n-gram r = log((p/|p|_1) / (q/|q|_1)) with p, q the +1-smoothed class counts.
 
     ``counts`` holds one row per training document; ``labels`` is the aligned
     vector of +1/-1. Natural logarithm.
@@ -36,12 +25,11 @@ def log_count_ratio(counts: sp.spmatrix, labels) -> LogCountRatio:
         raise SingleClass("training labels must contain both +1 and -1")
     p = 1.0 + np.asarray(counts[pos].sum(axis=0)).ravel()
     q = 1.0 + np.asarray(counts[neg].sum(axis=0)).ravel()
-    r = np.log(p / p.sum()) - np.log(q / q.sum())
-    return LogCountRatio(r=r, p=p, q=q)
+    return np.log(p / p.sum()) - np.log(q / q.sum())
 
 
 def concept_features_nb(
-    counts: sp.spmatrix, assignment: np.ndarray, ratio: LogCountRatio, K: int
+    counts: sp.spmatrix, assignment: np.ndarray, r: np.ndarray, K: int
 ) -> np.ndarray:
     """Per-cluster signed log-count ratio of maximal magnitude.
 
@@ -52,22 +40,22 @@ def concept_features_nb(
     counts = sp.csr_matrix(counts)
     n = counts.shape[1]
     assignment = np.asarray(assignment)
-    if len(assignment) != n or len(ratio.r) != n:
+    if len(assignment) != n or len(r) != n:
         raise LengthMismatch(
-            f"counts have {n} columns, assignment {len(assignment)}, r {len(ratio.r)}"
+            f"counts have {n} columns, assignment {len(assignment)}, r {len(r)}"
         )
     coo = counts.tocoo()
     docs, grams = coo.row, coo.col
     clusters = assignment[grams]
     # sort by (doc, cluster, |r| desc, gram asc); first entry of each group wins
-    order = np.lexsort((grams, -np.abs(ratio.r[grams]), clusters, docs))
+    order = np.lexsort((grams, -np.abs(r[grams]), clusters, docs))
     docs, grams, clusters = docs[order], grams[order], clusters[order]
     out = np.zeros((counts.shape[0], K))
     if len(docs):
         group_start = np.ones(len(docs), dtype=bool)
         group_start[1:] = (docs[1:] != docs[:-1]) | (clusters[1:] != clusters[:-1])
         sel = np.flatnonzero(group_start)
-        out[docs[sel], clusters[sel]] = ratio.r[grams[sel]]
+        out[docs[sel], clusters[sel]] = r[grams[sel]]
     return out
 
 
@@ -86,27 +74,27 @@ def concept_features_freq(counts: sp.spmatrix, assignment: np.ndarray, K: int) -
     return np.asarray((counts @ onehot).todense(), dtype=np.float64)
 
 
-def bow_nb_features(counts: sp.spmatrix, ratio: LogCountRatio) -> sp.csr_matrix:
+def bow_nb_features(counts: sp.spmatrix, r: np.ndarray) -> sp.csr_matrix:
     """Presence-binarized counts scaled per column by r (the NBSVM featurizer)."""
     counts = sp.csr_matrix(counts)
-    if counts.shape[1] != len(ratio.r):
+    if counts.shape[1] != len(r):
         raise LengthMismatch(
-            f"counts have {counts.shape[1]} columns, r has {len(ratio.r)}"
+            f"counts have {counts.shape[1]} columns, r has {len(r)}"
         )
     binary = counts.copy()
     binary.data = np.ones_like(binary.data, dtype=np.float64)
-    out = binary @ sp.diags(ratio.r)
+    out = binary @ sp.diags(r)
     return sp.csr_matrix(out)
 
 
-def document_features(mode: str, counts: sp.spmatrix, ratio: LogCountRatio, assignment=None, K=None):
+def document_features(mode: str, counts: sp.spmatrix, r: np.ndarray, assignment=None, K=None):
     """Document rows of feature ``mode``; CONCEPT_MODES also need ``assignment`` and ``K``."""
     if mode == "nb_max":
-        return concept_features_nb(counts, assignment, ratio, K)
+        return concept_features_nb(counts, assignment, r, K)
     if mode == "frequency":
         return concept_features_freq(counts, assignment, K)
     if mode == "bow_nb":
-        return bow_nb_features(counts, ratio)
+        return bow_nb_features(counts, r)
     raise ValueError(f"unknown feature mode {mode!r}; expected one of {MODES}")
 
 

@@ -193,15 +193,21 @@ def load_model(path) -> LinearModel:
     """Read the format written by save_model.
 
     A line that is not UTF-8 or does not parse, a missing one included, a
-    negative dim, or a line after the header's dim weights raises
-    MalformedLine naming the file and the line.
+    negative dim, a C that ``SvmConfig`` would reject, a NaN or infinite
+    weight, or a line after the header's dim weights raises MalformedLine
+    naming the file and the line.
     """
     with numbered_lines(path) as lines:
         dim = int(next(lines, "").removeprefix("dim "))
         if dim < 0:
             raise ValueError(f"dim must be at least 0, got {dim}")
         c_val = float(next(lines, "").removeprefix("C "))
-        w = [float(next(lines, "")) for _ in range(dim)]
+        check_finite("svm C", c_val, 0.0, strict=True)
+        w = []
+        for _ in range(dim):
+            w.append(float(next(lines, "")))
+            if not np.isfinite(w[-1]):
+                raise ValueError(f"weight {w[-1]!r} is not finite")
         if next(lines, None) is not None:
             raise ValueError(f"a line after the last of the header's {dim} weights")
     return LinearModel(w=np.array(w), trained_C=c_val)

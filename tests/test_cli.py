@@ -6,7 +6,7 @@ import pytest
 
 from conceptbag import cli, clustering, evaluation, features
 from conceptbag.cli import main
-from conceptbag.clustering import Centroids, KMeansConfig, save_centroids
+from conceptbag.clustering import KMeansConfig, save_centroids
 from conceptbag.corpus import build_vocab, load_imdb_dataset
 from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors, word_rows
 from conceptbag.svm import SvmConfig
@@ -517,7 +517,7 @@ class TestInspectCluster:
         self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, flags, message
     ):
         cents = tmp_path / "c.txt"
-        save_centroids(Centroids(np.zeros((20, 6))), cents)
+        save_centroids(np.zeros((20, 6)), cents)
         monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
         assert main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path),
                      "--centroids", str(cents), *flags]) == 1
@@ -840,7 +840,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "content",
         ["dim 3\nC 1.0\n0.5\n", "hello\n", "dim x\n", "CBGC\x01\x00\xff\xfe",
-         "dim 1\nC 1.0\n0.5\n0.7\n", "dim -2\nC 1.0\n"],
+         "dim 1\nC 1.0\n0.5\n0.7\n", "dim -2\nC 1.0\n",
+         "dim 2\nC -1.0\nnan\n1.0\n", "dim 1\nC nan\n0.5\n", "dim 1\nC 0\n1\n", "dim 1\nC 1.0\ninf\n"],
     )
     def test_malformed_model_file(self, tmp_path, capsys, content):
         feats = tmp_path / "f.svmlight"
@@ -874,7 +875,7 @@ class TestErrorHandling:
         vectors = tmp_path / "vectors.txt"
         vectors.write_bytes(b"2 2\nw 1.0 2.0\n" + row)
         cents = tmp_path / "c.txt"
-        save_centroids(Centroids(np.zeros((2, 2))), cents)
+        save_centroids(np.zeros((2, 2)), cents)
         flags = {
             "cluster": ["--out", str(tmp_path / "out.txt")],
             "featurize": ["--mode", "bow_nb", "--out", str(tmp_path / "f.svmlight")],

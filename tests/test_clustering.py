@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conceptbag.clustering import (
-    Centroids,
     KMeansConfig,
     _distances_to,
     _fix_empty_clusters,
@@ -51,7 +50,7 @@ class TestKMeansFit:
     def test_four_point_optimum(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
         res = kmeans_fit(X, KMeansConfig(K=2, iterations=10, seed=0))
-        got = {tuple(row) for row in np.round(res.centroids.matrix, 9)}
+        got = {tuple(row) for row in np.round(res.centroids, 9)}
         assert got == {(0.0, 0.5), (10.0, 0.5)}
         assert res.inertia == pytest.approx(1.0)
 
@@ -64,7 +63,7 @@ class TestKMeansFit:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(20, 3))
         res = kmeans_fit(X, KMeansConfig(K=1, iterations=10, seed=0))
-        assert np.allclose(res.centroids.matrix[0], X.mean(axis=0))
+        assert np.allclose(res.centroids[0], X.mean(axis=0))
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
@@ -99,7 +98,7 @@ class TestKMeansFit:
         X = rng.normal(size=(60, 4))
         a = kmeans_fit(X, KMeansConfig(K=5, seed=9))
         b = kmeans_fit(X, KMeansConfig(K=5, seed=9))
-        assert np.array_equal(a.centroids.matrix, b.centroids.matrix)
+        assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.labels, b.labels)
 
     def test_every_cluster_nonempty(self):
@@ -119,8 +118,8 @@ class TestKMeansFit:
         res_p = kmeans_fit(X[perm], KMeansConfig(K=4, seed=13))
         assert res_p.inertia == pytest.approx(res_o.inertia, rel=1e-9)
         # the multiset of centroids matches up to row order
-        a = np.array(sorted(map(tuple, np.round(res_o.centroids.matrix, 9))))
-        b = np.array(sorted(map(tuple, np.round(res_p.centroids.matrix, 9))))
+        a = np.array(sorted(map(tuple, np.round(res_o.centroids, 9))))
+        b = np.array(sorted(map(tuple, np.round(res_p.centroids, 9))))
         assert np.allclose(a, b)
 
 
@@ -210,11 +209,11 @@ class TestLloydSteps:
         X = np.random.default_rng(22).normal(size=(500, 6))
         cfg = KMeansConfig(K=9, iterations=1, seed=5)
         init = _kmeanspp_init(X, cfg.K, np.random.default_rng(cfg.seed))
-        labels = nearest(X, Centroids(init))[0]
+        labels = nearest(X, init)[0]
         assert np.bincount(labels, minlength=cfg.K).min() > 0
         res = kmeans_fit(X, cfg)
         for k in range(cfg.K):
-            assert np.array_equal(res.centroids.matrix[k], X[labels == k].mean(axis=0))
+            assert np.array_equal(res.centroids[k], X[labels == k].mean(axis=0))
 
     @pytest.mark.parametrize("duplicates", [False, True])
     def test_fix_empty_clusters_matches_per_cluster_recompute(self, duplicates):
@@ -292,7 +291,7 @@ class TestWordProductSeeding:
         X, words = word_table((1, 2), "random")
         cfg = KMeansConfig(K=10, iterations=3, variant=variant, batch_size=64, seed=4)
         got, want = fit(X, cfg, words=words), fit(X, cfg)
-        assert np.array_equal(got.centroids.matrix, want.centroids.matrix)
+        assert np.array_equal(got.centroids, want.centroids)
         assert np.array_equal(got.labels, want.labels)
         assert got.inertia == want.inertia
 
@@ -303,13 +302,12 @@ class TestWordProductSeeding:
                 kmeans_fit(X, KMeansConfig(K=3), words=words)
 
 
-def reference_nearest(X, centroids):
+def reference_nearest(X, C):
     """Nearest centroid by the float64 expansion |x|^2 - 2 x.c + |c|^2 over the whole table (oracle).
 
     The earlier body of ``nearest``: ties go to the smallest index, but an
     exact tie's label is whatever the product's rounding gives.
     """
-    C = centroids.matrix
     labels = np.empty(X.shape[0], dtype=np.int64)
     sq_dists = np.empty(X.shape[0])
     c_sq = (C * C).sum(axis=1)
@@ -332,8 +330,7 @@ def reference_kmeans(X, config):
     """Lloyd's loop with every assignment a full float64 ``reference_nearest`` pass (oracle)."""
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng)
-    result = Centroids(matrix=centers, seed=config.seed)
-    labels, sq_dists = reference_nearest(X, result)
+    labels, sq_dists = reference_nearest(X, centers)
     trace = []
     for _ in range(config.iterations):
         labels = _fix_empty_clusters(X, centers, labels, config.K)
@@ -343,7 +340,7 @@ def reference_kmeans(X, config):
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 centers[k] = X[order[lo:hi]].mean(axis=0)
-        labels, sq_dists = reference_nearest(X, result)
+        labels, sq_dists = reference_nearest(X, centers)
         trace.append(float(sq_dists.sum()))
     return labels, centers, float(sq_dists.sum()), trace
 
@@ -368,8 +365,8 @@ def tie_table(kind):
     rng = np.random.default_rng(33)
     if kind == "midpoints":
         # rows on centroids that coincide, or halfway between two of them
-        C = Centroids(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]))
-        X = np.vstack([C.matrix, [[0.5, 0.0], [0.5, 0.5]], rng.normal(size=(20, 2))])
+        C = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 1.0]])
+        X = np.vstack([C, [[0.5, 0.0], [0.5, 0.5]], rng.normal(size=(20, 2))])
         # |x - c|^2 is exact here, so the tie goes to the smallest index
         return X, C, {0: {0}, 2: {0}, 4: {0}}
     # centroid 2i + 1 is centroid 2i with two coordinates swapped, and row i
@@ -385,7 +382,7 @@ def tie_table(kind):
         C[2 * i + 1, [a, b]] = C[2 * i, [b, a]]
         X[i, b] = X[i, a]
     X = np.vstack([X, rng.normal(size=(30, m)) + C[rng.integers(2 * pairs, size=30)]])
-    return X, Centroids(C), {i: {2 * i, 2 * i + 1} for i in range(pairs)}
+    return X, C, {i: {2 * i, 2 * i + 1} for i in range(pairs)}
 
 
 class TestScreenedLloyd:
@@ -395,7 +392,7 @@ class TestScreenedLloyd:
         res = kmeans_fit(X, cfg)
         labels, centers, total, trace = reference_kmeans(X, cfg)
         assert np.array_equal(res.labels, labels)
-        assert np.array_equal(res.centroids.matrix, centers)
+        assert np.array_equal(res.centroids, centers)
         # nearest sums |x - c|^2 directly; the reference uses the expansion,
         # which rounds relative to |x|^2 + |c|^2
         tol = 1e-12 * np.einsum("ij,ij->", X, X)
@@ -427,10 +424,10 @@ class TestScreenedLloyd:
         # rows 0 and 1 are 1e-10 closer to one centroid than to the next:
         # float32 cannot tell, float64 can in any order of summation
         rng = np.random.default_rng(32)
-        C = Centroids(np.vstack([[1.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0], rng.normal(5.0, size=(4, 5))]))
-        X = np.vstack([[[-1e-10, 0.3, 0, 0, 0], [1e-10, -0.2, 0, 0, 0]], C.matrix + 0.01,
+        C = np.vstack([[1.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0], rng.normal(5.0, size=(4, 5))])
+        X = np.vstack([[[-1e-10, 0.3, 0, 0, 0], [1e-10, -0.2, 0, 0, 0]], C + 0.01,
                        rng.normal(size=(20, 5))])
-        labels, _, rechecked = _nearest(X, C.matrix)
+        labels, _, rechecked = _nearest(X, C)
         assert np.array_equal(labels, reference_nearest(X, C)[0])
         assert labels[:2].tolist() == [1, 0]
         assert rechecked == 2
@@ -453,10 +450,10 @@ class TestScreenedLloyd:
         # row 0's float32 products (3e38) are finite but their running sum
         # overflows to -inf, which would put centroid 0 first; row 1's
         # products overflow; float64 decides both
-        C = Centroids(np.array([[3e18] * 4, [0.0] * 4, [-1e18] * 4]))
+        C = np.array([[3e18] * 4, [0.0] * 4, [-1e18] * 4])
         X = np.array([[5e19, 5e19, -5e19, -5e19], [-1e25] * 4, [0.1] * 4])
         with np.errstate(all="raise"):
-            labels, _, rechecked = _nearest(X, C.matrix)
+            labels, _, rechecked = _nearest(X, C)
         assert labels.tolist() == reference_nearest(X, C)[0].tolist() == [1, 2, 1]
         assert rechecked == 2
 
@@ -485,7 +482,7 @@ class TestMiniBatch:
         for i, k in enumerate(labels):
             counts[k] += 1
             centers[k] += (X[i] - centers[k]) / counts[k]
-        assert np.allclose(res.centroids.matrix, centers)
+        assert np.allclose(res.centroids, centers)
 
     def test_separated_blobs_match_lloyd(self):
         rng = np.random.default_rng(1)
@@ -525,7 +522,7 @@ class TestFit:
             cfg = KMeansConfig(K=3, iterations=4, variant=variant, batch_size=20, seed=2)
             a, b = fit(X, cfg), direct(X, cfg)
             assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(a.centroids.matrix, b.centroids.matrix)
+            assert np.array_equal(a.centroids, b.centroids)
 
     def test_caps_batch_size_without_changing_config(self):
         X = np.random.default_rng(5).normal(size=(30, 2))
@@ -533,10 +530,10 @@ class TestFit:
         result = fit(X, cfg)
         assert cfg.batch_size == 1024
         expected = minibatch_kmeans_fit(X, replace(cfg, batch_size=30))
-        assert np.array_equal(result.centroids.matrix, expected.centroids.matrix)
+        assert np.array_equal(result.centroids, expected.centroids)
         # minibatch_kmeans_fit caps the batch itself
         direct = minibatch_kmeans_fit(X, cfg)
-        assert np.array_equal(direct.centroids.matrix, expected.centroids.matrix)
+        assert np.array_equal(direct.centroids, expected.centroids)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="minibach"):
@@ -554,54 +551,62 @@ class TestFit:
 
 class TestAssignAndInertia:
     def test_exact_centroid(self):
-        C = Centroids(np.eye(5))
-        assert assign(C.matrix[3], C) == 3
+        C = np.eye(5)
+        assert assign(C[3], C) == 3
 
     def test_tie_breaks_low(self):
-        C = Centroids(np.array([[0.0, 1.0], [0.0, -1.0]]))
+        C = np.array([[0.0, 1.0], [0.0, -1.0]])
         assert assign(np.array([5.0, 0.0]), C) == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(4)
-        C = Centroids(rng.normal(size=(300, 8)))
+        C = rng.normal(size=(300, 8))
         queries = []
         for _ in range(50):
             x = rng.normal(size=8)
-            brute = int(np.argmin([((x - c) ** 2).sum() for c in C.matrix]))
+            brute = int(np.argmin([((x - c) ** 2).sum() for c in C]))
             assert assign(x, C) == brute
             queries.append(x)
         # the batch kernel agrees with assign row by row
         labels, sq_dists = nearest(np.array(queries), C)
         assert labels.tolist() == [assign(x, C) for x in queries]
-        assert np.allclose(sq_dists, [((x - C.matrix[k]) ** 2).sum() for x, k in zip(queries, labels)])
+        assert np.allclose(sq_dists, [((x - C[k]) ** 2).sum() for x, k in zip(queries, labels)])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            assign(np.zeros(3), Centroids(np.zeros((2, 4))))
+            assign(np.zeros(3), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("C", [np.zeros(2), np.zeros((1, 3, 2)), np.zeros((2, 3))],
+                             ids=["1-d", "3-d", "another-width"])
+    def test_centroids_must_be_2d_of_the_points_width(self, C):
+        with pytest.raises(DimensionMismatch, match="centroids are"):
+            nearest(np.zeros((3, 2)), C)
+        with pytest.raises(DimensionMismatch, match="centroids are"):
+            assign(np.zeros(2), C)
 
     def test_scale_consistent(self):
         rng = np.random.default_rng(8)
         C = rng.normal(size=(10, 4))
         x = rng.normal(size=4)
         for alpha in (0.5, 2.0, 7.3):
-            assert assign(x, Centroids(C)) == assign(alpha * x, Centroids(alpha * C))
+            assert assign(x, C) == assign(alpha * x, alpha * C)
 
     def test_inertia_zero_on_centroids(self):
         C = np.array([[1.0, 2.0], [3.0, 4.0]])
         X = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-        assert inertia(X, Centroids(C)) == pytest.approx(0.0)
+        assert inertia(X, C) == pytest.approx(0.0)
 
     def test_inertia_single_point(self):
-        assert inertia(np.array([[1.0, 0.0]]), Centroids(np.array([[0.0, 0.0]]))) == pytest.approx(1.0)
+        assert inertia(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])) == pytest.approx(1.0)
 
     def test_inertia_four_point(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        C = Centroids(np.array([[0.0, 0.5], [10.0, 0.5]]))
+        C = np.array([[0.0, 0.5], [10.0, 0.5]])
         assert inertia(X, C) == pytest.approx(1.0)
 
 
 class TestSerialization:
-    def test_binary_roundtrip(self, tmp_path):
+    def test_roundtrip_bit_for_bit(self, tmp_path):
         # the text file gives back every float64 bit for bit
         tiny = np.finfo(np.float64).tiny
         for matrix in (
@@ -609,14 +614,14 @@ class TestSerialization:
             np.array([[-0.0, 5e-324, tiny / 3, 1e308, -1e308, 0.1]]),  # K = 1: signed zero, subnormals
         ):
             p = tmp_path / "c.txt"
-            save_centroids(Centroids(matrix), p)
-            assert load_centroids(p).matrix.tobytes() == matrix.tobytes()
+            save_centroids(matrix, p)
+            assert load_centroids(p).tobytes() == matrix.tobytes()
 
     def test_text_export(self, tmp_path):
         # a centroid file is a word-vector file: a "K m" header and rows c0 ... c<K-1>
         matrix = np.array([[1.5, -2.0], [0.25, 3.0], [-1.0, 0.0]])
         p = tmp_path / "c.txt"
-        save_centroids(Centroids(matrix), p)
+        save_centroids(matrix, p)
         lines = p.read_text().splitlines()
         assert lines[0] == "3 2"
         assert [line.split()[0] for line in lines[1:]] == ["c0", "c1", "c2"]
@@ -624,9 +629,10 @@ class TestSerialization:
         assert wv.words == {"c0": 0, "c1": 1, "c2": 2}
         assert np.array_equal(wv.matrix, matrix)
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOPE" + b"\0" * 40)
+    def test_word_vectors_not_centroids(self, tmp_path):
+        # a well-formed word-vector file whose row is not named c0
+        p = tmp_path / "junk.txt"
+        p.write_bytes(b"NOPE" + b" 0" * 40)
         with pytest.raises(BadCentroidFile, match="not a centroid file"):
             load_centroids(p)
 

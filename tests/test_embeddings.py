@@ -64,6 +64,17 @@ class TestLoader:
         with pytest.raises(MalformedLine, match=re.escape(f"{p} line 3: ")):
             load_word_vectors(p)
 
+    @pytest.mark.parametrize(
+        "content, line",
+        [("good\nfilm\n", 1), ("good\nfilm 1 2\n", 1), ("2 0\ngood\nfilm\n", 1), ("0 0\n", 1)],
+        ids=["bare-words", "bare-first-row", "header-dim-0", "empty-header-dim-0"],
+    )
+    def test_no_values_per_row_rejected(self, tmp_path, content, line):
+        p = tmp_path / "v.txt"
+        p.write_text(content)
+        with pytest.raises(MalformedLine, match=re.escape(f"{p} line {line}: ")):
+            load_word_vectors(p)
+
     def test_crlf_line_ends(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_bytes(b"2 2\r\na 1 0\r\nb 0 1\r\n")

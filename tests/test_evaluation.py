@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from conceptbag.clustering import KMeansConfig
 from conceptbag.corpus import Dataset, Document
-from conceptbag.errors import BadConfig, LengthMismatch, TooFewDocuments, TooFewPoints
+from conceptbag.errors import BadConfig, LengthMismatch, SingleClass, TooFewDocuments, TooFewPoints
 from conceptbag.evaluation import (
     FEATURE_MODES,
     STAGES,
@@ -153,6 +153,16 @@ class TestRunExperiment:
         cfg = small_config(K=10_000, kmeans=KMeansConfig(K=10_000, iterations=2), folds=2)
         with pytest.raises(TooFewPoints, match=r"\[stage kmeans\]"):
             run_experiment(cfg, ds, wv)
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_single_class_fold_annotated_with_doc_repr(self, mode):
+        # the log-count ratios are timed, and so tagged, under doc_repr
+        ds, wv = make_synthetic_sentiment(seed=7, n_docs=40)
+        train, test = ds.documents[:30], ds.documents[30:]
+        y = np.ones(30, dtype=np.int64)
+        with pytest.raises(SingleClass) as info:
+            _fold_features(train, test, y, small_config(feature_mode=mode), wv, _StageClock())
+        assert str(info.value).startswith("[stage doc_repr] ")
 
     def test_predefined_split(self):
         ds, wv = make_synthetic_sentiment(seed=8, n_docs=60)

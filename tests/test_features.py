@@ -25,13 +25,11 @@ class TestLogCountRatio:
     def test_identical_rows_zero(self):
         counts = sp.csr_matrix(np.array([[1, 2], [1, 2]]))
         out = log_count_ratio(counts, np.array([1, -1]))
-        assert np.allclose(out.r, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_toy_values(self):
         out = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        assert np.allclose(out.p, [3, 1])
-        assert np.allclose(out.q, [1, 2])
-        assert out.r == pytest.approx([0.81093, -0.98083], abs=5e-6)
+        assert out == pytest.approx([0.81093, -0.98083], abs=5e-6)
 
     def test_single_class(self):
         with pytest.raises(SingleClass):
@@ -44,8 +42,8 @@ class TestLogCountRatio:
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
     def test_label_flip_negates_r(self, a, b, c, d):
         counts = sp.csr_matrix(np.array([[a, b], [c, d]]))
-        r1 = log_count_ratio(counts, np.array([1, -1])).r
-        r2 = log_count_ratio(counts, np.array([-1, 1])).r
+        r1 = log_count_ratio(counts, np.array([1, -1]))
+        r2 = log_count_ratio(counts, np.array([-1, 1]))
         assert np.allclose(r1, -r2)
 
     @given(st.integers(1, 7))
@@ -55,35 +53,33 @@ class TestLogCountRatio:
         p = 1.0 + np.array([2 * scale, 0])
         q = 1.0 + np.array([0, scale])
         expected = np.log(p / p.sum()) - np.log(q / q.sum())
-        assert np.allclose(out.r, expected)
+        assert np.allclose(out, expected)
 
 
 class TestConceptFeaturesNb:
     def test_missing_cluster_zero(self):
         counts = sp.csr_matrix(np.array([[1, 0]]))
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        out = concept_features_nb(counts, np.array([0, 1]), ratio, K=3)
+        r = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        out = concept_features_nb(counts, np.array([0, 1]), r, K=3)
         assert out[0, 1] == 0.0 and out[0, 2] == 0.0
 
     def test_signed_max_abs(self):
         # two n-grams in cluster 0 with r = +0.2 and -0.9; sign preserved
         counts = sp.csr_matrix(np.array([[1, 1]]))
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        ratio.r = np.array([0.2, -0.9])
-        out = concept_features_nb(counts, np.array([0, 0]), ratio, K=1)
+        r = np.array([0.2, -0.9])
+        out = concept_features_nb(counts, np.array([0, 0]), r, K=1)
         assert out[0, 0] == pytest.approx(-0.9)
 
     def test_singleton_cluster(self):
         counts = sp.csr_matrix(np.array([[0, 3]]))
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        out = concept_features_nb(counts, np.array([0, 1]), ratio, K=2)
-        assert out[0, 1] == pytest.approx(ratio.r[1])
+        r = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        out = concept_features_nb(counts, np.array([0, 1]), r, K=2)
+        assert out[0, 1] == pytest.approx(r[1])
 
     def test_tie_breaks_to_smallest_index(self):
         counts = sp.csr_matrix(np.array([[1, 1]]))
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        ratio.r = np.array([0.5, -0.5])
-        out = concept_features_nb(counts, np.array([0, 0]), ratio, K=1)
+        r = np.array([0.5, -0.5])
+        out = concept_features_nb(counts, np.array([0, 0]), r, K=1)
         assert out[0, 0] == pytest.approx(0.5)
 
     def test_matches_brute_force(self):
@@ -91,10 +87,10 @@ class TestConceptFeaturesNb:
         L, N, K = 12, 40, 5
         counts = sp.csr_matrix((rng.random((L, N)) < 0.2).astype(np.int64))
         assignment = rng.integers(0, K, size=N)
-        ratio = log_count_ratio(
+        r = log_count_ratio(
             sp.csr_matrix(rng.integers(0, 3, size=(4, N))), np.array([1, 1, -1, -1])
         )
-        out = concept_features_nb(counts, assignment, ratio, K)
+        out = concept_features_nb(counts, assignment, r, K)
         dense = counts.toarray()
         for i in range(L):
             for k in range(K):
@@ -102,22 +98,22 @@ class TestConceptFeaturesNb:
                 if not cands:
                     assert out[i, k] == 0.0
                 else:
-                    best = max(cands, key=lambda t: (abs(ratio.r[t]), -t))
-                    assert out[i, k] == pytest.approx(ratio.r[best])
+                    best = max(cands, key=lambda t: (abs(r[t]), -t))
+                    assert out[i, k] == pytest.approx(r[best])
 
     def test_bounded_by_max_abs_r(self):
         rng = np.random.default_rng(1)
         counts = sp.csr_matrix(rng.integers(0, 2, size=(6, 10)))
-        ratio = log_count_ratio(
+        r = log_count_ratio(
             sp.csr_matrix(rng.integers(0, 4, size=(4, 10))), np.array([1, -1, 1, -1])
         )
-        out = concept_features_nb(counts, rng.integers(0, 3, size=10), ratio, K=3)
-        assert np.abs(out).max() <= np.abs(ratio.r).max() + 1e-12
+        out = concept_features_nb(counts, rng.integers(0, 3, size=10), r, K=3)
+        assert np.abs(out).max() <= np.abs(r).max() + 1e-12
 
     def test_length_mismatch(self):
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        r = log_count_ratio(TOY_COUNTS, TOY_LABELS)
         with pytest.raises(LengthMismatch):
-            concept_features_nb(TOY_COUNTS, np.array([0]), ratio, K=1)
+            concept_features_nb(TOY_COUNTS, np.array([0]), r, K=1)
 
 
 class TestConceptFeaturesFreq:
@@ -146,40 +142,40 @@ class TestConceptFeaturesFreq:
 class TestBowNbFeatures:
     def test_presence_not_count(self):
         counts = sp.csr_matrix(np.array([[3, 0]]))
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        out = bow_nb_features(counts, ratio).toarray()
-        assert out[0, 0] == pytest.approx(ratio.r[0])
+        r = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        out = bow_nb_features(counts, r).toarray()
+        assert out[0, 0] == pytest.approx(r[0])
         assert out[0, 1] == 0.0
 
     def test_zero_r(self):
         counts = sp.csr_matrix(np.array([[1, 2]]))
-        ratio = log_count_ratio(sp.csr_matrix(np.array([[1, 1], [1, 1]])), TOY_LABELS)
-        out = bow_nb_features(counts, ratio)
+        r = log_count_ratio(sp.csr_matrix(np.array([[1, 1], [1, 1]])), TOY_LABELS)
+        out = bow_nb_features(counts, r)
         assert np.allclose(out.toarray(), 0.0)
 
     def test_toy_composition(self):
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
-        out = bow_nb_features(TOY_COUNTS, ratio).toarray()
+        r = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        out = bow_nb_features(TOY_COUNTS, r).toarray()
         assert out[0] == pytest.approx([0.81093, 0.0], abs=5e-6)
         assert out[1] == pytest.approx([0.0, -0.98083], abs=5e-6)
 
     def test_length_mismatch(self):
-        ratio = log_count_ratio(TOY_COUNTS, TOY_LABELS)
+        r = log_count_ratio(TOY_COUNTS, TOY_LABELS)
         with pytest.raises(LengthMismatch):
-            bow_nb_features(sp.csr_matrix(np.zeros((2, 3))), ratio)
+            bow_nb_features(sp.csr_matrix(np.zeros((2, 3))), r)
 
 
 class TestDocumentFeatures:
     def test_each_mode_matches_its_featurizer(self):
         counts = sp.csr_matrix(np.array([[2, 0, 1], [0, 1, 3]]))
-        ratio = log_count_ratio(counts, [1, -1])
+        r = log_count_ratio(counts, [1, -1])
         assignment = np.array([1, 0, 1])
         for mode, expected in (
-            ("nb_max", concept_features_nb(counts, assignment, ratio, 2)),
+            ("nb_max", concept_features_nb(counts, assignment, r, 2)),
             ("frequency", concept_features_freq(counts, assignment, 2)),
-            ("bow_nb", bow_nb_features(counts, ratio)),
+            ("bow_nb", bow_nb_features(counts, r)),
         ):
-            got = document_features(mode, counts, ratio, assignment, 2)
+            got = document_features(mode, counts, r, assignment, 2)
             assert np.array_equal(sp.csr_matrix(got).toarray(), sp.csr_matrix(expected).toarray())
 
     def test_unknown_mode_rejected(self):
