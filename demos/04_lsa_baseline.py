@@ -2,7 +2,7 @@
 
 Factorizes the presence-binarized, r-weighted word-by-document matrix of
 the training documents (the transpose of their NBSVM rows) with the
-randomized truncated SVD. Every document, training or test, is its NBSVM
+exact truncated SVD. Every document, training or test, is its NBSVM
 row projected on the top-K left singular vectors U; classification runs
 in that K-dimensional space.
 Run with: python demos/04_lsa_baseline.py
@@ -46,7 +46,7 @@ X = rows_train.T.tocsr()
 print(f"word-by-document matrix: {X.shape[0]} words x {X.shape[1]} documents")
 
 for K in (2, 5, 10):
-    factors = truncated_svd(X, K, seed=0)
+    factors = truncated_svd(X, K)
     f_train, f_test = rows_train @ factors.U, rows_test @ factors.U
     model = svm_train(f_train, y_train, SvmConfig(C=1.0))
     acc = float(np.mean(svm_predict(model, f_test) == y_test))

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,20 +19,11 @@ CONFIG_VERSION = 1
 _LOADERS = {"polarity": load_polarity_dataset, "imdb": load_imdb_dataset}
 
 
-def _env_seed() -> int | None:
-    """``CONCEPTBAG_SEED``, which replaces every configured seed, or None when unset."""
-    env = os.environ.get("CONCEPTBAG_SEED")
-    try:
-        return None if env is None else int(env)
-    except ValueError:
-        raise BadConfig(f"CONCEPTBAG_SEED must be an int, got {env!r}") from None
-
-
 def _flags_config(cls, args):
     """``cls`` from the flags whose dest is one of its fields; a flag not given keeps its default."""
     names = {f.name for f in fields(cls)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
-    return config_from(cls, given, seed=_env_seed())
+    return config_from(cls, given)
 
 
 def _parse_orders(text) -> tuple[int, ...]:
@@ -179,7 +169,7 @@ def _parse_experiment(entry: dict, base_dir: Path):
         entry["ngram_orders"] = _parse_orders(entry["ngram_orders"])
     if isinstance(entry.get("kmeans"), dict) and "K" in entry["kmeans"]:
         raise BadConfig('"K" goes at the top of an experiment, not inside "kmeans"')
-    config = config_from(ExperimentConfig, entry, "experiment config", _env_seed())
+    config = config_from(ExperimentConfig, entry, "experiment config")
     if config.feature_mode in features.CONCEPT_MODES and emb is None:
         raise ValueError(f"feature_mode {config.feature_mode!r} needs an embeddings_path")
     return config, root, dtype, emb

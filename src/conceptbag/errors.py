@@ -118,13 +118,12 @@ def check_finite(what: str, value, minimum: float, strict: bool) -> None:
         raise BadConfig(f"{what} must be a finite number {bound}, got {value!r}")
 
 
-def config_from(cls, given: Mapping, what: str = "config", seed: int | None = None):
+def config_from(cls, given: Mapping, what: str = "config"):
     """The config dataclass ``cls`` from ``given``, its field names to values; others keep defaults.
 
     A key that is not a field raises BadConfig naming it. A config-valued field
     (``ExperimentConfig.kmeans``, ``.svm``) is built the same way from a given
-    mapping, and raises BadConfig if given anything else. ``seed``, unless None,
-    replaces every ``seed`` field, nested ones included.
+    mapping, and raises BadConfig if given anything else.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(given) - set(fields)
@@ -136,9 +135,7 @@ def config_from(cls, given: Mapping, what: str = "config", seed: int | None = No
             nested = values.get(name, {})
             if not isinstance(nested, Mapping):
                 raise BadConfig(f'"{name}" must be a JSON object, got {type(nested).__name__}')
-            values[name] = config_from(f.default_factory, nested, name, seed)
-        elif name == "seed" and seed is not None:
-            values[name] = seed
+            values[name] = config_from(f.default_factory, nested, name)
     return cls(**values)
 
 

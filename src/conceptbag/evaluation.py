@@ -41,7 +41,7 @@ class ExperimentConfig:
         check_int("seed", self.seed, minimum=0)
         if not isinstance(self.cluster_on_all, (bool, np.bool_)):
             raise BadConfig(f"cluster_on_all must be a bool, got {self.cluster_on_all!r}")
-        check_orders(self.ngram_orders)
+        self.ngram_orders = check_orders(self.ngram_orders)
         if self.feature_mode not in FEATURE_MODES:
             raise BadConfig(f"unknown feature_mode {self.feature_mode!r}; expected one of {FEATURE_MODES}")
         self.kmeans = replace(self.kmeans, K=self.K)
@@ -65,7 +65,7 @@ class ExperimentReport:
             accuracy=raw["accuracy"],
             per_fold=list(raw["per_fold"]),
             stage_times=dict(raw["stage_times"]),
-            config_echo=config_from(ExperimentConfig, {**cfg, "ngram_orders": tuple(cfg["ngram_orders"])}),
+            config_echo=config_from(ExperimentConfig, cfg),
         )
 
 
@@ -148,7 +148,7 @@ def _fold_features(
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
-    fit_key = (tuple(sorted(config.ngram_orders)), tuple(d.id for d in vocab_docs))
+    fit_key = (config.ngram_orders, tuple(d.id for d in vocab_docs))
     vocab = _cached(
         cache, ("vocab", fit_key), clock, "vocab",
         lambda: build_vocab(vocab_docs, config.ngram_orders, wv.words),
@@ -165,7 +165,7 @@ def _fold_features(
         # each row is an NBSVM row projected on U; training rows are V diag(S) (see truncated_svd)
         with clock.stage("doc_repr"):
             rows = tuple(features.bow_nb_features(counts, r) for counts in (counts_train, counts_test))
-            U = lsa.truncated_svd(rows[0].T.tocsr(), config.K, seed=config.seed).U
+            U = lsa.truncated_svd(rows[0].T.tocsr(), config.K).U
             return tuple(row @ U for row in rows)
 
     assignment = None

@@ -3,11 +3,9 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import RankRequestTooLarge
-
-_OVERSAMPLE = 15  # sketch columns beyond K
-_POWER_ITERS = 10  # QR-stabilized power iterations on the sketch
 
 
 @dataclass
@@ -19,26 +17,23 @@ class SvdFactors:
     V: np.ndarray
 
 
-def truncated_svd(X, K: int, seed: int = 0) -> SvdFactors:
-    """Randomized range-finder truncated SVD.
+def truncated_svd(X, K: int) -> SvdFactors:
+    """The exact top-K singular triplets of X, dense or sparse, S in decreasing order.
 
-    Gaussian sketch of width K + _OVERSAMPLE, _POWER_ITERS QR-stabilized
-    power iterations, then an exact SVD of the small projected matrix
-    B = QᵀX. So Xᵀ U = V diag(S) in exact arithmetic: projecting the
-    columns of X on U gives their rows of V diag(S).
+    ARPACK (``scipy.sparse.linalg.svds``) from a fixed start vector, so that two
+    calls give the same bits; K = min(X.shape), which ARPACK rejects, is a dense
+    SVD. Either way Xᵀ U = V diag(S): projecting the columns of X on U gives
+    their rows of V diag(S).
     """
     rows, cols = X.shape
     if K > min(rows, cols):
         raise RankRequestTooLarge(f"K={K} exceeds min{X.shape}")
-    rng = np.random.default_rng(seed)
-    width = min(K + _OVERSAMPLE, min(rows, cols))
-    G = rng.standard_normal((cols, width))
-    Y = X @ G
-    Q, _ = np.linalg.qr(Y)
-    for _ in range(_POWER_ITERS):
-        Z, _ = np.linalg.qr(X.T @ Q)
-        Q, _ = np.linalg.qr(X @ Z)
-    B = np.asarray(Q.T @ X)
-    Ub, S, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ Ub
-    return SvdFactors(U=U[:, :K], S=S[:K], V=Vt[:K].T)
+    if K == min(rows, cols):
+        U, S, Vt = np.linalg.svd(X.toarray() if sp.issparse(X) else X, full_matrices=False)
+        return SvdFactors(U=U, S=S, V=Vt.T)
+    # imported here: scipy.sparse.linalg adds about 10 MiB to every process that loads it
+    from scipy.sparse.linalg import svds
+
+    U, S, Vt = svds(X, k=K, v0=np.random.default_rng(0).standard_normal(min(rows, cols)))
+    order = np.argsort(-S, kind="stable")
+    return SvdFactors(U=U[:, order], S=S[order], V=Vt[order].T)

@@ -86,23 +86,6 @@ class TestTrainEmbeddings:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("a b c d e\n" * 20, encoding="utf-8")
-        outs = []
-        for env, name in ((None, "v0.txt"), ("99", "v1.txt")):
-            if env is None:
-                monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
-            else:
-                monkeypatch.setenv("CONCEPTBAG_SEED", env)
-            out = tmp_path / name
-            assert main([
-                "train-embeddings", "--corpus", str(corpus), "--out", str(out),
-                "--dim", "4", "--epochs", "1", "--min-count", "1", "--seed", "0",
-            ]) == 0
-            outs.append(out.read_text())
-        assert outs[0] != outs[1]
-
     def test_non_utf8_corpus_names_the_line(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"a b c\nd \xff e\n")
@@ -170,7 +153,6 @@ class TestFlagConfigs:
         monkeypatch.setattr(cli, "train_sgns", capture)
         monkeypatch.setattr(cli.clustering, "fit", capture)
         monkeypatch.setattr(cli.svm, "svm_train", capture)
-        monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b c\n", encoding="utf-8")
         feats = tmp_path / "f.svmlight"
@@ -216,33 +198,18 @@ class TestFlagConfigs:
             defaults = type(config)()
             assert all(getattr(config, f) != getattr(defaults, f) for f in vars(defaults))
 
-    def test_env_seed_replaces_every_seed_flag(self, commands, monkeypatch):
-        monkeypatch.setenv("CONCEPTBAG_SEED", "123")
-        for command in ("train-embeddings", "cluster"):
-            assert self.config_of([command, *commands[command], "--seed", "9"]).seed == 123
-
     @pytest.mark.parametrize(
-        "command, seed, env",
-        [("train-embeddings", "-1", None), ("cluster", "-1", None),
-         ("cluster", str(2**63), None),  # kmeans seeds are below 2**63
-         ("train-embeddings", "0", "-1"), ("cluster", "0", "-1")],
+        "command, seed",
+        [("train-embeddings", "-1"), ("cluster", "-1"),
+         ("cluster", str(2**63))],  # kmeans seeds are below 2**63
     )
-    def test_seed_out_of_range_rejected_before_work(
-        self, commands, monkeypatch, capsys, command, seed, env
-    ):
+    def test_seed_out_of_range_rejected_before_work(self, commands, monkeypatch, capsys, command, seed):
         monkeypatch.setattr(cli, "numbered_lines", lambda *a: pytest.fail("read the corpus"))
         monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
-        if env is not None:
-            monkeypatch.setenv("CONCEPTBAG_SEED", env)
         assert main([command, *commands[command], "--seed", seed]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed must be an int" in err
         assert len(err.splitlines()) == 1
-
-    def test_env_seed_must_be_an_int(self, commands, monkeypatch, capsys):
-        monkeypatch.setenv("CONCEPTBAG_SEED", "abc")
-        assert main(["train-embeddings", *commands["train-embeddings"]]) == 1
-        assert capsys.readouterr().err == "error: CONCEPTBAG_SEED must be an int, got 'abc'\n"
 
 
 class TestCluster:
@@ -456,8 +423,7 @@ class TestHeldOutChain:
     """The stage commands score the test split under the training fit, as ``run`` does."""
 
     @pytest.mark.parametrize("mode", features.MODES)
-    def test_evaluate_test_split_equals_run(self, tmp_path, vectors_path, monkeypatch, capsys, mode):
-        monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
+    def test_evaluate_test_split_equals_run(self, tmp_path, vectors_path, capsys, mode):
         root = write_imdb(tmp_path / "imdb")
         flags = ["--embeddings", str(vectors_path), "--dataset-root", str(root), "--dataset-type", "imdb"]
         cents, feats, model = tmp_path / "c.txt", tmp_path / "f.svmlight", tmp_path / "m.txt"
@@ -477,8 +443,7 @@ class TestHeldOutChain:
         assert 0.5 < report.accuracy < 1.0
 
 
-    def test_cluster_writes_the_fit_on_the_training_documents(self, tmp_path, vectors_path, monkeypatch):
-        monkeypatch.delenv("CONCEPTBAG_SEED", raising=False)
+    def test_cluster_writes_the_fit_on_the_training_documents(self, tmp_path, vectors_path):
         root = write_imdb(tmp_path / "imdb")
         cents = tmp_path / "c.txt"
         assert main(["cluster", "--embeddings", str(vectors_path), "--dataset-root", str(root),
@@ -779,16 +744,6 @@ class TestRun:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out_dir.exists()
 
-    def test_negative_env_seed_rejected_before_work(
-        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys
-    ):
-        cfg = self.write_config(tmp_path, polarity_root, vectors_path)
-        monkeypatch.setenv("CONCEPTBAG_SEED", "-1")
-        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "seed must be an int" in err
-        assert len(err.splitlines()) == 1
-
     def test_imdb_run_reports_imdb(self, tmp_path, polarity_root, vectors_path, capsys):
         root = tmp_path / "imdb"
         write_polarity(root / "train", POS_WORDS, NEG_WORDS, seed=2)
@@ -806,17 +761,6 @@ class TestRun:
         echoes = [json.loads((out_dir / f"report_{i:03d}.json").read_text())["config_echo"]
                   for i in range(2)]
         assert [e["dataset"] for e in echoes] == ["imdb", "toy"]
-
-    def test_env_seed_changes_folds(
-        self, tmp_path, polarity_root, vectors_path, monkeypatch
-    ):
-        cfg = self.write_config(tmp_path, polarity_root, vectors_path)
-        monkeypatch.setenv("CONCEPTBAG_SEED", "123")
-        out_dir = tmp_path / "seeded"
-        assert main(["run", "--config", str(cfg), "--output-dir", str(out_dir)]) == 0
-        rep = json.loads((out_dir / "report_000.json").read_text())
-        assert rep["config_echo"]["seed"] == 123
-        assert rep["config_echo"]["kmeans"]["seed"] == 123
 
 
 class TestErrorHandling:
