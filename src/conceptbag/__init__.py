@@ -17,6 +17,7 @@ from .clustering import (
 from .corpus import (
     Dataset,
     Document,
+    NGramIndex,
     NGramVocabulary,
     build_vocab,
     count_vectors,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, evaluation, features, svm
-from .corpus import build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset
+from .corpus import NGramIndex, build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns, word_rows
 from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
 from .evaluation import ExperimentConfig, run_experiment, write_reports
@@ -94,8 +94,9 @@ def cmd_featurize(args) -> int:
         config = replace(config, K=len(centroids))
     train, test, wv = _dataset_split(args)
     y_train, y_test = (np.array([d.label for d in docs], dtype=np.int64) for docs in (train, test))
+    index = NGramIndex(train + test, config.ngram_orders, wv.words)
     f_train, f_test = evaluation._fold_features(
-        train, test, y_train, config, wv, evaluation._StageClock(), centroids=centroids
+        train, test, y_train, config, wv, evaluation._StageClock(), centroids=centroids, index=index
     )
     outputs = [(f_train, y_train, args.out)]
     if test:

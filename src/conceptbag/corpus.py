@@ -11,7 +11,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnreadableFile
+from .errors import (
+    BadOrders,
+    EmptyVocabulary,
+    MissingDirectory,
+    NGramKeyOverflow,
+    UnknownDocument,
+    UnreadableFile,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -122,21 +129,24 @@ def _token_ids(token_lists, word_ids: dict, dictionary=None) -> tuple[np.ndarray
 def _windows(ids: np.ndarray, n: int, base: int) -> np.ndarray:
     """Key of the n-window starting at each position of ``ids``, or 0.
 
-    A window gets 0 when it holds a -1. ``_token_ids`` ends every document
-    with a -1, so every window that crosses a document end gets 0 too; the
-    keys of the other windows are positive. Keys are int64 whatever the
-    dtype of ``ids``, which ``_key_base`` checks them against.
+    A window gets 0 when it holds a -1 or runs past the end of ``ids``.
+    ``_token_ids`` ends every document with a -1, so every window that
+    crosses a document end gets 0 too; the keys of the other windows are
+    positive. Keys are int64 whatever the dtype of ``ids``, which
+    ``_key_base`` checks them against.
     """
     span = max(len(ids) - n + 1, 0)
-    keys = ids[:span].astype(np.int64)
-    keys += 1
+    keys = np.zeros(len(ids), dtype=np.int64)
+    head = keys[:span]
+    head += ids[:span]
+    head += 1
     outside = ids[:span] < 0
     for j in range(1, n):
-        keys *= base
-        keys += ids[j : j + span]
-        keys += 1
+        head *= base
+        head += ids[j : j + span]
+        head += 1
         outside |= ids[j : j + span] < 0
-    keys[outside] = 0
+    head[outside] = 0
     return keys
 
 
@@ -182,22 +192,24 @@ class NGramVocabulary:
         for n in orders:
             members = np.flatnonzero(lengths == n)
             keys[members] = _windows(ids, n, base)[starts[members]]
-        self._set(keys, word_ids, orders)
+        columns = np.argsort(keys, kind="stable")
+        keys = keys[columns]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate n-grams passed to NGramVocabulary")
+        self._set(keys, columns, word_ids, orders)
 
     @classmethod
-    def _from_keys(cls, keys: np.ndarray, word_ids: dict, orders) -> "NGramVocabulary":
-        """The vocabulary whose column t holds the n-gram of ``keys[t]``."""
+    def _from_keys(cls, keys: np.ndarray, columns: np.ndarray, word_ids: dict, orders) -> "NGramVocabulary":
+        """The vocabulary of the sorted distinct ``keys``; ``columns[i]`` is the column of ``keys[i]``."""
         vocab = cls.__new__(cls)
-        vocab._set(keys, word_ids, orders)
+        vocab._set(keys, columns, word_ids, orders)
         return vocab
 
-    def _set(self, keys, word_ids, orders):
+    def _set(self, keys, columns, word_ids, orders):
         self.orders = frozenset(orders)
         self.word_ids: dict[str, int] = word_ids
-        self.columns = np.argsort(keys, kind="stable")
-        self.keys = keys[self.columns]
-        if np.any(self.keys[1:] == self.keys[:-1]):
-            raise ValueError("duplicate n-grams passed to NGramVocabulary")
+        self.keys = keys
+        self.columns = columns
 
     def word_id_matrix(self) -> np.ndarray:
         """len(self) x max(orders) word ids; row t is entries[t]'s, padded with -1."""
@@ -221,30 +233,93 @@ class NGramVocabulary:
         return len(self.keys)
 
 
-def build_vocab(documents: Iterable[Document], orders, dictionary) -> NGramVocabulary:
+class NGramIndex:
+    """Every n-gram window of a set of documents, as a number, at every token position.
+
+    Words of ``dictionary`` are numbered by first occurrence across
+    ``documents`` (``word_ids``); with ``word_ids`` given in its place, words
+    keep those ids and no other word is numbered. ``keys`` are the distinct
+    window keys, sorted, and ``ngram_ids[i, p]`` is the number in ``keys`` of
+    the ``orders[i]``-window at flat position p: id 0, key 0, when the window
+    is not an in-dictionary n-gram of one document. The index holds no
+    statistic: what is fitted on some of its documents reads nothing of the
+    others, and ``build_vocab`` and ``count_vectors`` select the ids of theirs.
+    """
+
+    def __init__(self, documents: Iterable[Document], orders, dictionary, *, word_ids=None):
+        documents = list(documents)
+        self.orders = check_orders(orders)
+        self.dictionary = dictionary
+        self.word_ids: dict[str, int] = {} if word_ids is None else word_ids
+        ids, starts = _token_ids([d.tokens for d in documents], self.word_ids, dictionary)
+        base = _key_base(len(self.word_ids), self.orders)
+        # keys of a higher order are larger, so each order's distinct keys extend the sorted
+        # keys; every order has a key-0 window (at the last document's closing -1), so its
+        # distinct[0] is 0, and that stays id 0
+        self.keys = np.zeros(min(len(ids), 1), dtype=np.int64)
+        self.ngram_ids = np.empty((len(self.orders), len(ids)), dtype=np.int32)
+        for row, n in zip(self.ngram_ids, self.orders):
+            distinct, inverse = np.unique(_windows(ids, n, base), return_inverse=True)
+            row[:] = np.where(inverse > 0, inverse + (len(self.keys) - 1), 0)
+            self.keys = np.concatenate([self.keys, distinct[1:]])
+        self.document_ids = tuple(d.id for d in documents)
+        self._starts = {(d.id, d.tokens): start for d, start in zip(documents, starts.tolist())}
+
+    def select(self, documents: Sequence[Document], orders) -> tuple[np.ndarray, np.ndarray]:
+        """The n-gram ids of ``documents``' windows of each of ``orders``, and each one's document.
+
+        The ids run by document, then order, then position, one per token and
+        order, and the second array holds the index into ``documents`` of each.
+        Raises UnknownDocument for a document the index does not hold, an
+        indexed id with other tokens included, and BadOrders for an order it
+        has no windows of.
+        """
+        if not set(orders) <= set(self.orders):
+            raise BadOrders(f"n-gram orders {list(orders)} are not within the index's {list(self.orders)}")
+        starts = np.empty(len(documents), dtype=np.int64)
+        for i, doc in enumerate(documents):
+            start = self._starts.get((doc.id, doc.tokens))
+            if start is None:
+                raise UnknownDocument(f"document {doc.id!r} is not one the n-gram index was built over")
+            starts[i] = start
+        lengths = np.array([len(d.tokens) for d in documents], dtype=np.int64)
+        # one run of positions per (document, order), at that order's row of ngram_ids
+        rows = np.array([self.orders.index(n) for n in orders], dtype=np.int64)
+        run_starts = (starts[:, None] + rows * self.ngram_ids.shape[1]).ravel()
+        run_lengths = np.repeat(lengths, len(rows))
+        shift = np.repeat(run_starts - (np.cumsum(run_lengths) - run_lengths), run_lengths)
+        positions = np.arange(len(shift)) + shift
+        doc_of = np.repeat(np.arange(len(documents)), len(rows) * lengths)
+        return self.ngram_ids.ravel()[positions], doc_of
+
+
+def build_vocab(documents: Iterable[Document], orders, dictionary, index=None) -> NGramVocabulary:
     """Collect the distinct in-dictionary n-grams of ``documents``.
 
     Indices follow first occurrence across documents in iteration order, and
     within a document by order, then position. ``orders`` is a non-empty
     subset of {1, 2, 3}. Raises EmptyVocabulary when nothing survives
-    filtering.
+    filtering. ``index``, an NGramIndex built with ``dictionary`` over these
+    documents and maybe others, is read in place of one over ``documents``
+    alone; the vocabulary numbers its words as the index does.
     """
     orders = check_orders(orders)
-    word_ids: dict[str, int] = {}
-    ids, doc_starts = _token_ids([d.tokens for d in documents], word_ids, dictionary)
-    base = _key_base(len(word_ids), orders)
-    keys, starts, order_of = [], [], []
-    for n in orders:
-        distinct, first = np.unique(_windows(ids, n, base), return_index=True)
-        found = distinct > 0
-        keys.append(distinct[found])
-        starts.append(first[found])
-        order_of.append(np.full(len(starts[-1]), n))
-    keys, starts, order_of = (np.concatenate(a) for a in (keys, starts, order_of))
-    if not len(keys):
+    documents = list(documents)
+    if index is None:
+        index = NGramIndex(documents, orders, dictionary)
+    elif index.dictionary is not dictionary and index.dictionary != dictionary:
+        raise ValueError("the n-gram index was built with another dictionary")
+    ids, _ = index.select(documents, orders)
+    # select lists ids in column order, so an n-gram's column ranks its first place there
+    first = np.full(len(index.keys), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.flatnonzero(first < len(ids))
+    seen = seen[index.keys[seen] > 0]
+    if not len(seen):
         raise EmptyVocabulary("no in-dictionary n-gram found in the corpus")
-    doc_of = np.searchsorted(doc_starts, starts, side="right") - 1
-    return NGramVocabulary._from_keys(keys[np.lexsort((starts, order_of, doc_of))], word_ids, orders)
+    columns = np.empty(len(seen), dtype=np.int64)
+    columns[np.argsort(first[seen])] = np.arange(len(seen))
+    return NGramVocabulary._from_keys(index.keys[seen], columns, index.word_ids, orders)
 
 
 def _chunks(documents: Sequence[Document]):
@@ -259,29 +334,35 @@ def _chunks(documents: Sequence[Document]):
         yield lo, documents[lo:]
 
 
-def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary) -> sp.csr_matrix:
+def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary, index=None) -> sp.csr_matrix:
     """Sparse document-by-n-gram occurrence counts over ``vocab``.
 
     Row i counts the vocabulary n-grams of documents[i]; out-of-vocabulary
     n-grams are ignored. Indices are sorted within each row and the data is
-    int64.
+    int64. ``index``, an NGramIndex that numbers words as ``vocab`` does (the
+    one ``vocab`` was built from) over these documents and maybe others, is
+    read in place of one over ``documents`` alone that numbers words by
+    ``vocab.word_ids``.
     """
+    if index is None:
+        index = NGramIndex(documents, vocab.orders, None, word_ids=vocab.word_ids)
+    elif index.word_ids is not vocab.word_ids and index.word_ids != vocab.word_ids:
+        raise ValueError("the vocabulary does not number its words as the n-gram index does")
     orders = sorted(vocab.orders)
-    base = _key_base(len(vocab.word_ids), orders)
     n_cols = len(vocab)
+    # the column of each n-gram id of the index, or -1
+    at = np.searchsorted(index.keys, vocab.keys)
+    hit = np.flatnonzero(at < len(index.keys))
+    hit = hit[index.keys[at[hit]] == vocab.keys[hit]]
+    column_of = np.full(len(index.keys), -1, dtype=np.int64)
+    column_of[at[hit]] = vocab.columns[hit]
     row_nnz = np.zeros(len(documents) + 1, dtype=np.int64)
     indices, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo, chunk in _chunks(documents):
-        ids, doc_starts = _token_ids([d.tokens for d in chunk], vocab.word_ids)
-        cells = []
-        for n in orders:
-            keys = _windows(ids, n, base)
-            at = np.searchsorted(vocab.keys, keys)
-            hit = np.flatnonzero(at < len(vocab.keys))
-            hit = hit[vocab.keys[at[hit]] == keys[hit]]
-            rows = np.searchsorted(doc_starts, hit, side="right") - 1
-            cells.append(rows * n_cols + vocab.columns[at[hit]])
-        cells, counts = np.unique(np.concatenate(cells), return_counts=True)
+        ids, rows = index.select(chunk, orders)
+        columns = column_of[ids]
+        hit = columns >= 0
+        cells, counts = np.unique(rows[hit] * n_cols + columns[hit], return_counts=True)
         rows = cells // n_cols
         row_nnz[lo + 1 : lo + 1 + len(chunk)] = np.bincount(rows, minlength=len(chunk))
         indices.append(cells - rows * n_cols)

@@ -23,6 +23,10 @@ class EmptyVocabulary(ConceptBagError):
     """No n-gram survived dictionary filtering."""
 
 
+class UnknownDocument(ConceptBagError):
+    """A document is not one an n-gram index was built over: its id is unknown, or its tokens differ."""
+
+
 class BadOrders(ConceptBagError, ValueError):
     """N-gram orders are not a non-empty subset of {1, 2, 3}."""
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
-from .corpus import Dataset, build_vocab, check_orders, count_vectors
+from .corpus import Dataset, NGramIndex, build_vocab, check_orders, count_vectors
 from .embeddings import WordVectors, embed_all, word_rows
 from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int, config_from
 from .svm import SvmConfig
@@ -133,30 +133,36 @@ def _cached(cache, key, clock, stage, compute):
 
 
 def _fold_features(
-    train_docs, test_docs, y_train, config, wv, clock, all_docs=None, cache=None, centroids=None
+    train_docs, test_docs, y_train, config, wv, clock, all_docs=None, cache=None, centroids=None,
+    index=None,
 ):
     """Featurize one train/test split; returns (train feats, test feats).
 
+    ``index``, an ``NGramIndex`` over ``config.ngram_orders`` and ``wv.words``
+    holding every document the split reads, gives the vocabulary and the
+    counts their n-gram ids; without one, each call numbers its own documents.
     ``cache`` is an optional dict shared across folds or experiments on one
     dataset and one set of word vectors. The vocabulary and K-means result
     are keyed on the documents they are fitted on (every document under
-    ``cluster_on_all``, else the training fold), the counts on those and the
-    split, so each is reused whenever every setting that shapes it
+    ``cluster_on_all``, else the training fold) and on the index's documents,
+    as the vocabulary numbers words as its index does; the counts on those
+    and the split. So each is reused whenever every setting that shapes it
     coincides. The n-gram table is built only to fit K-means, and not kept.
     ``centroids``, if given (a ``config.K`` x m array), replace the K-means
     fit: each n-gram goes to its nearest centroid.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
-    fit_key = (config.ngram_orders, tuple(d.id for d in vocab_docs))
+    indexed = None if index is None else index.document_ids
+    fit_key = (config.ngram_orders, indexed, tuple(d.id for d in vocab_docs))
     vocab = _cached(
         cache, ("vocab", fit_key), clock, "vocab",
-        lambda: build_vocab(vocab_docs, config.ngram_orders, wv.words),
+        lambda: build_vocab(vocab_docs, config.ngram_orders, wv.words, index),
     )
     split_key = (fit_key, tuple(d.id for d in train_docs), tuple(d.id for d in test_docs))
     counts_train, counts_test = _cached(
         cache, ("counts", split_key), clock, "counts",
-        lambda: (count_vectors(train_docs, vocab), count_vectors(test_docs, vocab)),
+        lambda: (count_vectors(train_docs, vocab, index), count_vectors(test_docs, vocab, index)),
     )
     with clock.stage("doc_repr"):
         r = features.log_count_ratio(counts_train, y_train)
@@ -202,8 +208,11 @@ def run_experiment(
     weights) come from training documents only, unless cluster_on_all is set,
     in which case the vocabulary and clustering cover all documents while the
     ratios and classifier stay train-only, and are fitted once for all folds.
-    ``cache``, if given, must only be shared by runs on this ``dataset`` with
-    these ``wv``.
+    The documents are numbered once, in one ``NGramIndex`` over every
+    document a fold reads (all of them under cluster_on_all, else those of
+    the splits), which every fold selects from. ``cache``, if given, must
+    only be shared by runs on this ``dataset`` with these ``wv``; it keeps
+    the index too, so runs with the same orders build it once.
     """
     if config.feature_mode in features.CONCEPT_MODES and wv is None:
         raise ValueError("word vectors are required for concept feature modes")
@@ -231,6 +240,14 @@ def run_experiment(
             for tr, te in kfold_split(labels[labeled], config.folds, config.seed)
         ]
 
+    if config.cluster_on_all:
+        read = docs
+    else:  # the documents of the splits: no fold reads IMDB's unlabeled reviews
+        read = [docs[i] for i in np.unique(np.concatenate([np.concatenate(split) for split in splits]))]
+    index = _cached(
+        {} if cache is None else cache, ("index", config.ngram_orders, tuple(d.id for d in read)),
+        clock, "vocab", lambda: NGramIndex(read, config.ngram_orders, wv.words),
+    )
     per_fold = []
     for train_idx, test_idx in splits:
         train_docs = [docs[i] for i in train_idx]
@@ -238,7 +255,7 @@ def run_experiment(
         y_train = labels[train_idx]
         y_test = labels[test_idx]
         f_train, f_test = _fold_features(
-            train_docs, test_docs, y_train, config, wv, clock, all_docs=docs, cache=cache
+            train_docs, test_docs, y_train, config, wv, clock, all_docs=docs, cache=cache, index=index
         )
         with clock.stage("svm_train"):
             model = svm.svm_train(f_train, y_train, config.svm)

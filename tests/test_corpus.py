@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from conceptbag.corpus import (
     Dataset,
     Document,
+    NGramIndex,
     NGramVocabulary,
     build_vocab,
     count_vectors,
@@ -17,7 +18,7 @@ from conceptbag.corpus import (
 )
 from conceptbag import corpus
 from conceptbag.embeddings import WordVectors, embed_all
-from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow
+from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnknownDocument
 
 
 def doc(tokens, label=1, id="d0"):
@@ -190,6 +191,54 @@ class TestCountVectors:
         m = count_vectors([doc(t, id=f"d{i}") for i, t in enumerate(token_lists)], v)
         expected = [sum(max(0, len(t) - n + 1) for n in orders) for t in token_lists]
         assert m.sum(axis=1).A1.tolist() == expected
+
+
+class TestNGramIndex:
+    """One index numbers a set of documents; vocabularies and counts select from it."""
+
+    docs = [doc(["a", "b", "c", "a"], id="x"), doc(["c", "zzz", "b", "a"], id="y"), doc(["b", "b"], id="z")]
+
+    def test_selects_what_a_call_on_its_own_documents_finds(self):
+        index = NGramIndex(self.docs, {1, 2, 3}, {"a", "b", "c"})
+        train, test = self.docs[1:], self.docs[:1]
+        alone = build_vocab(train, {1, 2}, {"a", "b", "c"})
+        vocab = build_vocab(train, {1, 2}, {"a", "b", "c"}, index)
+        assert vocab.entries == alone.entries
+        assert vocab.word_ids is index.word_ids
+        for counted in (train, test):
+            got, want = count_vectors(counted, vocab, index), count_vectors(counted, alone)
+            assert (got != want).nnz == 0
+
+    @pytest.mark.parametrize("unknown", [doc(["a", "b"], id="w"), doc(["filler0"] * 5, id="y")])
+    def test_unknown_document_is_named(self, unknown):
+        # an unknown id, and an indexed id with other tokens, as when test documents are
+        # swapped for junk: the indexed document's tokens must never be counted instead
+        index = NGramIndex(self.docs, {1, 2}, {"a", "b", "c"})
+        vocab = build_vocab(self.docs, {1, 2}, {"a", "b", "c"}, index)
+        with pytest.raises(UnknownDocument, match=repr(unknown.id)):
+            build_vocab([unknown], {1, 2}, {"a", "b", "c"}, index)
+        with pytest.raises(UnknownDocument, match=repr(unknown.id)):
+            count_vectors(self.docs[:1] + [unknown], vocab, index)
+
+    def test_iterable_documents(self):
+        # build_vocab and the index read their documents more than once
+        index = NGramIndex(iter(self.docs), {1, 2}, {"a", "b", "c"})
+        for idx in (None, index):
+            want = build_vocab(self.docs, {1, 2}, {"a", "b", "c"}, idx)
+            got = build_vocab(iter(self.docs), {1, 2}, {"a", "b", "c"}, idx)
+            assert got.entries == want.entries
+            assert np.array_equal(got.keys, want.keys) and np.array_equal(got.columns, want.columns)
+
+    def test_mismatched_settings_rejected(self):
+        index = NGramIndex(self.docs, {1}, {"a", "b", "c"})
+        with pytest.raises(BadOrders):
+            build_vocab(self.docs, {1, 2}, {"a", "b", "c"}, index)
+        with pytest.raises(ValueError, match="dictionary"):
+            build_vocab(self.docs, {1}, {"a", "b"}, index)
+        # a vocabulary numbers words as the index it was built from, not as another
+        vocab = build_vocab(self.docs[1:], {1}, {"a", "b", "c"})
+        with pytest.raises(ValueError, match="number"):
+            count_vectors(self.docs, vocab, index)
 
 
 class TestLoaders:

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conceptbag.clustering import KMeansConfig
-from conceptbag.corpus import Dataset, Document
+from conceptbag.corpus import Dataset, Document, NGramIndex
 from conceptbag.errors import BadConfig, LengthMismatch, SingleClass, TooFewDocuments, TooFewPoints
 from conceptbag.evaluation import (
     FEATURE_MODES,
@@ -41,6 +41,30 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def train_test_junk():
+    """30 training documents, 10 test documents, the test ids over junk tokens, y and vectors."""
+    ds, wv = make_synthetic_sentiment(seed=10, n_docs=40)
+    train, test = ds.documents[:30], ds.documents[30:]
+    junk = [Document(id=d.id, label=d.label, tokens=("filler0",) * 5) for d in test]
+    return train, test, junk, np.array([d.label for d in train]), wv
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """(orders, document ids) of each NGramIndex that evaluation builds."""
+    from conceptbag import evaluation
+
+    built = []
+    real_index = evaluation.NGramIndex
+
+    def recording_index(documents, orders, dictionary):
+        built.append((tuple(orders), [d.id for d in documents]))
+        return real_index(documents, orders, dictionary)
+
+    monkeypatch.setattr(evaluation, "NGramIndex", recording_index)
+    return built
 
 
 class TestAccuracy:
@@ -184,17 +208,39 @@ class TestRunExperiment:
     def test_fitted_parameters_ignore_test_documents(self, mode):
         # replacing every test document with gibberish must not change
         # per-fold training feature matrices (train-only fitting)
-        ds, wv = make_synthetic_sentiment(seed=10, n_docs=40)
-        train = ds.documents[:30]
-        test = ds.documents[30:]
-        junk = [
-            Document(id=d.id, label=d.label, tokens=("filler0",) * 5) for d in test
-        ]
-        y = np.array([d.label for d in train])
+        train, test, junk, y, wv = train_test_junk()
         cfg = small_config(folds=2, feature_mode=mode)
         f1, _ = _fold_features(train, test, y, cfg, wv, _StageClock())
         f2, _ = _fold_features(train, junk, y, cfg, wv, _StageClock())
         assert _dense(f1).tobytes() == _dense(f2).tobytes()
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_fitted_parameters_ignore_test_documents_through_a_shared_index(self, mode):
+        # the index numbers the test documents' words too, but holds no statistic:
+        # an index over train+test and one over train+junk give the same training rows
+        train, test, junk, y, wv = train_test_junk()
+        cfg = small_config(folds=2, feature_mode=mode, ngram_orders=(1, 2))
+        feats = [
+            _fold_features(train, held, y, cfg, wv, _StageClock(),
+                           index=NGramIndex(train + held, cfg.ngram_orders, wv.words))[0]
+            for held in (test, junk)
+        ]
+        assert _dense(feats[0]).tobytes() == _dense(feats[1]).tobytes()
+
+    def test_cached_vocabulary_reused_only_with_an_index_over_the_same_documents(self):
+        # a vocabulary numbers words as its index does, and an index over the same
+        # documents in another order numbers them otherwise
+        train, test, _, y, wv = train_test_junk()
+        cfg = small_config(feature_mode="bow_nb", ngram_orders=(1, 2))
+        cache = {}
+        feats = [
+            _fold_features(train, test, y, cfg, wv, _StageClock(), cache=cache,
+                           index=NGramIndex(docs, cfg.ngram_orders, wv.words))
+            for docs in (train + test, test + train)
+        ]
+        assert sum(key[0] == "vocab" for key in cache) == 2
+        for a, b in zip(*feats):
+            assert _dense(a).tobytes() == _dense(b).tobytes()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
     def test_training_documents_as_test_documents(self, mode):
@@ -216,13 +262,14 @@ class TestRunExperiment:
         assert a.per_fold == b.per_fold
 
     def test_cache_keeps_no_ngram_table(self):
-        # the table is K-means' only input, so it is rebuilt on a K-means miss, never stored
+        # the table is K-means' only input, so it is rebuilt on a K-means miss, never stored;
+        # the n-gram index is kept, as it numbers the documents for every later run
         ds, wv = make_synthetic_sentiment(seed=11, n_docs=60)
         cache = {}
         for config in (small_config(folds=2), small_config(folds=2, ngram_orders=(1, 2)),
                        small_config(folds=2, cluster_on_all=True)):
             run_experiment(config, ds, wv, cache=cache)
-        assert {key[0] for key in cache} == {"vocab", "counts", "kmeans"}
+        assert {key[0] for key in cache} == {"index", "vocab", "counts", "kmeans"}
 
     @pytest.mark.parametrize("cluster_on_all, fits", [(True, 1), (False, 3)])
     def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch, cluster_on_all, fits):
@@ -240,6 +287,30 @@ class TestRunExperiment:
         report = run_experiment(small_config(folds=3, cluster_on_all=cluster_on_all), ds, wv)
         assert len(calls) == fits
         assert len(report.per_fold) == 3
+
+    def test_index_built_once_per_orders(self, index_builds):
+        # the documents are numbered once per experiment, and a shared cache keeps
+        # the index, so a grid builds it once per set of orders
+        ds, wv = make_synthetic_sentiment(seed=12, n_docs=60)
+        run_experiment(small_config(folds=3), ds, wv)
+        assert [orders for orders, _ in index_builds] == [(1,)]
+        index_builds.clear()
+        cache = {}
+        for config in (small_config(folds=3), small_config(folds=2, feature_mode="bow_nb"),
+                       small_config(folds=3, ngram_orders=(1, 2)), small_config(folds=3, cluster_on_all=True)):
+            run_experiment(config, ds, wv, cache=cache)
+        assert [orders for orders, _ in index_builds] == [(1,), (1, 2)]
+
+    @pytest.mark.parametrize("cluster_on_all", [False, True])
+    def test_index_holds_the_documents_folds_read(self, index_builds, cluster_on_all):
+        # unlabeled documents are read only when the vocabulary and clustering cover all
+        ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
+        unlabeled = [Document(id=f"u{i}", label=None, tokens=("pos0", "neg0") * 3) for i in range(5)]
+        ds = Dataset(name="synthetic", documents=ds.documents + unlabeled,
+                     unlabeled_ids=list(range(40, 45)))
+        run_experiment(small_config(folds=2, cluster_on_all=cluster_on_all), ds, wv)
+        want = [d.id for d in ds.documents] if cluster_on_all else [d.id for d in ds.documents[:40]]
+        assert index_builds == [((1,), want)]
 
 
 class TestExperimentConfig:

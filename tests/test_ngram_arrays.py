@@ -120,6 +120,25 @@ class TestAgainstPerWindowLoop:
             assert_same_csr(count_vectors(counted, vocab), reference_counts(counted, want, ords))
 
     @settings(max_examples=200, deadline=None)
+    @given(documents, orders, orders, dictionaries, documents, st.data())
+    def test_shared_index(self, docs, ords, extra, dictionary, other_docs, data):
+        # one index over both lists, with orders the vocabulary may not use, serves the
+        # vocabulary of any shuffled subset of its documents and the counts of either list
+        # (the two lists reuse ids, so an id alone does not name a document)
+        index = corpus.NGramIndex(docs + other_docs, ords | extra, dictionary)
+        shuffled = data.draw(st.permutations(docs + other_docs))
+        subset = shuffled[: data.draw(st.integers(0, len(shuffled)))]
+        want = reference_vocab(subset, ords, dictionary)
+        if not want:
+            with pytest.raises(EmptyVocabulary):
+                build_vocab(subset, ords, dictionary, index)
+            return
+        vocab = build_vocab(subset, ords, dictionary, index)
+        assert vocab.entries == want
+        for counted in (docs, other_docs):
+            assert_same_csr(count_vectors(counted, vocab, index), reference_counts(counted, want, ords))
+
+    @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3), unique_by=tuple),
         documents,
