@@ -9,7 +9,7 @@ Run with: python demos/01_pipeline_walkthrough.py
 import numpy as np
 
 from conceptbag.clustering import KMeansConfig, kmeans_fit
-from conceptbag.corpus import Dataset, Document, build_vocab, count_vectors
+from conceptbag.corpus import Dataset, Document, NGramIndex, build_vocab, count_vectors
 from conceptbag.embeddings import SgnsConfig, embed_all, train_sgns
 from conceptbag.features import concept_features_nb, log_count_ratio
 from conceptbag.svm import SvmConfig, svm_predict, svm_train
@@ -46,13 +46,15 @@ wv = train_sgns(
 print(f"embeddings: {len(wv)} words, dim {wv.dim}")
 
 # ---------------------------------------------------------------------------
-# 3. Split train/test, extract 1- and 2-gram vocabulary from training data
-#    only, and embed every n-gram as the mean of its word vectors.
+# 3. Split train/test, number every 1- and 2-gram of both once, select the
+#    vocabulary from training data only, and embed every n-gram as the mean
+#    of its word vectors.
 # ---------------------------------------------------------------------------
 train, test = documents[0::2], documents[1::2]
 y_train = np.array([d.label for d in train])
 y_test = np.array([d.label for d in test])
-vocab = build_vocab(train, orders=(1, 2), dictionary=wv.words)
+index = NGramIndex(train + test, orders=(1, 2), dictionary=wv.words)
+vocab = build_vocab(train, index)
 table = embed_all(vocab, wv)
 print(f"vocabulary: {len(vocab)} n-grams of orders 1-2")
 

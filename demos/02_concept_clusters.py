@@ -9,7 +9,7 @@ Run with: python demos/02_concept_clusters.py
 import numpy as np
 
 from conceptbag.clustering import KMeansConfig, kmeans_fit
-from conceptbag.corpus import Document, build_vocab
+from conceptbag.corpus import Document, NGramIndex, build_vocab
 from conceptbag.embeddings import WordVectors, embed_all
 
 rng = np.random.default_rng(1)
@@ -34,7 +34,7 @@ docs = [
     Document(id=name, label=None, tokens=tuple(members * 2))
     for name, members in topics.items()
 ]
-vocab = build_vocab(docs, orders=(1, 2), dictionary=wv.words)
+vocab = build_vocab(docs, NGramIndex(docs, orders=(1, 2), dictionary=wv.words))
 table = embed_all(vocab, wv)
 print(f"{len(vocab)} n-grams embedded in {wv.dim} dimensions")
 

@@ -10,7 +10,7 @@ Run with: python demos/03_nbsvm_baseline.py
 import numpy as np
 
 from conceptbag.clustering import KMeansConfig, kmeans_fit
-from conceptbag.corpus import Dataset, Document, build_vocab, count_vectors
+from conceptbag.corpus import Dataset, Document, NGramIndex, build_vocab, count_vectors
 from conceptbag.embeddings import WordVectors
 from conceptbag.features import (
     bow_nb_features,
@@ -48,7 +48,8 @@ wv = WordVectors(words=words, matrix=np.array(rows))
 train, test = documents[0::2], documents[1::2]
 y_train = np.array([d.label for d in train])
 y_test = np.array([d.label for d in test])
-vocab = build_vocab(train, orders=(1,), dictionary=wv.words)
+index = NGramIndex(train + test, orders=(1,), dictionary=wv.words)
+vocab = build_vocab(train, index)
 counts_train = count_vectors(train, vocab)
 counts_test = count_vectors(test, vocab)
 ratio = log_count_ratio(counts_train, y_train)

@@ -10,7 +10,7 @@ Run with: python demos/04_lsa_baseline.py
 
 import numpy as np
 
-from conceptbag.corpus import Dataset, Document, build_vocab, count_vectors
+from conceptbag.corpus import Dataset, Document, NGramIndex, build_vocab, count_vectors
 from conceptbag.features import bow_nb_features, log_count_ratio
 from conceptbag.lsa import truncated_svd
 from conceptbag.svm import SvmConfig, svm_predict, svm_train
@@ -36,7 +36,8 @@ train, test = documents[0::2], documents[1::2]
 y_train = np.array([d.label for d in train])
 y_test = np.array([d.label for d in test])
 dictionary = {w: i for i, w in enumerate(pos_words + neg_words + fillers)}
-vocab = build_vocab(train, orders=(1,), dictionary=dictionary)
+index = NGramIndex(train + test, orders=(1,), dictionary=dictionary)
+vocab = build_vocab(train, index)
 counts_train = count_vectors(train, vocab)
 counts_test = count_vectors(test, vocab)
 ratio = log_count_ratio(counts_train, y_train)

@@ -73,7 +73,7 @@ def _dataset_split(args):
 def cmd_cluster(args) -> int:
     config = _flags_config(clustering.KMeansConfig, args)
     train, _, wv = _dataset_split(args)
-    vocab = build_vocab(train, args.orders, wv.words)
+    vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
     result = clustering.fit(embed_all(vocab, wv), config, words=(wv.matrix, word_rows(vocab, wv)))
     clustering.save_centroids(result.centroids, args.out)
     print(
@@ -96,7 +96,7 @@ def cmd_featurize(args) -> int:
     y_train, y_test = (np.array([d.label for d in docs], dtype=np.int64) for docs in (train, test))
     index = NGramIndex(train + test, config.ngram_orders, wv.words)
     f_train, f_test = evaluation._fold_features(
-        train, test, y_train, config, wv, evaluation._StageClock(), centroids=centroids, index=index
+        train, test, y_train, config, wv, evaluation._StageClock(), index, centroids=centroids
     )
     outputs = [(f_train, y_train, args.out)]
     if test:
@@ -132,7 +132,7 @@ def cmd_inspect_cluster(args) -> int:
     if args.cluster is not None:
         check_int("--cluster", args.cluster, 0, len(centroids) - 1)
     train, _, wv = _dataset_split(args)
-    vocab = build_vocab(train, args.orders, wv.words)
+    vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
     which = range(len(centroids)) if args.cluster is None else [args.cluster]
     assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
     for k in which:

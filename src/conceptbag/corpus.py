@@ -80,8 +80,8 @@ class Dataset:
 
 
 NGram = tuple[str, ...]
-# documents are counted in chunks of about this many tokens, so that the
-# window arrays of count_vectors stay small whatever the corpus size
+# count_vectors selects documents in chunks of about this many tokens, so that
+# select's per-position arrays stay small whatever the corpus size
 _CHUNK_TOKENS = 1 << 14
 
 
@@ -107,23 +107,21 @@ def _key_base(n_words: int, orders) -> int:
     return base
 
 
-def _token_ids(token_lists, word_ids: dict, dictionary=None) -> tuple[np.ndarray, np.ndarray]:
+def _token_ids(token_lists, dictionary) -> tuple[np.ndarray, np.ndarray, dict]:
     """Flat int32 word ids of the token lists, each list followed by a -1.
 
-    A token outside ``word_ids`` gets -1. With a ``dictionary``, its words
-    that ``word_ids`` lacks are first numbered in order of first occurrence.
-    Returns the ids and the position of each list's first token.
+    Words of ``dictionary`` are numbered in order of first occurrence, and
+    any other token gets -1. Returns the ids, the position of each list's
+    first token, and the words' ids.
     """
     def tokens():
         return chain.from_iterable(chain(t, (None,)) for t in token_lists)
 
-    if dictionary is not None:
-        for t in dict.fromkeys(tokens()):
-            if t is not None and t not in word_ids and t in dictionary:
-                word_ids[t] = len(word_ids)
+    words = [t for t in dict.fromkeys(tokens()) if t is not None and t in dictionary]
+    word_ids = dict(zip(words, range(len(words))))
     spans = np.array([len(t) + 1 for t in token_lists], dtype=np.int64)
     ids = np.fromiter(map(word_ids.get, tokens(), repeat(-1)), dtype=np.int32, count=spans.sum())
-    return ids, np.cumsum(spans) - spans
+    return ids, np.cumsum(spans) - spans, word_ids
 
 
 def _windows(ids: np.ndarray, n: int, base: int) -> np.ndarray:
@@ -166,56 +164,24 @@ def _decode(keys: np.ndarray, base: int, width: int) -> np.ndarray:
 
 
 class NGramVocabulary:
-    """Bijection between n-grams and column indices, in first-occurrence order.
+    """A selection of the n-grams of one NGramIndex, numbered as columns.
 
-    The vocabulary numbers words (``word_ids``, ids 0, 1, ... in insertion
-    order) and stores each n-gram once, as its integer key: ``keys`` is
-    sorted and ``columns[i]`` is the column of the n-gram whose key is
-    ``keys[i]``. ``entries``, the n-grams by column, is decoded from the
-    keys when first read. Every n-gram's length must be one of ``orders``.
+    ``ids[t]`` is the index id of column t's n-gram. The vocabulary has every
+    order of its ``index`` and numbers words as it does (``word_ids``).
+    ``entries``, the n-grams by column, is decoded from the index's keys when
+    first read.
     """
 
-    def __init__(self, ngrams: Sequence[NGram], orders: Iterable[int]):
-        entries = list(ngrams)
-        orders = check_orders(orders)
-        lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
-        outside = np.flatnonzero(~np.isin(lengths, orders))
-        if len(outside):
-            gram = entries[outside[0]]
-            raise BadOrders(f"n-gram {gram!r} has an order outside {list(orders)}")
-        words = dict.fromkeys(chain.from_iterable(entries))
-        word_ids = dict(zip(words, range(len(words))))
-        # each entry is a token list of its own, so its key is its one full window
-        ids, starts = _token_ids(entries, word_ids)
-        base = _key_base(len(word_ids), orders)
-        keys = np.empty(len(entries), dtype=np.int64)
-        for n in orders:
-            members = np.flatnonzero(lengths == n)
-            keys[members] = _windows(ids, n, base)[starts[members]]
-        columns = np.argsort(keys, kind="stable")
-        keys = keys[columns]
-        if np.any(keys[1:] == keys[:-1]):
-            raise ValueError("duplicate n-grams passed to NGramVocabulary")
-        self._set(keys, columns, word_ids, orders)
-
-    @classmethod
-    def _from_keys(cls, keys: np.ndarray, columns: np.ndarray, word_ids: dict, orders) -> "NGramVocabulary":
-        """The vocabulary of the sorted distinct ``keys``; ``columns[i]`` is the column of ``keys[i]``."""
-        vocab = cls.__new__(cls)
-        vocab._set(keys, columns, word_ids, orders)
-        return vocab
-
-    def _set(self, keys, columns, word_ids, orders):
-        self.orders = frozenset(orders)
-        self.word_ids: dict[str, int] = word_ids
-        self.keys = keys
-        self.columns = columns
+    def __init__(self, index: "NGramIndex", ids: np.ndarray):
+        self.index = index
+        self.ids = ids
+        self.orders = index.orders
+        self.word_ids = index.word_ids
 
     def word_id_matrix(self) -> np.ndarray:
         """len(self) x max(orders) word ids; row t is entries[t]'s, padded with -1."""
-        keys = np.empty_like(self.keys)
-        keys[self.columns] = self.keys
-        return _decode(keys, _key_base(len(self.word_ids), self.orders), max(self.orders))
+        base = _key_base(len(self.word_ids), self.orders)
+        return _decode(self.index.keys[self.ids], base, max(self.orders))
 
     @cached_property
     def entries(self) -> list[NGram]:
@@ -230,28 +196,25 @@ class NGramVocabulary:
         return entries.tolist()
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.ids)
 
 
 class NGramIndex:
     """Every n-gram window of a set of documents, as a number, at every token position.
 
     Words of ``dictionary`` are numbered by first occurrence across
-    ``documents`` (``word_ids``); with ``word_ids`` given in its place, words
-    keep those ids and no other word is numbered. ``keys`` are the distinct
-    window keys, sorted, and ``ngram_ids[i, p]`` is the number in ``keys`` of
-    the ``orders[i]``-window at flat position p: id 0, key 0, when the window
-    is not an in-dictionary n-gram of one document. The index holds no
+    ``documents`` (``word_ids``). ``keys`` are the distinct window keys,
+    sorted, and ``ngram_ids[i, p]`` is the number in ``keys`` of the
+    ``orders[i]``-window at flat position p: id 0, key 0, when the window is
+    not an in-dictionary n-gram of one document. The index holds no
     statistic: what is fitted on some of its documents reads nothing of the
     others, and ``build_vocab`` and ``count_vectors`` select the ids of theirs.
     """
 
-    def __init__(self, documents: Iterable[Document], orders, dictionary, *, word_ids=None):
+    def __init__(self, documents: Iterable[Document], orders, dictionary):
         documents = list(documents)
         self.orders = check_orders(orders)
-        self.dictionary = dictionary
-        self.word_ids: dict[str, int] = {} if word_ids is None else word_ids
-        ids, starts = _token_ids([d.tokens for d in documents], self.word_ids, dictionary)
+        ids, starts, self.word_ids = _token_ids([d.tokens for d in documents], dictionary)
         base = _key_base(len(self.word_ids), self.orders)
         # keys of a higher order are larger, so each order's distinct keys extend the sorted
         # keys; every order has a key-0 window (at the last document's closing -1), so its
@@ -265,17 +228,14 @@ class NGramIndex:
         self.document_ids = tuple(d.id for d in documents)
         self._starts = {(d.id, d.tokens): start for d, start in zip(documents, starts.tolist())}
 
-    def select(self, documents: Sequence[Document], orders) -> tuple[np.ndarray, np.ndarray]:
-        """The n-gram ids of ``documents``' windows of each of ``orders``, and each one's document.
+    def select(self, documents: Sequence[Document]) -> tuple[np.ndarray, np.ndarray]:
+        """The n-gram ids of ``documents``' windows of each order, and each one's document.
 
         The ids run by document, then order, then position, one per token and
         order, and the second array holds the index into ``documents`` of each.
         Raises UnknownDocument for a document the index does not hold, an
-        indexed id with other tokens included, and BadOrders for an order it
-        has no windows of.
+        indexed id with other tokens included.
         """
-        if not set(orders) <= set(self.orders):
-            raise BadOrders(f"n-gram orders {list(orders)} are not within the index's {list(self.orders)}")
         starts = np.empty(len(documents), dtype=np.int64)
         for i, doc in enumerate(documents):
             start = self._starts.get((doc.id, doc.tokens))
@@ -283,33 +243,25 @@ class NGramIndex:
                 raise UnknownDocument(f"document {doc.id!r} is not one the n-gram index was built over")
             starts[i] = start
         lengths = np.array([len(d.tokens) for d in documents], dtype=np.int64)
+        n_orders = len(self.orders)
         # one run of positions per (document, order), at that order's row of ngram_ids
-        rows = np.array([self.orders.index(n) for n in orders], dtype=np.int64)
-        run_starts = (starts[:, None] + rows * self.ngram_ids.shape[1]).ravel()
-        run_lengths = np.repeat(lengths, len(rows))
+        run_starts = (starts[:, None] + np.arange(n_orders) * self.ngram_ids.shape[1]).ravel()
+        run_lengths = np.repeat(lengths, n_orders)
         shift = np.repeat(run_starts - (np.cumsum(run_lengths) - run_lengths), run_lengths)
         positions = np.arange(len(shift)) + shift
-        doc_of = np.repeat(np.arange(len(documents)), len(rows) * lengths)
+        doc_of = np.repeat(np.arange(len(documents)), n_orders * lengths)
         return self.ngram_ids.ravel()[positions], doc_of
 
 
-def build_vocab(documents: Iterable[Document], orders, dictionary, index=None) -> NGramVocabulary:
-    """Collect the distinct in-dictionary n-grams of ``documents``.
+def build_vocab(documents: Iterable[Document], index: NGramIndex) -> NGramVocabulary:
+    """Select the distinct in-dictionary n-grams of ``documents`` from ``index``.
 
-    Indices follow first occurrence across documents in iteration order, and
-    within a document by order, then position. ``orders`` is a non-empty
-    subset of {1, 2, 3}. Raises EmptyVocabulary when nothing survives
-    filtering. ``index``, an NGramIndex built with ``dictionary`` over these
-    documents and maybe others, is read in place of one over ``documents``
-    alone; the vocabulary numbers its words as the index does.
+    Columns follow first occurrence across documents in iteration order, and
+    within a document by order, then position. Raises UnknownDocument for a
+    document the index does not hold, and EmptyVocabulary when nothing
+    survives filtering.
     """
-    orders = check_orders(orders)
-    documents = list(documents)
-    if index is None:
-        index = NGramIndex(documents, orders, dictionary)
-    elif index.dictionary is not dictionary and index.dictionary != dictionary:
-        raise ValueError("the n-gram index was built with another dictionary")
-    ids, _ = index.select(documents, orders)
+    ids, _ = index.select(list(documents))
     # select lists ids in column order, so an n-gram's column ranks its first place there
     first = np.full(len(index.keys), len(ids))
     np.minimum.at(first, ids, np.arange(len(ids)))
@@ -317,9 +269,7 @@ def build_vocab(documents: Iterable[Document], orders, dictionary, index=None) -
     seen = seen[index.keys[seen] > 0]
     if not len(seen):
         raise EmptyVocabulary("no in-dictionary n-gram found in the corpus")
-    columns = np.empty(len(seen), dtype=np.int64)
-    columns[np.argsort(first[seen])] = np.arange(len(seen))
-    return NGramVocabulary._from_keys(index.keys[seen], columns, index.word_ids, orders)
+    return NGramVocabulary(index, seen[np.argsort(first[seen])])
 
 
 def _chunks(documents: Sequence[Document]):
@@ -334,32 +284,22 @@ def _chunks(documents: Sequence[Document]):
         yield lo, documents[lo:]
 
 
-def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary, index=None) -> sp.csr_matrix:
+def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary) -> sp.csr_matrix:
     """Sparse document-by-n-gram occurrence counts over ``vocab``.
 
     Row i counts the vocabulary n-grams of documents[i]; out-of-vocabulary
     n-grams are ignored. Indices are sorted within each row and the data is
-    int64. ``index``, an NGramIndex that numbers words as ``vocab`` does (the
-    one ``vocab`` was built from) over these documents and maybe others, is
-    read in place of one over ``documents`` alone that numbers words by
-    ``vocab.word_ids``.
+    int64. Every document must be one that ``vocab.index`` holds: any other
+    raises UnknownDocument, naming it.
     """
-    if index is None:
-        index = NGramIndex(documents, vocab.orders, None, word_ids=vocab.word_ids)
-    elif index.word_ids is not vocab.word_ids and index.word_ids != vocab.word_ids:
-        raise ValueError("the vocabulary does not number its words as the n-gram index does")
-    orders = sorted(vocab.orders)
-    n_cols = len(vocab)
+    index, n_cols = vocab.index, len(vocab)
     # the column of each n-gram id of the index, or -1
-    at = np.searchsorted(index.keys, vocab.keys)
-    hit = np.flatnonzero(at < len(index.keys))
-    hit = hit[index.keys[at[hit]] == vocab.keys[hit]]
     column_of = np.full(len(index.keys), -1, dtype=np.int64)
-    column_of[at[hit]] = vocab.columns[hit]
+    column_of[vocab.ids] = np.arange(n_cols)
     row_nnz = np.zeros(len(documents) + 1, dtype=np.int64)
     indices, data = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for lo, chunk in _chunks(documents):
-        ids, rows = index.select(chunk, orders)
+        ids, rows = index.select(chunk)
         columns = column_of[ids]
         hit = columns >= 0
         cells, counts = np.unique(rows[hit] * n_cols + columns[hit], return_counts=True)

@@ -133,36 +133,31 @@ def _cached(cache, key, clock, stage, compute):
 
 
 def _fold_features(
-    train_docs, test_docs, y_train, config, wv, clock, all_docs=None, cache=None, centroids=None,
-    index=None,
+    train_docs, test_docs, y_train, config, wv, clock, index, all_docs=None, cache=None, centroids=None,
 ):
     """Featurize one train/test split; returns (train feats, test feats).
 
-    ``index``, an ``NGramIndex`` over ``config.ngram_orders`` and ``wv.words``
-    holding every document the split reads, gives the vocabulary and the
-    counts their n-gram ids; without one, each call numbers its own documents.
-    ``cache`` is an optional dict shared across folds or experiments on one
-    dataset and one set of word vectors. The vocabulary and K-means result
-    are keyed on the documents they are fitted on (every document under
-    ``cluster_on_all``, else the training fold) and on the index's documents,
-    as the vocabulary numbers words as its index does; the counts on those
-    and the split. So each is reused whenever every setting that shapes it
-    coincides. The n-gram table is built only to fit K-means, and not kept.
-    ``centroids``, if given (a ``config.K`` x m array), replace the K-means
-    fit: each n-gram goes to its nearest centroid.
+    ``index``, an ``NGramIndex`` over ``config.ngram_orders`` holding every
+    document the split reads, gives the vocabulary and the counts their
+    n-gram ids; ``wv`` is read only in the concept modes. ``cache`` is an
+    optional dict shared across folds or experiments on one dataset and one
+    set of word vectors. The vocabulary and K-means result are keyed on the
+    documents they are fitted on (every document under ``cluster_on_all``,
+    else the training fold) and on the index's documents, as the vocabulary
+    numbers words as its index does; the counts on those and the split. So
+    each is reused whenever every setting that shapes it coincides. The
+    n-gram table is built only to fit K-means, and not kept. ``centroids``,
+    if given (a ``config.K`` x m array), replace the K-means fit: each n-gram
+    goes to its nearest centroid.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
-    indexed = None if index is None else index.document_ids
-    fit_key = (config.ngram_orders, indexed, tuple(d.id for d in vocab_docs))
-    vocab = _cached(
-        cache, ("vocab", fit_key), clock, "vocab",
-        lambda: build_vocab(vocab_docs, config.ngram_orders, wv.words, index),
-    )
+    fit_key = (config.ngram_orders, index.document_ids, tuple(d.id for d in vocab_docs))
+    vocab = _cached(cache, ("vocab", fit_key), clock, "vocab", lambda: build_vocab(vocab_docs, index))
     split_key = (fit_key, tuple(d.id for d in train_docs), tuple(d.id for d in test_docs))
     counts_train, counts_test = _cached(
         cache, ("counts", split_key), clock, "counts",
-        lambda: (count_vectors(train_docs, vocab, index), count_vectors(test_docs, vocab, index)),
+        lambda: (count_vectors(train_docs, vocab), count_vectors(test_docs, vocab)),
     )
     with clock.stage("doc_repr"):
         r = features.log_count_ratio(counts_train, y_train)
@@ -216,11 +211,8 @@ def run_experiment(
     """
     if config.feature_mode in features.CONCEPT_MODES and wv is None:
         raise ValueError("word vectors are required for concept feature modes")
-    if wv is None:
-        # BOW/LSA still need a dictionary; fall back to all corpus words
-        all_words = {t for d in dataset.documents for t in d.tokens}
-        wv = WordVectors(words={w: i for i, w in enumerate(sorted(all_words))},
-                         matrix=np.zeros((len(all_words), 1)))
+    # without word vectors (BOW/LSA) every corpus word is in the dictionary
+    dictionary = {t for d in dataset.documents for t in d.tokens} if wv is None else wv.words
 
     if cache is None and config.cluster_on_all:
         cache = {}  # the fits on all documents serve every fold
@@ -246,7 +238,7 @@ def run_experiment(
         read = [docs[i] for i in np.unique(np.concatenate([np.concatenate(split) for split in splits]))]
     index = _cached(
         {} if cache is None else cache, ("index", config.ngram_orders, tuple(d.id for d in read)),
-        clock, "vocab", lambda: NGramIndex(read, config.ngram_orders, wv.words),
+        clock, "vocab", lambda: NGramIndex(read, config.ngram_orders, dictionary),
     )
     per_fold = []
     for train_idx, test_idx in splits:
@@ -255,7 +247,7 @@ def run_experiment(
         y_train = labels[train_idx]
         y_test = labels[test_idx]
         f_train, f_test = _fold_features(
-            train_docs, test_docs, y_train, config, wv, clock, all_docs=docs, cache=cache, index=index
+            train_docs, test_docs, y_train, config, wv, clock, index, all_docs=docs, cache=cache
         )
         with clock.stage("svm_train"):
             model = svm.svm_train(f_train, y_train, config.svm)

@@ -1,7 +1,28 @@
 import numpy as np
 
-from conceptbag.corpus import Dataset, Document
+from conceptbag.corpus import Dataset, Document, NGramIndex, NGramVocabulary, build_vocab
 from conceptbag.embeddings import SgnsConfig, WordVectors
+
+
+def indexed_vocab(documents, orders, dictionary, counted=()):
+    """build_vocab over ``documents`` from one NGramIndex over them and the ``counted`` documents."""
+    return build_vocab(documents, NGramIndex(list(documents) + list(counted), orders, dictionary))
+
+
+def vocab_of(grams, orders, counted=()):
+    """The vocabulary whose entries are ``grams``, in that order.
+
+    Its index holds one document per n-gram, then the ``counted`` documents,
+    and has the n-grams' words as its dictionary.
+    """
+    grams = [tuple(g) for g in grams]
+    gram_docs = [Document(id=f"gram{i}", label=None, tokens=g) for i, g in enumerate(grams)]
+    index = NGramIndex(gram_docs + list(counted), orders, {w for g in grams for w in g})
+    if not grams:
+        return NGramVocabulary(index, np.zeros(0, dtype=np.int64))
+    full = build_vocab(gram_docs, index)
+    column = {g: t for t, g in enumerate(full.entries)}
+    return NGramVocabulary(index, full.ids[[column[g] for g in grams]])
 
 
 def make_synthetic_sentiment(n_docs=120, doc_len=30, seed=0, dim=12):

@@ -23,7 +23,7 @@ from conceptbag.clustering import (
     kmeans_fit,
     minibatch_kmeans_fit,
 )
-from conceptbag.corpus import load_polarity_dataset
+from conceptbag.corpus import NGramIndex, load_polarity_dataset
 from conceptbag.embeddings import (
     WordVectors,
     embed_ngram,
@@ -268,7 +268,7 @@ def test_criterion_8_timing_harness():
             kmeans=KMeansConfig(K=40, iterations=10, seed=0),
         )
         clock = _StageClock()
-        _fold_features(train, test, y_train, config, wv, clock)
+        _fold_features(train, test, y_train, config, wv, clock, NGramIndex(train + test, orders, wv.words))
         kmeans_times[orders] = clock.times["kmeans"]
         repr_times[orders] = clock.times["doc_repr"] + clock.times["ngram_repr"]
     ordering_ok = (

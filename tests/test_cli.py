@@ -7,7 +7,7 @@ import pytest
 from conceptbag import cli, clustering, evaluation, features
 from conceptbag.cli import main
 from conceptbag.clustering import KMeansConfig, save_centroids
-from conceptbag.corpus import build_vocab, load_imdb_dataset
+from conceptbag.corpus import NGramIndex, build_vocab, load_imdb_dataset
 from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors, word_rows
 from conceptbag.svm import SvmConfig
 
@@ -449,7 +449,8 @@ class TestHeldOutChain:
         assert main(["cluster", "--embeddings", str(vectors_path), "--dataset-root", str(root),
                      "--dataset-type", "imdb", "--orders", "1,2", "--K", "4", "--out", str(cents)]) == 0
         wv, dataset = load_word_vectors(vectors_path), load_imdb_dataset(root)
-        vocab = build_vocab([dataset.documents[i] for i in dataset.train_ids], (1, 2), wv.words)
+        train = [dataset.documents[i] for i in dataset.train_ids]
+        vocab = build_vocab(train, NGramIndex(train, (1, 2), wv.words))
         assert len(vocab) > len(wv)  # seeding goes through word products
         result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=(wv.matrix, word_rows(vocab, wv)))
         save_centroids(result.centroids, tmp_path / "fit.txt")

@@ -20,7 +20,7 @@ from conceptbag.clustering import (
     nearest,
     save_centroids,
 )
-from conceptbag.corpus import Document, build_vocab
+from conceptbag.corpus import Document, NGramIndex, build_vocab
 from conceptbag.embeddings import WordVectors, embed_all, load_word_vectors, word_rows
 from conceptbag.errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
@@ -253,7 +253,7 @@ def word_table(orders, kind):
         W[1::3] = W[0::3][: len(W[1::3])]
     wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=W)
     docs = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=20))) for i in range(10)]
-    vocab = build_vocab(docs, orders, wv.words)
+    vocab = build_vocab(docs, NGramIndex(docs, orders, wv.words))
     return embed_all(vocab, wv), (W, word_rows(vocab, wv))
 
 

@@ -9,7 +9,6 @@ from conceptbag.corpus import (
     Dataset,
     Document,
     NGramIndex,
-    NGramVocabulary,
     build_vocab,
     count_vectors,
     load_imdb_dataset,
@@ -19,6 +18,8 @@ from conceptbag.corpus import (
 from conceptbag import corpus
 from conceptbag.embeddings import WordVectors, embed_all
 from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnknownDocument
+
+from conftest import indexed_vocab, vocab_of
 
 
 def doc(tokens, label=1, id="d0"):
@@ -64,24 +65,25 @@ class TestExtractNgrams:
 
     def test_too_short(self):
         with pytest.raises(EmptyVocabulary):
-            build_vocab([doc(["a"])], {2}, {"a"})
-        v = build_vocab([doc(["a", "b"], id="x"), doc(["a"], id="y")], {1, 2, 3}, {"a", "b"})
+            indexed_vocab([doc(["a"])], {2}, {"a"})
+        counted = doc(["a"], id="z")
+        v = indexed_vocab([doc(["a", "b"], id="x"), doc(["a"], id="y")], {1, 2, 3}, {"a", "b"}, [counted])
         assert v.entries == [("a",), ("b",), ("a", "b")]
-        assert count_vectors([doc(["a"])], v).toarray().tolist() == [[1, 0, 0]]
+        assert count_vectors([counted], v).toarray().tolist() == [[1, 0, 0]]
 
     def test_all_windows(self):
         d = doc(["not", "good"])
-        v = build_vocab([d], {1, 2}, {"not", "good"})
+        v = indexed_vocab([d], {1, 2}, {"not", "good"})
         assert v.entries == [("not",), ("good",), ("not", "good")]
         assert count_vectors([d], v).toarray().tolist() == [[1, 1, 1]]
 
     def test_oov_drops_whole_window(self):
         d = doc(["not", "xzq", "good"])
         with pytest.raises(EmptyVocabulary):
-            build_vocab([d], {2}, {"not", "good"})
-        v = build_vocab([d], {1, 2}, {"not", "good"})
+            indexed_vocab([d], {2}, {"not", "good"})
+        v = indexed_vocab([d], {1, 2}, {"not", "good"})
         assert v.entries == [("not",), ("good",)]
-        assert count_vectors([d], NGramVocabulary([("not", "good")], {2})).nnz == 0
+        assert count_vectors([d], vocab_of([("not", "good")], {2}, [d])).nnz == 0
 
     @given(
         st.lists(st.sampled_from("abcd"), max_size=30),
@@ -89,32 +91,32 @@ class TestExtractNgrams:
     )
     def test_window_count_with_full_dictionary(self, tokens, orders):
         grams = [g for n in sorted(orders) for g in product("abcd", repeat=n)]
-        got = count_vectors([doc(tokens)], NGramVocabulary(grams, orders))
+        got = count_vectors([doc(tokens)], vocab_of(grams, orders, [doc(tokens)]))
         expected = sum(max(0, len(tokens) - n + 1) for n in orders)
         assert got.sum() == expected
 
 
 class TestBuildVocab:
     def test_single(self):
-        v = build_vocab([doc(["good"])], {1}, {"good"})
+        v = indexed_vocab([doc(["good"])], {1}, {"good"})
         assert len(v) == 1
 
     def test_dedup(self):
-        v = build_vocab([doc(["good"], id="a"), doc(["good"], id="b")], {1}, {"good"})
+        v = indexed_vocab([doc(["good"], id="a"), doc(["good"], id="b")], {1}, {"good"})
         assert len(v) == 1
 
     def test_first_occurrence_order(self):
-        v = build_vocab([doc(["b", "a", "b"])], {1}, {"a", "b"})
+        v = indexed_vocab([doc(["b", "a", "b"])], {1}, {"a", "b"})
         assert v.entries == [("b",), ("a",)]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyVocabulary):
-            build_vocab([doc(["zzz"])], {1}, {"good"})
+            indexed_vocab([doc(["zzz"])], {1}, {"good"})
 
     def test_shrinking_dictionary_never_grows_vocab(self):
         docs = [doc(["a", "b", "c", "a", "b"])]
-        full = build_vocab(docs, {1, 2}, {"a", "b", "c"})
-        smaller = build_vocab(docs, {1, 2}, {"a", "b"})
+        full = indexed_vocab(docs, {1, 2}, {"a", "b", "c"})
+        smaller = indexed_vocab(docs, {1, 2}, {"a", "b"})
         assert len(smaller) <= len(full)
 
 
@@ -123,7 +125,7 @@ class TestStoredForm:
 
     def test_pipeline_decodes_no_tuple(self):
         docs = [doc(["a", "b", "c", "a", "b"], id="x"), doc(["c", "b", "zzz", "a"], id="y")]
-        vocab = build_vocab(docs, {1, 2}, {"a", "b", "c"})
+        vocab = indexed_vocab(docs, {1, 2}, {"a", "b", "c"})
         wv = WordVectors(words={"a": 0, "b": 1, "c": 2}, matrix=np.eye(3))
         count_vectors(docs, vocab)
         embed_all(vocab, wv)
@@ -131,24 +133,12 @@ class TestStoredForm:
         assert "entries" not in vars(vocab)
         assert vocab.entries == [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "b")]
 
-    def test_duplicate_ngrams_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            NGramVocabulary([("a",), ("a",)], {1})
-        with pytest.raises(ValueError, match="duplicate"):
-            NGramVocabulary([("a", "b"), ("b",), ("a", "b")], {1, 2})
-
 
 class TestOrders:
     @pytest.mark.parametrize("orders", [{0, 1}, {4}, {1, 4}, set()])
     def test_build_vocab_rejects_orders_outside_one_to_three(self, orders):
         with pytest.raises(BadOrders):
-            build_vocab([doc(["a", "b", "a", "b"])], orders, {"a", "b"})
-
-    def test_vocabulary_rejects_entries_outside_its_orders(self):
-        with pytest.raises(BadOrders):
-            NGramVocabulary([("a",), ()], {1})
-        with pytest.raises(BadOrders):
-            NGramVocabulary([("a", "b")], {1})
+            indexed_vocab([doc(["a", "b", "a", "b"])], orders, {"a", "b"})
 
     def test_key_overflow_is_named(self):
         # 2**21 words: base**3 exceeds int64, base**2 does not
@@ -160,18 +150,18 @@ class TestOrders:
 
 class TestCountVectors:
     def test_repeat(self):
-        v = build_vocab([doc(["good", "good"])], {1}, {"good"})
+        v = indexed_vocab([doc(["good", "good"])], {1}, {"good"})
         m = count_vectors([doc(["good", "good"])], v)
         assert m[0, 0] == 2
 
     def test_empty_row(self):
-        v = build_vocab([doc(["good"])], {1}, {"good"})
-        m = count_vectors([doc(["zzz"])], v)
+        v = indexed_vocab([doc(["good"])], {1}, {"good"}, [doc(["zzz"], id="z")])
+        m = count_vectors([doc(["zzz"], id="z")], v)
         assert m.nnz == 0
 
     def test_bigram_counts(self):
         d = doc(["not", "good", "not", "good"])
-        v = build_vocab([d], {1, 2}, {"not", "good"})
+        v = indexed_vocab([d], {1, 2}, {"not", "good"})
         m = count_vectors([d], v)
         idx = {g: i for i, g in enumerate(v.entries)}
         assert m[0, idx[("not",)]] == 2
@@ -187,8 +177,8 @@ class TestCountVectors:
         # every token is in the vocabulary's words, so every window within a
         # document is a column, and no window crosses a document end
         grams = [g for n in sorted(orders) for g in product("abc", repeat=n)]
-        v = NGramVocabulary(grams, orders)
-        m = count_vectors([doc(t, id=f"d{i}") for i, t in enumerate(token_lists)], v)
+        docs = [doc(t, id=f"d{i}") for i, t in enumerate(token_lists)]
+        m = count_vectors(docs, vocab_of(grams, orders, docs))
         expected = [sum(max(0, len(t) - n + 1) for n in orders) for t in token_lists]
         assert m.sum(axis=1).A1.tolist() == expected
 
@@ -199,14 +189,15 @@ class TestNGramIndex:
     docs = [doc(["a", "b", "c", "a"], id="x"), doc(["c", "zzz", "b", "a"], id="y"), doc(["b", "b"], id="z")]
 
     def test_selects_what_a_call_on_its_own_documents_finds(self):
-        index = NGramIndex(self.docs, {1, 2, 3}, {"a", "b", "c"})
+        # an index over more documents than a call reads gives what one over just those gives
+        index = NGramIndex(self.docs, {1, 2}, {"a", "b", "c"})
         train, test = self.docs[1:], self.docs[:1]
-        alone = build_vocab(train, {1, 2}, {"a", "b", "c"})
-        vocab = build_vocab(train, {1, 2}, {"a", "b", "c"}, index)
-        assert vocab.entries == alone.entries
+        vocab = build_vocab(train, index)
         assert vocab.word_ids is index.word_ids
         for counted in (train, test):
-            got, want = count_vectors(counted, vocab, index), count_vectors(counted, alone)
+            alone = indexed_vocab(train, {1, 2}, {"a", "b", "c"}, counted)
+            assert vocab.entries == alone.entries
+            got, want = count_vectors(counted, vocab), count_vectors(counted, alone)
             assert (got != want).nnz == 0
 
     @pytest.mark.parametrize("unknown", [doc(["a", "b"], id="w"), doc(["filler0"] * 5, id="y")])
@@ -214,31 +205,30 @@ class TestNGramIndex:
         # an unknown id, and an indexed id with other tokens, as when test documents are
         # swapped for junk: the indexed document's tokens must never be counted instead
         index = NGramIndex(self.docs, {1, 2}, {"a", "b", "c"})
-        vocab = build_vocab(self.docs, {1, 2}, {"a", "b", "c"}, index)
+        vocab = build_vocab(self.docs, index)
         with pytest.raises(UnknownDocument, match=repr(unknown.id)):
-            build_vocab([unknown], {1, 2}, {"a", "b", "c"}, index)
+            build_vocab([unknown], index)
         with pytest.raises(UnknownDocument, match=repr(unknown.id)):
-            count_vectors(self.docs[:1] + [unknown], vocab, index)
+            count_vectors(self.docs[:1] + [unknown], vocab)
 
     def test_iterable_documents(self):
         # build_vocab and the index read their documents more than once
         index = NGramIndex(iter(self.docs), {1, 2}, {"a", "b", "c"})
-        for idx in (None, index):
-            want = build_vocab(self.docs, {1, 2}, {"a", "b", "c"}, idx)
-            got = build_vocab(iter(self.docs), {1, 2}, {"a", "b", "c"}, idx)
-            assert got.entries == want.entries
-            assert np.array_equal(got.keys, want.keys) and np.array_equal(got.columns, want.columns)
+        want = build_vocab(self.docs, index)
+        got = build_vocab(iter(self.docs), index)
+        assert got.entries == want.entries
+        assert np.array_equal(got.ids, want.ids)
+        assert want.entries == indexed_vocab(self.docs, {1, 2}, {"a", "b", "c"}).entries
 
     def test_mismatched_settings_rejected(self):
+        # a vocabulary takes its orders and word numbering from its index, and counts
+        # only the documents that index holds
         index = NGramIndex(self.docs, {1}, {"a", "b", "c"})
-        with pytest.raises(BadOrders):
-            build_vocab(self.docs, {1, 2}, {"a", "b", "c"}, index)
-        with pytest.raises(ValueError, match="dictionary"):
-            build_vocab(self.docs, {1}, {"a", "b"}, index)
-        # a vocabulary numbers words as the index it was built from, not as another
-        vocab = build_vocab(self.docs[1:], {1}, {"a", "b", "c"})
-        with pytest.raises(ValueError, match="number"):
-            count_vectors(self.docs, vocab, index)
+        vocab = build_vocab(self.docs, index)
+        assert vocab.orders == index.orders and vocab.word_ids is index.word_ids
+        other = indexed_vocab(self.docs[1:], {1}, {"a", "b", "c"})
+        with pytest.raises(UnknownDocument, match=repr("x")):
+            count_vectors(self.docs, other)
 
 
 class TestLoaders:

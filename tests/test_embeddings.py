@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import sgns_pair_corpus
+from conftest import sgns_pair_corpus, vocab_of
 
 from conceptbag import embeddings
-from conceptbag.corpus import NGramVocabulary
 from conceptbag.embeddings import (
     SgnsConfig,
     WordVectors,
@@ -134,19 +133,19 @@ class TestEmbedNgram:
 class TestEmbedAll:
     def test_matches_individual_rows(self):
         wv = make_wv({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        vocab = NGramVocabulary([("a",), ("a", "b"), ("b", "a")], {1, 2})
+        vocab = vocab_of([("a",), ("a", "b"), ("b", "a")], {1, 2})
         table = embed_all(vocab, wv)
         for t, gram in enumerate(vocab.entries):
             assert np.array_equal(table[t], embed_ngram(gram, wv))
 
     def test_empty_vocab(self):
         wv = make_wv({"a": [1.0, 2.0]})
-        table = embed_all(NGramVocabulary([], {1}), wv)
+        table = embed_all(vocab_of([], {1}), wv)
         assert table.shape == (0, 2)
 
     def test_word_rows_name_the_vector_rows(self):
         wv = make_wv({"x": [0.0, 0.0], "b": [3.0, 4.0], "a": [1.0, 2.0]})
-        vocab = NGramVocabulary([("a",), ("a", "b"), ("b", "a")], {1, 2})
+        vocab = vocab_of([("a",), ("a", "b"), ("b", "a")], {1, 2})
         assert word_rows(vocab, wv).tolist() == [[2, -1], [2, 1], [1, 2]]
         with pytest.raises(UnknownWord, match="'b'"):
             word_rows(vocab, make_wv({"a": [1.0, 2.0]}))

@@ -43,6 +43,12 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def fold_features(train, test, y, cfg, wv, indexed=None, **kwargs):
+    """``_fold_features`` with an NGramIndex over ``indexed``, by default ``train + test``."""
+    index = NGramIndex(train + test if indexed is None else indexed, cfg.ngram_orders, wv.words)
+    return _fold_features(train, test, y, cfg, wv, _StageClock(), index, **kwargs)
+
+
 def train_test_junk():
     """30 training documents, 10 test documents, the test ids over junk tokens, y and vectors."""
     ds, wv = make_synthetic_sentiment(seed=10, n_docs=40)
@@ -185,7 +191,7 @@ class TestRunExperiment:
         train, test = ds.documents[:30], ds.documents[30:]
         y = np.ones(30, dtype=np.int64)
         with pytest.raises(SingleClass) as info:
-            _fold_features(train, test, y, small_config(feature_mode=mode), wv, _StageClock())
+            fold_features(train, test, y, small_config(feature_mode=mode), wv)
         assert str(info.value).startswith("[stage doc_repr] ")
 
     def test_predefined_split(self):
@@ -210,8 +216,8 @@ class TestRunExperiment:
         # per-fold training feature matrices (train-only fitting)
         train, test, junk, y, wv = train_test_junk()
         cfg = small_config(folds=2, feature_mode=mode)
-        f1, _ = _fold_features(train, test, y, cfg, wv, _StageClock())
-        f2, _ = _fold_features(train, junk, y, cfg, wv, _StageClock())
+        f1, _ = fold_features(train, test, y, cfg, wv)
+        f2, _ = fold_features(train, junk, y, cfg, wv)
         assert _dense(f1).tobytes() == _dense(f2).tobytes()
 
     @pytest.mark.parametrize("mode", FEATURE_MODES)
@@ -220,11 +226,7 @@ class TestRunExperiment:
         # an index over train+test and one over train+junk give the same training rows
         train, test, junk, y, wv = train_test_junk()
         cfg = small_config(folds=2, feature_mode=mode, ngram_orders=(1, 2))
-        feats = [
-            _fold_features(train, held, y, cfg, wv, _StageClock(),
-                           index=NGramIndex(train + held, cfg.ngram_orders, wv.words))[0]
-            for held in (test, junk)
-        ]
+        feats = [fold_features(train, held, y, cfg, wv)[0] for held in (test, junk)]
         assert _dense(feats[0]).tobytes() == _dense(feats[1]).tobytes()
 
     def test_cached_vocabulary_reused_only_with_an_index_over_the_same_documents(self):
@@ -234,9 +236,7 @@ class TestRunExperiment:
         cfg = small_config(feature_mode="bow_nb", ngram_orders=(1, 2))
         cache = {}
         feats = [
-            _fold_features(train, test, y, cfg, wv, _StageClock(), cache=cache,
-                           index=NGramIndex(docs, cfg.ngram_orders, wv.words))
-            for docs in (train + test, test + train)
+            fold_features(train, test, y, cfg, wv, docs, cache=cache) for docs in (train + test, test + train)
         ]
         assert sum(key[0] == "vocab" for key in cache) == 2
         for a, b in zip(*feats):
@@ -249,7 +249,7 @@ class TestRunExperiment:
         ds, wv = make_synthetic_sentiment(seed=10, n_docs=40)
         train = ds.documents[:30]
         y = np.array([d.label for d in train])
-        f_train, f_test = _fold_features(train, train, y, small_config(feature_mode=mode), wv, _StageClock())
+        f_train, f_test = fold_features(train, train, y, small_config(feature_mode=mode), wv)
         assert _dense(f_train).tobytes() == _dense(f_test).tobytes()
 
     def test_cache_reuse_gives_identical_results(self):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conceptbag import corpus
 from conceptbag.corpus import (
     Document,
+    NGramIndex,
     NGramVocabulary,
     build_vocab,
     count_vectors,
@@ -109,44 +110,49 @@ class TestAgainstPerWindowLoop:
     @settings(max_examples=200, deadline=None)
     @given(documents, orders, dictionaries, documents)
     def test_vocab_and_counts(self, docs, ords, dictionary, other_docs):
+        # the index holds both lists, so the first list's vocabulary counts either
+        index = NGramIndex(docs + other_docs, ords, dictionary)
         want = reference_vocab(docs, ords, dictionary)
         if not want:
             with pytest.raises(EmptyVocabulary):
-                build_vocab(docs, ords, dictionary)
+                build_vocab(docs, index)
             return
-        vocab = build_vocab(docs, ords, dictionary)
+        vocab = build_vocab(docs, index)
         assert vocab.entries == want
         for counted in (docs, other_docs):
             assert_same_csr(count_vectors(counted, vocab), reference_counts(counted, want, ords))
 
     @settings(max_examples=200, deadline=None)
-    @given(documents, orders, orders, dictionaries, documents, st.data())
-    def test_shared_index(self, docs, ords, extra, dictionary, other_docs, data):
-        # one index over both lists, with orders the vocabulary may not use, serves the
-        # vocabulary of any shuffled subset of its documents and the counts of either list
-        # (the two lists reuse ids, so an id alone does not name a document)
-        index = corpus.NGramIndex(docs + other_docs, ords | extra, dictionary)
+    @given(documents, orders, dictionaries, documents, st.data())
+    def test_shared_index(self, docs, ords, dictionary, other_docs, data):
+        # one index over both lists serves the vocabulary of any shuffled subset of its
+        # documents and the counts of either list (the two lists reuse ids, so an id
+        # alone does not name a document)
+        index = NGramIndex(docs + other_docs, ords, dictionary)
         shuffled = data.draw(st.permutations(docs + other_docs))
         subset = shuffled[: data.draw(st.integers(0, len(shuffled)))]
         want = reference_vocab(subset, ords, dictionary)
         if not want:
             with pytest.raises(EmptyVocabulary):
-                build_vocab(subset, ords, dictionary, index)
+                build_vocab(subset, index)
             return
-        vocab = build_vocab(subset, ords, dictionary, index)
+        vocab = build_vocab(subset, index)
         assert vocab.entries == want
         for counted in (docs, other_docs):
-            assert_same_csr(count_vectors(counted, vocab, index), reference_counts(counted, want, ords))
+            assert_same_csr(count_vectors(counted, vocab), reference_counts(counted, want, ords))
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3), unique_by=tuple),
-        documents,
-    )
-    def test_directly_constructed_vocabulary(self, grams, docs):
-        entries = [tuple(g) for g in grams]
-        ords = {len(g) for g in entries} or {1}
-        vocab = NGramVocabulary(entries, ords)
+    @given(documents, orders, dictionaries, st.data())
+    def test_directly_constructed_vocabulary(self, docs, ords, dictionary, data):
+        # any of an index's n-grams, in any order, are a vocabulary's columns
+        index = NGramIndex(docs, ords, dictionary)
+        try:
+            full = build_vocab(docs, index)
+        except EmptyVocabulary:
+            return
+        columns = data.draw(st.lists(st.integers(0, len(full) - 1), unique=True))
+        vocab = NGramVocabulary(index, full.ids[columns])
+        entries = [full.entries[t] for t in columns]
         assert vocab.entries == entries
         assert_same_csr(count_vectors(docs, vocab), reference_counts(docs, entries, ords))
 
@@ -155,7 +161,7 @@ class TestAgainstPerWindowLoop:
     def test_table_bits(self, docs, ords, data):
         wv = data.draw(word_vectors(WORDS))
         try:
-            vocab = build_vocab(docs, ords, set(WORDS))
+            vocab = build_vocab(docs, NGramIndex(docs, ords, set(WORDS)))
         except EmptyVocabulary:
             return
         try:
@@ -169,7 +175,8 @@ class TestAgainstPerWindowLoop:
 
     def test_negative_zero_rows_average_to_positive_zero(self):
         wv = WordVectors(words={"a": 0, "b": 1}, matrix=np.array([[-0.0, 1.0], [-0.0, -1.0]]))
-        vocab = NGramVocabulary([("a",), ("a", "b"), ("b",)], {1, 2})
+        docs = [Document(id="d0", label=1, tokens=("a", "b"))]
+        vocab = build_vocab(docs, NGramIndex(docs, {1, 2}, {"a", "b"}))
         table = embed_all(vocab, wv)
         assert not np.signbit(table[:, 0]).any()
         assert_same_bits(table, reference_table(vocab.entries, wv))
@@ -177,7 +184,7 @@ class TestAgainstPerWindowLoop:
     def test_count_chunks_join_at_document_ends(self, monkeypatch):
         monkeypatch.setattr(corpus, "_CHUNK_TOKENS", 5)
         docs = [Document(id=f"d{i}", label=1, tokens=tuple("abcab"[: i % 6])) for i in range(20)]
-        vocab = build_vocab(docs, {1, 2, 3}, set("abc"))
+        vocab = build_vocab(docs, NGramIndex(docs, {1, 2, 3}, set("abc")))
         assert_same_csr(count_vectors(docs, vocab), reference_counts(docs, vocab.entries, {1, 2, 3}))
 
     def test_keys_past_int32_over_many_words(self):
@@ -191,11 +198,12 @@ class TestAgainstPerWindowLoop:
             for i in range(1, 4)
         ]
         ords = {1, 2, 3}
-        vocab = build_vocab(docs[:3], ords, set(words))
+        index = NGramIndex(docs, ords, set(words))
+        vocab = build_vocab(docs[:3], index)
         want = reference_vocab(docs[:3], ords, set(words))
-        assert vocab.keys.max() > 2**31
+        assert index.keys[vocab.ids].max() > 2**31
         assert vocab.entries == want
-        direct = NGramVocabulary(want, ords)
-        assert direct.keys.max() > 2**31
-        for v in (vocab, direct):
-            assert_same_csr(count_vectors(docs, v), reference_counts(docs, want, ords))
+        reversed_vocab = NGramVocabulary(index, vocab.ids[::-1])
+        assert reversed_vocab.entries == want[::-1]
+        for v, entries in ((vocab, want), (reversed_vocab, want[::-1])):
+            assert_same_csr(count_vectors(docs, v), reference_counts(docs, entries, ords))
