@@ -1,14 +1,14 @@
-"""Command-line entry points for each pipeline stage and an end-to-end runner."""
+"""Command-line entry points for embedding training, clustering, cluster inspection and experiment runs."""
 
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import clustering, evaluation, features, svm
+from . import clustering, features
 from .corpus import NGramIndex, build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns, word_rows
 from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
@@ -17,6 +17,7 @@ from .evaluation import ExperimentConfig, run_experiment, write_reports
 CONFIG_VERSION = 1
 
 _LOADERS = {"polarity": load_polarity_dataset, "imdb": load_imdb_dataset}
+_SPLIT_TYPES = ("imdb",)  # the dataset types whose loader gives a predefined train/test split
 
 
 def _flags_config(cls, args):
@@ -57,22 +58,22 @@ def cmd_train_embeddings(args) -> int:
 
 
 def _dataset_split(args):
-    """(training documents, held-out documents, word vectors) for a dataset command.
+    """(training documents, word vectors) for a dataset command.
 
-    The held-out documents are the dataset's predefined test split (IMDB); a
-    corpus without one trains on every document and holds none out.
+    The training documents are the dataset's predefined training split (IMDB);
+    a corpus without one trains on every document.
     """
     wv = load_word_vectors(args.embeddings)
     dataset = _LOADERS[args.dataset_type](args.dataset_root)
     docs = dataset.documents
     if dataset.train_ids is None:
-        return docs, [], wv
-    return [docs[i] for i in dataset.train_ids], [docs[i] for i in dataset.test_ids], wv
+        return docs, wv
+    return [docs[i] for i in dataset.train_ids], wv
 
 
 def cmd_cluster(args) -> int:
     config = _flags_config(clustering.KMeansConfig, args)
-    train, _, wv = _dataset_split(args)
+    train, wv = _dataset_split(args)
     vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
     result = clustering.fit(embed_all(vocab, wv), config, words=(wv.matrix, word_rows(vocab, wv)))
     clustering.save_centroids(result.centroids, args.out)
@@ -83,55 +84,12 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def cmd_featurize(args) -> int:
-    config = ExperimentConfig(ngram_orders=args.orders, feature_mode=args.mode)
-    centroids = None
-    if args.mode in features.CONCEPT_MODES:
-        if args.centroids is None:
-            print(f"error: --mode {args.mode} needs --centroids", file=sys.stderr)
-            return 1
-        centroids = clustering.load_centroids(args.centroids)
-        config = replace(config, K=len(centroids))
-    train, test, wv = _dataset_split(args)
-    y_train, y_test = (np.array([d.label for d in docs], dtype=np.int64) for docs in (train, test))
-    index = NGramIndex(train + test, config.ngram_orders, wv.words)
-    f_train, f_test = evaluation._fold_features(
-        train, test, y_train, config, wv, evaluation._StageClock(), index, centroids=centroids
-    )
-    outputs = [(f_train, y_train, args.out)]
-    if test:
-        outputs.append((f_test, y_test, f"{args.out}.test"))
-    for mat, labels, path in outputs:
-        features.export_svmlight(mat, labels, path)
-        print(f"wrote {len(labels)} feature rows to {path}")
-    return 0
-
-
-def cmd_train_svm(args) -> int:
-    config = _flags_config(svm.SvmConfig, args)
-    mat, labels = features.load_svmlight(args.features)
-    model = svm.svm_train(mat, labels, config)
-    svm.save_model(model, args.out)
-    print(f"trained model (dim {len(model.w)}); wrote {args.out}")
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    mat, labels = features.load_svmlight(args.features)
-    model = svm.load_model(args.model)
-    if mat.shape[1] < len(model.w):
-        mat.resize((mat.shape[0], len(model.w)))
-    acc = evaluation.accuracy(svm.svm_predict(model, mat), labels)
-    print(f"accuracy {acc:.4f} over {mat.shape[0]} documents")
-    return 0
-
-
 def cmd_inspect_cluster(args) -> int:
     check_int("--top", args.top, minimum=1)
     centroids = clustering.load_centroids(args.centroids)
     if args.cluster is not None:
         check_int("--cluster", args.cluster, 0, len(centroids) - 1)
-    train, _, wv = _dataset_split(args)
+    train, wv = _dataset_split(args)
     vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
     which = range(len(centroids)) if args.cluster is None else [args.cluster]
     assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
@@ -171,6 +129,8 @@ def _parse_experiment(entry: dict, base_dir: Path):
     if isinstance(entry.get("kmeans"), dict) and "K" in entry["kmeans"]:
         raise BadConfig('"K" goes at the top of an experiment, not inside "kmeans"')
     config = config_from(ExperimentConfig, entry, "experiment config")
+    if config.folds == 0 and dtype not in _SPLIT_TYPES:
+        raise ValueError(f"folds 0 runs the dataset's own split, and dataset_type {dtype!r} has none")
     if config.feature_mode in features.CONCEPT_MODES and emb is None:
         raise ValueError(f"feature_mode {config.feature_mode!r} needs an embeddings_path")
     return config, root, dtype, emb
@@ -276,26 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="centroid file: K x m word vectors named c0 ... c<K-1>")
     p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("featurize", help="write document features in svmlight format")
-    _add_dataset_args(p)
-    p.add_argument("--centroids", default=None, help="required for concept modes")
-    p.add_argument("--mode", default="nb_max", choices=features.MODES)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("train-svm", help="train the linear SVM on a feature file")
-    p.add_argument("--features", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--C", type=float)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--tolerance", type=float)
-    p.set_defaults(func=cmd_train_svm)
-
-    p = sub.add_parser("evaluate", help="accuracy of a saved model on a feature file")
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="run a JSON experiment grid, write JSON+CSV reports")
     p.add_argument("--config", required=True)

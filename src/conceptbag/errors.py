@@ -40,12 +40,10 @@ class DimensionMismatch(ConceptBagError):
 
 
 class MalformedLine(ConceptBagError):
-    """A line of a word-vector, SVM model or svmlight feature file is not UTF-8 or does not parse.
+    """A line of a word-vector or centroid file is not UTF-8 or does not parse.
 
-    Also a word-vector file with 0 values per row, a row beyond or missing
-    from its header's count, or one holding NaN or infinity, and a model
-    file's negative dim, a C that is not finite and positive, a NaN or
-    infinite weight, or a line after its dim weights. The message names the
+    Also such a file with 0 values per row, a row beyond or missing from its
+    header's count, or one holding NaN or infinity. The message names the
     file and the line.
     """
 

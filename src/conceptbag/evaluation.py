@@ -14,7 +14,7 @@ from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
 from .corpus import Dataset, NGramIndex, build_vocab, check_orders, count_vectors
 from .embeddings import WordVectors, embed_all, word_rows
-from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int, config_from
+from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int
 from .svm import SvmConfig
 
 STAGES = ("vocab", "counts", "ngram_repr", "kmeans", "doc_repr", "svm_train", "total")
@@ -56,17 +56,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        raw = json.loads(text)
-        cfg = raw["config_echo"]
-        return cls(
-            accuracy=raw["accuracy"],
-            per_fold=list(raw["per_fold"]),
-            stage_times=dict(raw["stage_times"]),
-            config_echo=config_from(ExperimentConfig, cfg),
-        )
 
 
 def accuracy(predictions, labels) -> float:
@@ -133,7 +122,7 @@ def _cached(cache, key, clock, stage, compute):
 
 
 def _fold_features(
-    train_docs, test_docs, y_train, config, wv, clock, index, all_docs=None, cache=None, centroids=None,
+    train_docs, test_docs, y_train, config, wv, clock, index, all_docs=None, cache=None,
 ):
     """Featurize one train/test split; returns (train feats, test feats).
 
@@ -146,9 +135,7 @@ def _fold_features(
     else the training fold) and on the index's documents, as the vocabulary
     numbers words as its index does; the counts on those and the split. So
     each is reused whenever every setting that shapes it coincides. The
-    n-gram table is built only to fit K-means, and not kept. ``centroids``,
-    if given (a ``config.K`` x m array), replace the K-means fit: each n-gram
-    goes to its nearest centroid.
+    n-gram table is built only to fit K-means, and not kept.
     """
     cache = {} if cache is None else cache
     vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
@@ -172,18 +159,14 @@ def _fold_features(
     assignment = None
     if config.feature_mode in features.CONCEPT_MODES:
         kmeans_key = ("kmeans", fit_key, astuple(config.kmeans))
-        if centroids is not None or kmeans_key not in cache:
+        if kmeans_key not in cache:
             with clock.stage("ngram_repr"):
                 table = embed_all(vocab, wv)
             with clock.stage("kmeans"):
-                if centroids is not None:
-                    assignment = clustering.nearest(table, centroids)[0]
-                else:
-                    cache[kmeans_key] = clustering.fit(
-                        table, config.kmeans, words=(wv.matrix, word_rows(vocab, wv))
-                    )
-        if assignment is None:
-            assignment = cache[kmeans_key].labels
+                cache[kmeans_key] = clustering.fit(
+                    table, config.kmeans, words=(wv.matrix, word_rows(vocab, wv))
+                )
+        assignment = cache[kmeans_key].labels
     with clock.stage("doc_repr"):
         return tuple(
             features.document_features(config.feature_mode, counts, r, assignment, config.K)

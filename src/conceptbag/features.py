@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LengthMismatch, SingleClass, numbered_lines
+from .errors import LengthMismatch, SingleClass
 
 CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
 MODES = CONCEPT_MODES + ("bow_nb",)
@@ -96,56 +96,3 @@ def document_features(mode: str, counts: sp.spmatrix, r: np.ndarray, assignment=
     if mode == "bow_nb":
         return bow_nb_features(counts, r)
     raise ValueError(f"unknown feature mode {mode!r}; expected one of {MODES}")
-
-
-def export_svmlight(features, labels, path) -> None:
-    """Write "<label> <index>:<value> ..." lines with 1-based ascending indices."""
-    mat = sp.csr_matrix(features)
-    labels = np.asarray(labels)
-    if mat.shape[0] != len(labels):
-        raise LengthMismatch(f"{mat.shape[0]} rows vs {len(labels)} labels")
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(mat.shape[0]):
-            row = mat.getrow(i)
-            cols = row.indices
-            order = np.argsort(cols)
-            parts = [f"{int(labels[i]):+d}"]
-            parts += [f"{cols[j] + 1}:{float(row.data[j])!r}" for j in order]
-            fh.write(" ".join(parts) + "\n")
-
-
-def load_svmlight(path) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Read the format written by export_svmlight. Width is the max seen index.
-
-    A line that is not UTF-8, does not parse, has a label other than +1 or -1,
-    or has indices that do not strictly ascend from 1 raises MalformedLine
-    naming the file and the line.
-    """
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    labels: list[int] = []
-    with numbered_lines(path) as lines:
-        for line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            label = int(parts[0])
-            if label not in (1, -1):
-                raise ValueError(f"label must be +1 or -1, got {parts[0]}")
-            labels.append(label)
-            last = 0
-            for item in parts[1:]:
-                idx, val = item.split(":")
-                if int(idx) <= last:
-                    raise ValueError(f"index {idx} after {last}: indices start at 1 and strictly ascend")
-                last = int(idx)
-                indices.append(last - 1)
-                data.append(float(val))
-            indptr.append(len(indices))
-    width = max(indices) + 1 if indices else 0
-    mat = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), indptr),
-        shape=(len(labels), width),
-    )
-    return mat, np.array(labels, dtype=np.int64)

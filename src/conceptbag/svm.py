@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadLabel, DimensionMismatch, NonFiniteFeature, check_finite, check_int, numbered_lines
+from .errors import BadLabel, DimensionMismatch, NonFiniteFeature, check_finite, check_int
 
 # CG stops once the Newton system's residual is below this fraction of |grad|
 CG_RELATIVE_TOLERANCE = 1e-4
@@ -26,10 +26,9 @@ class SvmConfig:
 @dataclass
 class LinearModel:
     w: np.ndarray
-    trained_C: float
     objective_trace: list[float] = field(default_factory=list)
     cg_iters: int = 0  # CG iterations summed over all Newton steps
-    grad_norm: float = float("nan")  # |gradient| at w; nan when not trained here
+    grad_norm: float = float("nan")  # |gradient| at w; nan unless set by svm_train
 
 
 def svm_objective(w: np.ndarray, features, labels, C: float) -> float:
@@ -145,8 +144,7 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
         trace.append(obj)
     else:
         gnorm = np.linalg.norm(_gradient(w, X, y, scores, C))
-    return LinearModel(w=w, trained_C=C, objective_trace=trace, cg_iters=cg_iters,
-                       grad_norm=float(gnorm))
+    return LinearModel(w=w, objective_trace=trace, cg_iters=cg_iters, grad_norm=float(gnorm))
 
 
 def _cg(hessvec, b, max_iter, tol):
@@ -179,35 +177,3 @@ def svm_predict(model: LinearModel, f) -> np.ndarray:
     _check_finite(f)
     scores = _scores(f, model.w)
     return np.where(scores >= 0.0, 1, -1).astype(np.int64)
-
-
-def save_model(model: LinearModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim {len(model.w)}\n")
-        fh.write(f"C {float(model.trained_C)!r}\n")
-        for v in model.w:
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_model(path) -> LinearModel:
-    """Read the format written by save_model.
-
-    A line that is not UTF-8 or does not parse, a missing one included, a
-    negative dim, a C that ``SvmConfig`` would reject, a NaN or infinite
-    weight, or a line after the header's dim weights raises MalformedLine
-    naming the file and the line.
-    """
-    with numbered_lines(path) as lines:
-        dim = int(next(lines, "").removeprefix("dim "))
-        if dim < 0:
-            raise ValueError(f"dim must be at least 0, got {dim}")
-        c_val = float(next(lines, "").removeprefix("C "))
-        check_finite("svm C", c_val, 0.0, strict=True)
-        w = []
-        for _ in range(dim):
-            w.append(float(next(lines, "")))
-            if not np.isfinite(w[-1]):
-                raise ValueError(f"weight {w[-1]!r} is not finite")
-        if next(lines, None) is not None:
-            raise ValueError(f"a line after the last of the header's {dim} weights")
-    return LinearModel(w=np.array(w), trained_C=c_val)

@@ -4,12 +4,11 @@ import struct
 import numpy as np
 import pytest
 
-from conceptbag import cli, clustering, evaluation, features
+from conceptbag import cli, clustering, evaluation
 from conceptbag.cli import main
 from conceptbag.clustering import KMeansConfig, save_centroids
 from conceptbag.corpus import NGramIndex, build_vocab, load_imdb_dataset
 from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors, word_rows
-from conceptbag.svm import SvmConfig
 
 POS_WORDS = ["good", "great", "nice", "superb"]
 NEG_WORDS = ["bad", "awful", "poor", "dull"]
@@ -152,15 +151,11 @@ class TestFlagConfigs:
 
         monkeypatch.setattr(cli, "train_sgns", capture)
         monkeypatch.setattr(cli.clustering, "fit", capture)
-        monkeypatch.setattr(cli.svm, "svm_train", capture)
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b c\n", encoding="utf-8")
-        feats = tmp_path / "f.svmlight"
-        feats.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
         return {
             "train-embeddings": ["--corpus", str(corpus), "--out", str(tmp_path / "v.txt")],
             "cluster": [*dataset_flags(polarity_root, vectors_path), "--out", str(tmp_path / "c.txt")],
-            "train-svm": ["--features", str(feats), "--out", str(tmp_path / "m.txt")],
         }
 
     def config_of(self, argv):
@@ -169,9 +164,7 @@ class TestFlagConfigs:
         return caught.value.args[0]
 
     def test_required_flags_only_give_the_dataclass_defaults(self, commands):
-        for command, expected in (
-            ("train-embeddings", SgnsConfig()), ("cluster", KMeansConfig()), ("train-svm", SvmConfig()),
-        ):
+        for command, expected in (("train-embeddings", SgnsConfig()), ("cluster", KMeansConfig())):
             assert self.config_of([command, *commands[command]]) == expected
 
     def test_every_flag_sets_its_field(self, commands):
@@ -188,13 +181,8 @@ class TestFlagConfigs:
         ])
         assert kmeans == KMeansConfig(K=4, iterations=3, variant="minibatch", batch_size=16,
                                       init="random_points", seed=7)
-        svm_config = self.config_of([
-            "train-svm", *commands["train-svm"], "--C", "0.5", "--max-epochs", "50",
-            "--tolerance", "0.001",
-        ])
-        assert svm_config == SvmConfig(C=0.5, max_epochs=50, tolerance=0.001)
         # no field was left at its default, so each flag above reached its own field
-        for config in (sgns, kmeans, svm_config):
+        for config in (sgns, kmeans):
             defaults = type(config)()
             assert all(getattr(config, f) != getattr(defaults, f) for f in vars(defaults))
 
@@ -260,143 +248,25 @@ class TestCluster:
 
 
 class TestPipelineChain:
-    def test_featurize_train_evaluate(self, tmp_path, polarity_root, vectors_path, capsys):
-        cents = tmp_path / "c.txt"
-        assert main(
-            ["cluster", *dataset_flags(polarity_root, vectors_path),
-             "--K", "4", "--out", str(cents)]
-        ) == 0
-        feats = tmp_path / "train.svmlight"
-        assert main(
-            ["featurize", *dataset_flags(polarity_root, vectors_path),
-             "--centroids", str(cents), "--mode", "nb_max", "--out", str(feats)]
-        ) == 0
-        assert not (tmp_path / "train.svmlight.test").exists()  # polarity has no held-out split
-        model = tmp_path / "model.txt"
-        assert main(
-            ["train-svm", "--features", str(feats), "--out", str(model), "--C", "1.0"]
-        ) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--model", str(model), "--features", str(feats)]) == 0
-        out = capsys.readouterr().out
-        assert "accuracy" in out
-        acc = float(out.split()[1])
-        assert acc > 0.8  # train-set accuracy on separable toy data
-
-    def test_featurize_concept_mode_needs_centroids(
-        self, tmp_path, polarity_root, vectors_path, capsys
-    ):
-        feats = tmp_path / "f.svmlight"
-        rc = main(
-            ["featurize", *dataset_flags(polarity_root, vectors_path),
-             "--mode", "nb_max", "--out", str(feats)]
-        )
-        assert rc == 1
-        assert capsys.readouterr().err == "error: --mode nb_max needs --centroids\n"
-        assert not feats.exists()
-
-    @pytest.mark.parametrize(
-        "content",
-        [b"NOPE" + b"\0" * 40, b"CBGC\1\0",  # the old binary format, and bytes like it
-         b"CBGC" + struct.pack("<iiiq", 1, -1, -1, 0) + b"\0" * 8,  # K = m = -1, 32 bytes
-         b"CBGC" + struct.pack("<iiiq", 1, 0, 4, 0),  # K = 0, no data
-         b"3 2\nc0 1.0 2.0\nc1 3.0 4.0\n",  # truncated: the header gives 3 rows
-         b"2 2\ngood 1.0 2.0\nbad 3.0 4.0\n",  # word vectors, not centroids
-         b"2 2\nc1 1.0 2.0\nc0 3.0 4.0\n",  # rows out of order
-         b"2 2\nc0 1.0 2.0\nc1 nan 4.0\n",
-         b"0 4\n"],  # K = 0, no rows
-    )
-    def test_featurize_bad_centroid_file(
-        self, tmp_path, polarity_root, vectors_path, capsys, content
-    ):
-        cents = tmp_path / "junk.bin"
-        cents.write_bytes(content)
-        rc = main(
-            ["featurize", *dataset_flags(polarity_root, vectors_path),
-             "--centroids", str(cents), "--out", str(tmp_path / "f.svmlight")]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert str(cents) in err  # BadCentroidFile names the file
-
-    def test_evaluate_pads_narrow_features(self, tmp_path, capsys):
-        train = tmp_path / "train.svmlight"
-        train.write_text("+1 1:1.0 3:0.5\n-1 2:1.0 3:0.5\n", encoding="utf-8")
-        narrow = tmp_path / "test.svmlight"
-        narrow.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
-        model = tmp_path / "model.txt"
-        assert main(["train-svm", "--features", str(train), "--out", str(model)]) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--model", str(model), "--features", str(narrow)]) == 0
-        assert capsys.readouterr().out == "accuracy 1.0000 over 2 documents\n"
-
-    def test_evaluate_empty_feature_file(self, tmp_path, capsys, recwarn):
-        train = tmp_path / "train.svmlight"
-        train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
-        empty = tmp_path / "empty.svmlight"
-        empty.write_text("", encoding="utf-8")
-        model = tmp_path / "model.txt"
-        assert main(["train-svm", "--features", str(train), "--out", str(model)]) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--model", str(model), "--features", str(empty)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: no documents to score: accuracy over 0 predictions is undefined\n"
-        assert not recwarn.list
-
-    def test_evaluate_nonfinite_feature_file(self, tmp_path, capsys):
-        train = tmp_path / "train.svmlight"
-        train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
-        bad = tmp_path / "bad.svmlight"
-        bad.write_text("+1 1:nan\n-1 2:inf\n", encoding="utf-8")
-        model = tmp_path / "model.txt"
-        assert main(["train-svm", "--features", str(train), "--out", str(model)]) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--model", str(model), "--features", str(bad)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: feature matrix contains NaN or inf\n"
-
-    def test_train_svm_rejects_negative_C(self, tmp_path, capsys):
-        train = tmp_path / "train.svmlight"
-        train.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
-        model = tmp_path / "model.txt"
-        rc = main(["train-svm", "--features", str(train), "--out", str(model), "--C", "-1"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: svm C must be") and len(err.splitlines()) == 1
-        assert not model.exists()
-
-    def test_featurize_bow_mode_needs_no_centroids(
-        self, tmp_path, polarity_root, vectors_path
-    ):
-        feats = tmp_path / "bow.svmlight"
-        rc = main(
-            ["featurize", *dataset_flags(polarity_root, vectors_path),
-             "--mode", "bow_nb", "--out", str(feats)]
-        )
-        assert rc == 0
-        assert feats.read_text().strip()
-
-
     def test_table_built_only_where_read(
         self, tmp_path, polarity_root, vectors_path, monkeypatch
     ):
         calls = []
         embed_all = cli.embed_all
-        for module in (cli, evaluation):  # cluster embeds in the CLI, featurize in _fold_features
+        for module in (cli, evaluation):  # cluster embeds in the CLI, run in _fold_features
             monkeypatch.setattr(module, "embed_all", lambda *a: calls.append(1) or embed_all(*a))
-        flags = dataset_flags(polarity_root, vectors_path)
-        cents = tmp_path / "c.txt"
-        assert main(["cluster", *flags, "--K", "3", "--out", str(cents)]) == 0
+        assert main(["cluster", *dataset_flags(polarity_root, vectors_path),
+                     "--K", "3", "--out", str(tmp_path / "c.txt")]) == 0
         assert len(calls) == 1
-        out = str(tmp_path / "f.svmlight")
-        assert main(["featurize", *flags, "--mode", "bow_nb", "--out", out]) == 0
-        assert len(calls) == 1
-        assert main(["featurize", *flags, "--mode", "frequency", "--centroids", str(cents),
-                     "--out", out]) == 0
-        assert len(calls) == 2
+        for mode, embeds in (("bow_nb", 0), ("frequency", 2)):  # frequency fits K-means once per fold
+            config = tmp_path / f"{mode}.json"
+            config.write_text(json.dumps({"version": 1, "experiments": [
+                {"dataset_root": str(polarity_root), "embeddings_path": str(vectors_path),
+                 "feature_mode": mode, "K": 3, "folds": 2}
+            ]}), encoding="utf-8")
+            calls.clear()
+            assert main(["run", "--config", str(config), "--output-dir", str(tmp_path / mode)]) == 0
+            assert len(calls) == embeds
 
     @pytest.mark.parametrize("orders", ["1,4", "0,1", "x"])
     def test_bad_orders_rejected_when_parsed(
@@ -420,28 +290,7 @@ def write_imdb(root):
 
 
 class TestHeldOutChain:
-    """The stage commands score the test split under the training fit, as ``run`` does."""
-
-    @pytest.mark.parametrize("mode", features.MODES)
-    def test_evaluate_test_split_equals_run(self, tmp_path, vectors_path, capsys, mode):
-        root = write_imdb(tmp_path / "imdb")
-        flags = ["--embeddings", str(vectors_path), "--dataset-root", str(root), "--dataset-type", "imdb"]
-        cents, feats, model = tmp_path / "c.txt", tmp_path / "f.svmlight", tmp_path / "m.txt"
-        assert main(["cluster", *flags, "--K", "4", "--out", str(cents)]) == 0
-        capsys.readouterr()
-        assert main(["featurize", *flags, "--centroids", str(cents), "--mode", mode,
-                     "--out", str(feats)]) == 0
-        assert capsys.readouterr().out == (
-            f"wrote 24 feature rows to {feats}\nwrote 24 feature rows to {feats}.test\n"
-        )
-        assert main(["train-svm", "--features", str(feats), "--out", str(model)]) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--model", str(model), "--features", f"{feats}.test"]) == 0
-        report = evaluation.run_experiment(evaluation.ExperimentConfig(K=4, feature_mode=mode, folds=0),
-                                           load_imdb_dataset(root), load_word_vectors(vectors_path))
-        assert capsys.readouterr().out == f"accuracy {report.accuracy:.4f} over 24 documents\n"
-        assert 0.5 < report.accuracy < 1.0
-
+    """The stage commands fit on the training split only, as ``run`` with ``"folds": 0`` does."""
 
     def test_cluster_writes_the_fit_on_the_training_documents(self, tmp_path, vectors_path):
         root = write_imdb(tmp_path / "imdb")
@@ -471,6 +320,26 @@ class TestInspectCluster:
         )
         assert rc == 0
         assert capsys.readouterr().out.startswith("cluster 0:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"NOPE" + b"\0" * 40, b"CBGC\1\0",  # the old binary format, and bytes like it
+         b"CBGC" + struct.pack("<iiiq", 1, -1, -1, 0) + b"\0" * 8,  # K = m = -1, 32 bytes
+         b"CBGC" + struct.pack("<iiiq", 1, 0, 4, 0),  # K = 0, no data
+         b"3 2\nc0 1.0 2.0\nc1 3.0 4.0\n",  # truncated: the header gives 3 rows
+         b"2 2\ngood 1.0 2.0\nbad 3.0 4.0\n",  # word vectors, not centroids
+         b"2 2\nc1 1.0 2.0\nc0 3.0 4.0\n",  # rows out of order
+         b"2 2\nc0 1.0 2.0\nc1 nan 4.0\n",
+         b"0 4\n"],  # K = 0, no rows
+    )
+    def test_bad_centroid_file(self, tmp_path, polarity_root, vectors_path, capsys, content):
+        cents = tmp_path / "junk.bin"
+        cents.write_bytes(content)
+        rc = main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path), "--centroids", str(cents)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(cents) in err  # BadCentroidFile and MalformedLine name the file
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -647,7 +516,8 @@ class TestRun:
          ({"kmeans": {"seed": -1}}, "kmeans seed must be an int in [0, 9223372036854775807]"),
          ({"kmeans": {"seed": 2**63}}, "kmeans seed must be an int in [0, 9223372036854775807]"),
          ({"folds": 1}, "folds must be 0 (the dataset's own split) or >= 2, got 1"),
-         ({"folds": -2}, "folds must be 0 (the dataset's own split) or >= 2, got -2")],
+         ({"folds": -2}, "folds must be 0 (the dataset's own split) or >= 2, got -2"),
+         ({"folds": 0}, "folds 0 runs the dataset's own split, and dataset_type 'polarity' has none")],
     )
     def test_bad_value_types_rejected_before_work(
         self, tmp_path, polarity_root, vectors_path, capsys, bad, message
@@ -768,8 +638,6 @@ class TestErrorHandling:
     def test_library_error_becomes_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "vectors.txt"
         bad.write_text("2 3\nw 1.0 2.0 3.0\nv 1.0 2.0\n", encoding="utf-8")
-        feats = tmp_path / "f.svmlight"
-        feats.write_text("+1 1:1.0\n", encoding="utf-8")
         data = tmp_path / "d"
         (data / "pos").mkdir(parents=True)
         (data / "neg").mkdir(parents=True)
@@ -782,36 +650,7 @@ class TestErrorHandling:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "content",
-        ["dim 3\nC 1.0\n0.5\n", "hello\n", "dim x\n", "CBGC\x01\x00\xff\xfe",
-         "dim 1\nC 1.0\n0.5\n0.7\n", "dim -2\nC 1.0\n",
-         "dim 2\nC -1.0\nnan\n1.0\n", "dim 1\nC nan\n0.5\n", "dim 1\nC 0\n1\n", "dim 1\nC 1.0\ninf\n"],
-    )
-    def test_malformed_model_file(self, tmp_path, capsys, content):
-        feats = tmp_path / "f.svmlight"
-        feats.write_text("+1 1:1.0\n-1 2:1.0\n", encoding="utf-8")
-        model = tmp_path / "model.txt"
-        model.write_bytes(content.encode("latin-1"))
-        assert main(["evaluate", "--model", str(model), "--features", str(feats)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {model} line ") and len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize(
-        "content",
-        ["+1 1:1.0\nfoo 2:1.0\n", "+1 1=1.0\n", "+1 0:1.0\n", "+1 1:x\n", "\xff\xfe\n",
-         "+2 1:1.0\n-1 2:1.0\n", "+1 1:1.0\n-1 1:1.0 1:2.0\n", "+1 1:1.0\n-1 3:1.0 2:1.0\n"],
-    )
-    def test_malformed_feature_file(self, tmp_path, capsys, content):
-        feats = tmp_path / "f.svmlight"
-        feats.write_bytes(content.encode("latin-1"))
-        model = tmp_path / "model.txt"
-        assert main(["train-svm", "--features", str(feats), "--out", str(model)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {feats} line ") and len(err.splitlines()) == 1
-        assert not model.exists()
-
-    @pytest.mark.parametrize("command", ["cluster", "featurize", "inspect-cluster", "run"])
+    @pytest.mark.parametrize("command", ["cluster", "inspect-cluster", "run"])
     @pytest.mark.parametrize(
         "row", [b"v 1.0 \xff 2.0\n", b"v 1.0 x\n", b"v 1.0 nan\n", b""],
         ids=["not-utf8", "not-a-number", "nan", "truncated"],  # truncated: the header gives 2 rows
@@ -823,7 +662,6 @@ class TestErrorHandling:
         save_centroids(np.zeros((2, 2)), cents)
         flags = {
             "cluster": ["--out", str(tmp_path / "out.txt")],
-            "featurize": ["--mode", "bow_nb", "--out", str(tmp_path / "f.svmlight")],
             "inspect-cluster": ["--centroids", str(cents)],
         }
         if command == "run":

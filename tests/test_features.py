@@ -9,8 +9,6 @@ from conceptbag.features import (
     concept_features_freq,
     concept_features_nb,
     document_features,
-    export_svmlight,
-    load_svmlight,
     log_count_ratio,
 )
 
@@ -181,20 +179,3 @@ class TestDocumentFeatures:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="nbmax"):
             document_features("nbmax", TOY_COUNTS, log_count_ratio(TOY_COUNTS, TOY_LABELS))
-
-
-class TestSvmlightIO:
-    def test_roundtrip(self, tmp_path):
-        mat = sp.csr_matrix(np.array([[0.5, 0.0, -1.25], [0.0, 2.0, 0.0]]))
-        labels = np.array([1, -1])
-        p = tmp_path / "f.txt"
-        export_svmlight(mat, labels, p)
-        back, back_labels = load_svmlight(p)
-        assert np.array_equal(back_labels, labels)
-        assert np.array_equal(back.toarray(), mat.toarray())
-
-    def test_format_shape(self, tmp_path):
-        mat = sp.csr_matrix(np.array([[0.0, 1.5]]))
-        p = tmp_path / "f.txt"
-        export_svmlight(mat, [1], p)
-        assert p.read_text() == "+1 2:1.5\n"

@@ -7,8 +7,6 @@ from conceptbag.errors import BadConfig, BadLabel, DimensionMismatch, NonFiniteF
 from conceptbag.svm import (
     LinearModel,
     SvmConfig,
-    load_model,
-    save_model,
     svm_gradient,
     svm_objective,
     svm_predict,
@@ -194,23 +192,23 @@ class TestGradient:
 
 class TestPredict:
     def test_basic(self):
-        model = LinearModel(w=np.array([1.0, 0.0]), trained_C=1.0)
+        model = LinearModel(w=np.array([1.0, 0.0]))
         assert svm_predict(model, np.array([2.0, 5.0]))[0] == 1
 
     def test_zero_weight_maps_to_plus_one(self):
-        model = LinearModel(w=np.zeros(2), trained_C=1.0)
+        model = LinearModel(w=np.zeros(2))
         assert svm_predict(model, np.array([[1.0, -3.0], [0.0, 0.0]])).tolist() == [1, 1]
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=4)
         f = rng.normal(size=(10, 4))
-        base = svm_predict(LinearModel(w=w, trained_C=1.0), f)
+        base = svm_predict(LinearModel(w=w), f)
         for alpha in (0.1, 3.0, 100.0):
-            assert np.array_equal(svm_predict(LinearModel(w=alpha * w, trained_C=1.0), f), base)
+            assert np.array_equal(svm_predict(LinearModel(w=alpha * w), f), base)
 
     def test_dimension_mismatch(self):
-        model = LinearModel(w=np.zeros(3), trained_C=1.0)
+        model = LinearModel(w=np.zeros(3))
         with pytest.raises(DimensionMismatch):
             svm_predict(model, np.zeros((1, 2)))
 
@@ -219,15 +217,4 @@ class TestPredict:
     def test_nonfinite_rejected(self, value, sparse):
         f = np.array([[1.0, 0.0], [0.0, value]])
         with pytest.raises(NonFiniteFeature):
-            svm_predict(LinearModel(w=np.ones(2), trained_C=1.0), sp.csr_matrix(f) if sparse else f)
-
-
-class TestSerialization:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(6)
-        model = LinearModel(w=rng.normal(size=9), trained_C=0.125)
-        p = tmp_path / "m.txt"
-        save_model(model, p)
-        back = load_model(p)
-        assert back.trained_C == model.trained_C
-        assert np.array_equal(back.w, model.w)
+            svm_predict(LinearModel(w=np.ones(2)), sp.csr_matrix(f) if sparse else f)
