@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .embeddings import WordVectors, _read_word_vectors, save_word_vectors
 from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
@@ -10,7 +11,7 @@ from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeat
 VARIANTS = ("lloyd", "minibatch")
 INITS = ("kmeanspp", "random_points")
 
-_BLOCK_ROWS = 2048  # rows per block in every nearest-centroid computation
+_BLOCK_ROWS = 512  # rows per block in every nearest-centroid computation; 512 beat 1024 and 2048 (README)
 
 
 @dataclass
@@ -38,8 +39,10 @@ class KMeansResult:
     labels: np.ndarray
     inertia: float
     inertia_trace: list[float] = field(default_factory=list)
-    # per Lloyd pass before a centroid update, the rows that float32 left to
-    # float64 (empty for mini-batch)
+    # per Lloyd pass before a centroid update, the rows that the float32
+    # screen left to float64 (empty for mini-batch); word-scored passes bound
+    # each row by its words' mean |w|^2, not |x|^2, so they may leave more,
+    # with the same labels
     rechecked: list[int] = field(default_factory=list)
 
 
@@ -61,10 +64,14 @@ def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _nearest(X, C)[:2]
 
 
-def _nearest(X, C) -> tuple[np.ndarray, np.ndarray, int]:
-    """``nearest``'s labels and squared distances, and the number of rows float32 left undecided."""
+def _nearest(X, C, words=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """``nearest``'s labels and squared distances, and the number of rows float32 left undecided.
+
+    ``words`` (W, ids), if X is an n-gram table, lets ``_screen`` score the
+    rows from their words; the labels are the same bits either way.
+    """
     c_sq = np.einsum("ij,ij->i", C, C)
-    labels, undecided = _screen(X, C, c_sq)
+    labels, undecided = _screen(X, C, c_sq, words)
     labels[undecided] = _direct_argmin(X[undecided], C)
     sq_dists = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
@@ -92,62 +99,113 @@ def _direct_argmin(X, C) -> np.ndarray:
     return labels
 
 
-def _screen(X, C, c_sq) -> tuple[np.ndarray, np.ndarray]:
+def _word_source(X, words):
+    """``words`` when scoring through them is cheaper than through X: W has fewer rows than X."""
+    return words if words is not None and len(words[0]) < X.shape[0] else None
+
+
+def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels that float32 arithmetic decides, and the undecided rows.
 
-    Blocks of ``_BLOCK_ROWS`` rows are rounded to float32 and scored as
-    s_k = x.(-2 c_k) + |c_k|^2, which is the exact S_k = D_k - |x|^2 up to
-    rounding (D_k the exact squared distance). A row keeps the argmin j of
-    its scores when the gap g between its two smallest scores exceeds
+    Each row gets float32 scores s_k for the exact S_k = D_k - |x|^2 =
+    -2 x.c_k + |c_k|^2 (D_k the exact squared distance), from one of two
+    sources, in blocks of ``_BLOCK_ROWS`` rows:
+    - rows: the block is rounded to float32 and s_k = x.(-2 c_k) + |c_k|^2;
+    - words, when ``_word_source`` passes ``words`` = (W, ids): one V x K
+      float32 product P = W (-2 C)^T per call, and a row whose ids name
+      words w_1 ... w_n scores s_k = P_1k / n + ... + P_nk / n + |c_k|^2,
+      gathered from P / n, which is computed once per call for each n.
+    The row source is the word source with each row its own word (n = 1,
+    w_1 = x), so one bound serves both. With Wbar = (|w_1|^2 + ... +
+    |w_n|^2) / n (|x|^2 when n = 1), a row keeps the argmin j of its scores
+    when the gap g between its two smallest scores exceeds
 
-        B = 2 (gamma + gamma64) (|x|^2 + M) + 8 (m + 2) t,
-        gamma = (m + 8) u / (1 - (m + 8) u),  gamma64 = (2m + 5) v / (1 - (2m + 5) v),
+        B = 2 (gamma + gamma64) (Wbar + M) + 8 (m + n + 1) t,
+        gamma = (m + 2n + 6) u / (1 - (m + 2n + 6) u),
+        gamma64 = (2m + 4n + 1) v / (1 - (2m + 4n + 1) v),
 
     with u = 2^-24 the unit roundoff of float32, v = 2^-53, t the smallest
-    normal float32 and M = max |c_k|^2.
-    Why that suffices: rounding x and c to float32 and the m-term dot
-    product in any order (FMA or not) cost at most gamma_{m+3} (|x|^2 +
-    |c_k|^2), since 2 |x.c| <= |x|^2 + |c|^2; rounding |c_k|^2 and the sum
-    add gamma_4 (|x|^2 + |c_k|^2). Each rounding that underflows, to a
-    subnormal or flushed to zero, costs at most t more: m + 2 of them, after
-    folding the t |x|_1 terms into u |x|^2 + m t^2 / u. So |s_k - S_k| <=
-    E = gamma_{m+7} (|x|^2 + M) + (m + 2) t for every k. A float64 value for
-    D_k, as |x|^2 - 2 x.c + |c|^2 or as a direct sum, in any order of
-    summation, errs by at most gamma64_{2m+4} (|x|^2 + M) + (2m + 4) 2^-1022,
-    and the computed gap is at most (1 + u) times the true one. If g > B,
-    then S_k - S_j exceeds twice both errors for every k != j: j is the
-    exact nearest centroid, and any float64 evaluation of the distances puts
-    it strictly first. The bound assumes nothing overflows: partial sums stay
-    below |x|^2 + 2 M, so rows where that passes half the largest float32
-    are not decided.
+    normal float32 and M = max |c_k|^2. For n = 1 these are the row bound.
+    Why that suffices (gamma_k = k u / (1 - k u), gamma64_k likewise in v):
+    rounding w_i and c to float32 and the m-term dot product in any order
+    (FMA or not) cost P_ik at most gamma_{m+3} (|w_i|^2 + |c_k|^2), since
+    2 |w.c| <= |w|^2 + |c|^2. The divisions by n (exact for n <= 2) and the
+    n - 1 float32 additions put at most n roundings on a term, and none for
+    n = 1, so at most 2 (n - 1): the mean errs from -2 x*.c_k, x* the exact
+    mean of the words, by at most gamma_{m+2n+1} (Wbar + |c_k|^2). Rounding
+    |c_k|^2 and the sum add gamma_4.
+    The stored row x is the float64 mean of its words (``embed_all``), 2 (n
+    - 1) roundings from x*, so 2 |(x - x*).c_k| <= gamma64_{2n-2} (Wbar +
+    |c_k|^2). Each rounding that underflows, to a subnormal or flushed to
+    zero, costs at most t more: m + 2 per word, after folding the t |w|_1
+    terms into u |w|^2 + m t^2 / u, so m + 2 over the mean, and one for the
+    divisions (a float32 addition that underflows is exact). So |s_k - S_k|
+    <= E = (gamma_{m+2n+5} + gamma64_{2n-2}) (Wbar + M) + (m + n + 1) t for
+    every k. A float64 value for D_k, as |x|^2 - 2 x.c + |c|^2 or as a direct
+    sum, in any order of summation, errs by at most gamma64_{2m+4} (|x|^2 +
+    M) + (2m + 4) 2^-1022, and |x|^2 <= (1 + gamma64_{2n-2})^2 Wbar, as
+    |x*|^2 <= Wbar; together with E's float64 term that is at most
+    gamma64_{2m+4n} (Wbar + M). The computed gap is at most (1 + u) times
+    the true one, and the float64 rounding of Wbar and B is within the
+    1 / (1 - k u) slack. If g > B, then S_k - S_j exceeds twice both errors
+    for every k != j: j is the exact nearest centroid, and any float64
+    evaluation of the distances puts it strictly first. The bound assumes
+    nothing overflows: partial sums stay below n (max_i |w_i|^2 + 2 M), so
+    rows where that passes half the largest float32 are not decided. So a
+    word-scored pass gives the labels of a row-scored one, bit for bit, as
+    long as each row of ids gives its row of X (a caller error otherwise).
     """
     info = np.finfo(np.float32)
-    n, m = X.shape
+    rows_n, m = X.shape
     M = float(c_sq.max())
-    big = 0.5 * float(info.max) - 2.0 * M
-    k, k64 = (m + 8) * float(info.eps) / 2, (2 * m + 5) * 2.0**-53
-    labels = np.zeros(n, dtype=np.int64)
-    if big <= 0 or k >= 0.5:
-        return labels, np.arange(n)
-    slope = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64))
-    floor = 8.0 * (m + 2) * float(info.tiny) + slope * M
+    u, t = float(info.eps) / 2, float(info.tiny)
+    words = _word_source(X, words)
+    if words is None:
+        row_sq = worst_sq = np.einsum("ij,ij->i", X, X)
+        n = np.ones(rows_n, dtype=np.int64)
+    else:
+        W, ids = words
+        ids = np.ascontiguousarray(ids.T)  # one row per word position: reductions run along rows
+        w_sq = np.zeros(len(W) + 1)  # the -1 padding reads w_sq[-1], which stays 0
+        np.einsum("ij,ij->i", W, W, out=w_sq[:-1])
+        sq = w_sq[ids]
+        n = np.count_nonzero(ids >= 0, axis=0)
+        row_sq, worst_sq = sq.sum(axis=0) / n, sq.max(axis=0)
+    k = (m + 2 * n + 6) * u
+    k64 = (2 * m + 4 * n + 1) * 2.0**-53
+    fits = n * (worst_sq + 2.0 * M) < 0.5 * float(info.max)
+    labels = np.zeros(rows_n, dtype=np.int64)
+    if not fits.any() or k.max() >= 0.5:
+        return labels, np.arange(rows_n)
+    limit = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64)) * (row_sq + M) + 8.0 * (m + n + 1) * t
     neg2_ct = (-2.0 * C.T).astype(np.float32)
     c_sq = c_sq.astype(np.float32)
-    decided = np.zeros(n, dtype=bool)
+    decided = np.zeros(rows_n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
-        for lo in range(0, n, _BLOCK_ROWS):
-            block = X[lo : lo + _BLOCK_ROWS]
-            s = block.astype(np.float32) @ neg2_ct
+        if words is not None:
+            # P, P / 2, ..., P / width, then a zero row that the -1 padding reads
+            V, width = W.shape[0], ids.shape[0]
+            P = np.zeros((width * V + 1, len(C)), dtype=np.float32)
+            np.matmul(W.astype(np.float32), neg2_ct, out=P[:V])
+            for j in range(2, width + 1):
+                np.divide(P[:V], j, out=P[(j - 1) * V : j * V])
+            ids = np.where(ids >= 0, ids + (n - 1) * V, -1)  # a word of an n-gram reads P / n
+        for lo in range(0, rows_n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, rows_n)
+            if words is None:
+                s = X[lo:hi].astype(np.float32) @ neg2_ct
+            else:
+                s = P[ids[0, lo:hi]]
+                for j in range(1, width):
+                    s += P[ids[j, lo:hi]]
             s += c_sq
             rows = np.arange(len(s))
             best = s.argmin(axis=1)
             s_best = s[rows, best]
             s[rows, best] = np.inf
-            gap = s.min(axis=1) - s_best
-            x_sq = np.einsum("ij,ij->i", block, block)
-            decided[lo : lo + len(s)] = (gap > slope * x_sq + floor) & (x_sq < big)
-            labels[lo : lo + len(s)] = best
-    return labels, np.flatnonzero(~decided)
+            decided[lo:hi] = s.min(axis=1) - s_best > limit[lo:hi]
+            labels[lo:hi] = best
+    return labels, np.flatnonzero(~(decided & fits))
 
 
 def _distances_to(X: np.ndarray, words=None):
@@ -162,14 +220,12 @@ def _distances_to(X: np.ndarray, words=None):
     n-gram table and its word vectors). Then x.c is the mean over those rows
     of W c, so a call costs one product over W and a gather over ``ids`` in
     place of a product over X. Rows whose ids do not give X[t] are a caller
-    error: the distances are then wrong. When W has no fewer rows than X, or
-    ``words`` is None, X itself is the word matrix, one word per row, and
-    x.c is the product X c.
+    error: the distances are then wrong. When ``_word_source`` declines
+    ``words`` (W has no fewer rows than X), X itself is the word matrix, one
+    word per row, and x.c is the product X c.
     """
     n = X.shape[0]
-    if words is None or len(words[0]) >= n:
-        words = (X, np.arange(n)[:, None])
-    W, ids = words
+    W, ids = _word_source(X, words) or (X, np.arange(n)[:, None])
     lengths = np.count_nonzero(ids >= 0, axis=1).astype(np.float64)
     wc = np.zeros(len(W) + 1)  # the -1 padding reads wc[-1], which stays 0
     x_sq = np.einsum("ij,ij->i", X, X)
@@ -240,10 +296,17 @@ def assign(x: np.ndarray, C: np.ndarray) -> int:
 
 def _check_points(X, K: int, words=None) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if words is not None and (words[0].shape[1:] != X.shape[1:] or len(words[1]) != len(X)):
-        raise DimensionMismatch(
-            f"{X.shape} points, but a {words[0].shape} word matrix and {np.shape(words[1])} word rows"
-        )
+    if words is not None:
+        W, ids = words
+        if W.shape[1:] != X.shape[1:] or np.ndim(ids) != 2 or len(ids) != len(X):
+            raise DimensionMismatch(f"{X.shape} points, but a {W.shape} word matrix and {np.shape(ids)} word rows")
+        bad = ((ids < -1) | (ids >= len(W))).any(axis=1) | (ids < 0).all(axis=1)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise DimensionMismatch(
+                f"word row {t} is {ids[t].tolist()}: ids must name rows of the {len(W)}-row word matrix "
+                "(or be -1 padding), at least one per row"
+            )
     if X.shape[0] < K:
         raise TooFewPoints(f"{X.shape[0]} points for K={K}")
     if not np.isfinite(X).all():
@@ -267,26 +330,31 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     number of rows that float32 left to float64. Each iteration's trace
     value is the inertia (the sum of ``nearest``'s ``sq_dists``) of the pass
     that follows its centroid update, so the last one is the final inertia.
-    ``words`` (W, ids), if X is an n-gram table, speeds up k-means++ seeding;
-    see ``_distances_to``.
+    Each update sets a centroid to the mean of its rows, as one sparse
+    product: a K x N one-hot matrix, each cluster's rows in index order,
+    times X, divided by the cluster sizes.
+    ``words`` (W, ids), if X is an n-gram table, speeds up k-means++ seeding
+    (see ``_distances_to``) and, when W has fewer rows than X, scores every
+    pass from its words (see ``_screen``), with the same labels, centroids
+    and inertia as without it.
     """
     X = _check_points(X, config.K, words)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
     trace, rechecked = [], []
-    labels, sq_dists, n_rechecked = _nearest(X, centers)
+    labels, sq_dists, n_rechecked = _nearest(X, centers, words)
     for _ in range(config.iterations):
         rechecked.append(n_rechecked)
         labels = _fix_empty_clusters(X, centers, labels, config.K)
-        # a stable sort keeps each cluster's rows in index order, so every
-        # mean sees the same rows in the same order as X[labels == k]
+        # a stable sort keeps each cluster's rows in index order, and the
+        # product adds them from 0.0 in that order, as X[labels == k].mean(axis=0) does
         order = np.argsort(labels, kind="stable")
         bounds = np.searchsorted(labels[order], np.arange(config.K + 1))
-        for k in range(config.K):
-            lo, hi = bounds[k], bounds[k + 1]
-            if hi > lo:
-                centers[k] = X[order[lo:hi]].mean(axis=0)
-        labels, sq_dists, n_rechecked = _nearest(X, centers)
+        members = sp.csr_matrix((np.ones(len(X)), order, bounds), shape=(config.K, len(X)))
+        sizes = np.diff(bounds)
+        filled = sizes > 0
+        centers[filled] = (members @ X)[filled] / sizes[filled, None]
+        labels, sq_dists, n_rechecked = _nearest(X, centers, words)
         trace.append(float(sq_dists.sum()))
     total = float(sq_dists.sum())
     if np.bincount(labels, minlength=config.K).min() == 0:
@@ -321,7 +389,8 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
     Each iteration samples min(batch_size, N) points; a point assigned to
     centroid k moves it by (x - c) / n_k where n_k counts all points ever
     assigned to k. Labels come from one full assignment pass at the end.
-    ``words`` is as for ``kmeans_fit``.
+    ``words`` is as for ``kmeans_fit``: it serves seeding and the final
+    pass, while each batch's pass scores its rows.
     """
     X = _check_points(X, config.K, words)
     n = X.shape[0]
@@ -335,7 +404,7 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
         for idx, k in zip(batch, batch_labels):
             counts[k] += 1
             centers[k] += (X[idx] - centers[k]) / counts[k]
-    labels, sq_dists = nearest(X, centers)
+    labels, sq_dists, _ = _nearest(X, centers, words)
     return KMeansResult(centers, labels, float(sq_dists.sum()))
 
 
@@ -345,7 +414,9 @@ def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     ``words`` is (W, ids) when X is an n-gram table: row t of X is the mean
     of the rows of the word matrix W named in row t of ``ids`` (padded with
     -1). k-means++ seeding is faster with it, and draws the same centres
-    unless a draw falls within rounding of a boundary (see ``_distances_to``).
+    unless a draw falls within rounding of a boundary (see ``_distances_to``);
+    Lloyd passes and the final mini-batch pass score rows from their words
+    when W has fewer rows than X, with the same labels (see ``_screen``).
     """
     fit_variant = minibatch_kmeans_fit if config.variant == "minibatch" else kmeans_fit
     return fit_variant(X, config, words)

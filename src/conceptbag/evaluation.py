@@ -53,6 +53,10 @@ class ExperimentReport:
     per_fold: list[float]
     stage_times: dict[str, float]
     config_echo: ExperimentConfig
+    # per fold, the inertia_trace and rechecked of the K-means fit the fold
+    # used (the shared fit under cluster_on_all); empty outside concept modes
+    inertia_trace: list[list[float]] = field(default_factory=list)
+    rechecked: list[list[int]] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -124,7 +128,7 @@ def _cached(cache, key, clock, stage, compute):
 def _fold_features(
     train_docs, test_docs, y_train, config, wv, clock, index, all_docs=None, cache=None,
 ):
-    """Featurize one train/test split; returns (train feats, test feats).
+    """Featurize one train/test split; returns (train feats, test feats, K-means fit or None).
 
     ``index``, an ``NGramIndex`` over ``config.ngram_orders`` holding every
     document the split reads, gives the vocabulary and the counts their
@@ -154,9 +158,9 @@ def _fold_features(
         with clock.stage("doc_repr"):
             rows = tuple(features.bow_nb_features(counts, r) for counts in (counts_train, counts_test))
             U = lsa.truncated_svd(rows[0].T.tocsr(), config.K).U
-            return tuple(row @ U for row in rows)
+            return rows[0] @ U, rows[1] @ U, None
 
-    assignment = None
+    kmeans = None
     if config.feature_mode in features.CONCEPT_MODES:
         kmeans_key = ("kmeans", fit_key, astuple(config.kmeans))
         if kmeans_key not in cache:
@@ -166,12 +170,14 @@ def _fold_features(
                 cache[kmeans_key] = clustering.fit(
                     table, config.kmeans, words=(wv.matrix, word_rows(vocab, wv))
                 )
-        assignment = cache[kmeans_key].labels
+        kmeans = cache[kmeans_key]
+    assignment = None if kmeans is None else kmeans.labels
     with clock.stage("doc_repr"):
-        return tuple(
+        f_train, f_test = (
             features.document_features(config.feature_mode, counts, r, assignment, config.K)
             for counts in (counts_train, counts_test)
         )
+    return f_train, f_test, kmeans
 
 
 def run_experiment(
@@ -223,15 +229,18 @@ def run_experiment(
         {} if cache is None else cache, ("index", config.ngram_orders, tuple(d.id for d in read)),
         clock, "vocab", lambda: NGramIndex(read, config.ngram_orders, dictionary),
     )
-    per_fold = []
+    per_fold, traces, rechecked = [], [], []
     for train_idx, test_idx in splits:
         train_docs = [docs[i] for i in train_idx]
         test_docs = [docs[i] for i in test_idx]
         y_train = labels[train_idx]
         y_test = labels[test_idx]
-        f_train, f_test = _fold_features(
+        f_train, f_test, kmeans = _fold_features(
             train_docs, test_docs, y_train, config, wv, clock, index, all_docs=docs, cache=cache
         )
+        if kmeans is not None:
+            traces.append(list(kmeans.inertia_trace))
+            rechecked.append(list(kmeans.rechecked))
         with clock.stage("svm_train"):
             model = svm.svm_train(f_train, y_train, config.svm)
         per_fold.append(accuracy(svm.svm_predict(model, f_test), y_test))
@@ -242,6 +251,8 @@ def run_experiment(
         per_fold=per_fold,
         stage_times=dict(clock.times),
         config_echo=config,
+        inertia_trace=traces,
+        rechecked=rechecked,
     )
 
 

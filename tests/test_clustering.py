@@ -11,6 +11,7 @@ from conceptbag.clustering import (
     _init_centers,
     _kmeanspp_init,
     _nearest,
+    _screen,
     assign,
     fit,
     inertia,
@@ -247,13 +248,18 @@ def word_table(orders, kind):
     words, so seeding goes through word products.
     """
     rng = np.random.default_rng(41)
-    names = [f"w{i}" for i in range(3 if kind == "fewer_distinct_than_k" else 30)]
-    W = rng.normal(scale=3.0, size=(len(names), 8))
+    W = rng.normal(scale=3.0, size=(3 if kind == "fewer_distinct_than_k" else 30, 8))
     if kind != "random":
         W[1::3] = W[0::3][: len(W[1::3])]
+    return ngram_table(W, orders, rng, docs=10, tokens=20)
+
+
+def ngram_table(W, orders, rng, docs, tokens):
+    """``embed_all``'s table of the n-grams of random documents over the words of W, and (W, ``word_rows``)."""
+    names = [f"w{i}" for i in range(len(W))]
     wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=W)
-    docs = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=20))) for i in range(10)]
-    vocab = build_vocab(docs, NGramIndex(docs, orders, wv.words))
+    documents = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=tokens))) for i in range(docs)]
+    vocab = build_vocab(documents, NGramIndex(documents, orders, wv.words))
     return embed_all(vocab, wv), (W, word_rows(vocab, wv))
 
 
@@ -297,9 +303,20 @@ class TestWordProductSeeding:
 
     def test_word_rows_of_another_shape_rejected(self):
         X, (W, ids) = word_table((1, 2), "random")
-        for words in ((W, ids[1:]), (W[:, 1:], ids)):
+        for words in ((W, ids[1:]), (W[:, 1:], ids), (W, ids[:, 0])):
             with pytest.raises(DimensionMismatch):
                 kmeans_fit(X, KMeansConfig(K=3), words=words)
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    @pytest.mark.parametrize("bad", ["past_the_end", "below_padding", "no_word"])
+    def test_word_ids_out_of_range_rejected(self, variant, bad):
+        # an id of len(W) would read the zero padding, one of -2 another
+        # word, and a row of padding has no mean: each would mislabel rows
+        X, (W, ids) = word_table((1, 2), "random")
+        ids = ids.copy()
+        ids[7] = {"past_the_end": [3, len(W)], "below_padding": [-2, 3], "no_word": [-1, -1]}[bad]
+        with pytest.raises(DimensionMismatch, match="word row 7 is"):
+            fit(X, KMeansConfig(K=3, variant=variant), words=(W, ids))
 
 
 def reference_nearest(X, C):
@@ -385,11 +402,27 @@ def tie_table(kind):
     return X, C, {i: {2 * i, 2 * i + 1} for i in range(pairs)}
 
 
-class TestScreenedLloyd:
-    """On tables without exact ties, kmeans_fit's labels and centroids are the float64 Lloyd loop's bits."""
+def rows_and_words(values):
+    """(value, source) cases: each value scored from rows, under its own id, then from words."""
+    return [pytest.param(v, source, id=str(v) if source == "rows" else f"{v}-words")
+            for source in ("rows", "words") for v in values]
 
-    def assert_matches_reference(self, X, cfg):
-        res = kmeans_fit(X, cfg)
+
+class TestScreenedLloyd:
+    """On tables without exact ties, kmeans_fit's labels and centroids are the float64 Lloyd loop's bits.
+
+    Each table also runs as the words of an n-gram table of 1-, 2- and
+    3-grams, scored from its words: labels and centroids are again the
+    reference's bits, and the inertia and its trace the row-scored fit's.
+    """
+
+    def assert_matches_reference(self, X, cfg, source):
+        words = None
+        if source == "words":
+            X, words = ngram_table(X, (1, 2, 3), np.random.default_rng(35), docs=40, tokens=60)
+            assert len(X) > len(words[0])  # so passes score rows from their words
+            cfg = replace(cfg, init="random_points")  # seeding is not in play
+        res = kmeans_fit(X, cfg, words=words)
         labels, centers, total, trace = reference_kmeans(X, cfg)
         assert np.array_equal(res.labels, labels)
         assert np.array_equal(res.centroids, centers)
@@ -398,27 +431,30 @@ class TestScreenedLloyd:
         tol = 1e-12 * np.einsum("ij,ij->", X, X)
         np.testing.assert_allclose(res.inertia, total, rtol=1e-12, atol=tol)
         np.testing.assert_allclose(res.inertia_trace, trace, rtol=1e-12, atol=tol)
+        if words is not None:
+            by_rows = kmeans_fit(X, cfg)
+            assert res.inertia == by_rows.inertia
+            assert res.inertia_trace == by_rows.inertia_trace
         assert len(res.rechecked) == cfg.iterations
-        return res
+        return res, len(X)
 
-    @pytest.mark.parametrize("kind", ["random", "duplicates", "coinciding_centroids", "wide"])
-    def test_matches_float64_reference(self, kind):
-        X, cfg = screen_table(kind)
-        res = self.assert_matches_reference(X, cfg)
-        assert res.rechecked[-1] < len(X) // 10  # the screen decides most rows
-        if kind == "coinciding_centroids":
+    @pytest.mark.parametrize("kind, source", rows_and_words(["random", "duplicates", "coinciding_centroids", "wide"]))
+    def test_matches_float64_reference(self, kind, source):
+        res, n = self.assert_matches_reference(*screen_table(kind), source)
+        assert res.rechecked[-1] < n // 10  # the screen decides most rows
+        if kind == "coinciding_centroids" and source == "rows":
             assert res.rechecked[0] > 0
 
-    @pytest.mark.parametrize("scale", [1e-18, 1e-22, 1e-40, 1e20, 1e30])
-    def test_matches_float64_reference_at_extreme_scales(self, scale):
+    @pytest.mark.parametrize("scale, source", rows_and_words([1e-18, 1e-22, 1e-40, 1e20, 1e30]))
+    def test_matches_float64_reference_at_extreme_scales(self, scale, source):
         # 1e-18 leaves some rows above the underflow floor; at 1e-22 and
         # 1e-40 float32 products are subnormal or zero, and at 1e20 and 1e30
         # they overflow, so every row must go to float64
         X, cfg = screen_table("random")
-        res = self.assert_matches_reference(X * scale, cfg)
+        res, n = self.assert_matches_reference(X * scale, cfg, source)
         assert min(res.rechecked) > 0
         if scale != 1e-18:
-            assert res.rechecked == [len(X)] * cfg.iterations
+            assert res.rechecked == [n] * cfg.iterations
 
     def test_near_ties_are_decided_in_float64(self):
         # rows 0 and 1 are 1e-10 closer to one centroid than to the next:
@@ -463,6 +499,73 @@ class TestScreenedLloyd:
         X = rng.normal(size=(5, 3))[rng.integers(5, size=40)]
         with pytest.raises(TooFewPoints, match="5 distinct points for K=8"):
             kmeans_fit(X, KMeansConfig(K=8, seed=1))
+
+
+def mean_rows(W, ids):
+    """Row t is the mean of the rows of W that ids[t] names (-1 is padding)."""
+    present = ids >= 0
+    return np.where(present[:, :, None], W[ids], 0.0).sum(axis=1) / present.sum(axis=1)[:, None]
+
+
+def word_score_table(special, rng, ngrams=((0, 1, -1), (1, 0, -1))):
+    """The first words are ``special``, five more random; rows are ``ngrams``, then every unigram
+    and bigram of the random words, so there are more rows than words."""
+    W = np.vstack([special, rng.normal(size=(5, special.shape[1]))])
+    others = range(len(special), len(W))
+    ids = np.array([*ngrams, *([a, -1, -1] for a in others), *([a, b, -1] for a in others for b in others)])
+    X = mean_rows(W, ids)
+    assert len(X) > len(W)
+    return X, (W, ids)
+
+
+class TestWordScores:
+    """Rows that only word scores can get wrong are left to float64, and keep the row-scored labels."""
+
+    def assert_rows_labels(self, X, words, C, undecided_rows):
+        labels, _, rechecked = _nearest(X, C, words)
+        assert np.array_equal(labels, _nearest(X, C)[0])
+        assert np.array_equal(labels, reference_nearest(X, C)[0])
+        undecided = _screen(X, C, np.einsum("ij,ij->i", C, C), words)[1]
+        assert set(undecided_rows) <= set(undecided.tolist())
+        assert rechecked == len(undecided)
+        return labels
+
+    def test_near_cancelling_words(self):
+        # w_b = -w_a + delta: x = delta / 2 is small while Wbar is 1e6, so the
+        # float32 word scores err by about 1 where the centroids differ by 0.01
+        rng = np.random.default_rng(36)
+        w_a = 1e3 * rng.normal(size=8) / np.sqrt(8)
+        special = np.vstack([w_a, -w_a + rng.normal(size=8)])
+        x = (special[0] + special[1]) / 2
+        C = x + 0.05 * rng.normal(size=(6, 8))
+        X, words = word_score_table(special, rng)
+        self.assert_rows_labels(X, words, C, [0, 1])
+        # scored from the rows themselves, the same two rows are decided
+        assert not {0, 1} & set(_screen(X, C, np.einsum("ij,ij->i", C, C))[1].tolist())
+
+    def test_words_beyond_float32_with_a_small_mean(self):
+        # words 0 and 1 are beyond float32 range, and their mean is 0.4 in
+        # the last coordinate and 0 elsewhere; word 2's products with C[0]
+        # are finite (3.2e38 at most) but word 3's running sum overflows to
+        # -inf, which would put C[0] first for the trigram (3, 2, 2), whose
+        # mean is 0.3 in the last coordinate
+        rng = np.random.default_rng(37)
+        special = np.array([[1e39, 0, 0, 0, 0.3], [-1e39, 0, 0, 0, 0.5],
+                            [-8e19, -8e19, 8e19, 8e19, 0.3], [1.6e20, 1.6e20, -1.6e20, -1.6e20, 0.3]])
+        C = np.vstack([[1e18] * 4 + [0.0], [0.0] * 4 + [0.4], [0.0] * 4 + [0.3], rng.normal(size=(3, 5))])
+        X, words = word_score_table(special, rng, ngrams=((0, 1, -1), (1, 0, -1), (3, 2, 2)))
+        with np.errstate(all="raise"):
+            labels = self.assert_rows_labels(X, words, C, [0, 1, 2])
+        assert labels[:3].tolist() == [1, 1, 2]
+
+    def test_tie_between_the_centroids_of_its_own_words(self):
+        # (0, 1) and (1, 0) are exactly halfway between C[0] = w_1 and C[1] = w_0
+        rng = np.random.default_rng(38)
+        special = np.array([[0.0, 0.0, 2.0, 4.0], [2.0, 4.0, 0.0, 0.0]])
+        C = np.vstack([special[1], special[0], 10.0 + rng.normal(size=(3, 4))])
+        X, words = word_score_table(special, rng)
+        labels = self.assert_rows_labels(X, words, C, [0, 1])
+        assert labels[:2].tolist() == [0, 0]
 
 
 class TestMiniBatch:
@@ -513,6 +616,15 @@ class TestMiniBatch:
         assert res.inertia == inertia(X, res.centroids)
         assert res.rechecked == []
         assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
+
+    def test_final_pass_from_word_scores_labels_every_row_nearest(self):
+        X, words = word_table((1, 2), "random")
+        assert len(X) > len(words[0])  # the final pass scores rows from their words
+        res = minibatch_kmeans_fit(
+            X, KMeansConfig(K=10, iterations=5, variant="minibatch", batch_size=64, seed=3), words
+        )
+        assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
+        assert res.inertia == inertia(X, res.centroids)
 
 
 class TestFit:

@@ -43,9 +43,9 @@ def small_config(**overrides):
 
 
 def fold_features(train, test, y, cfg, wv, indexed=None, **kwargs):
-    """``_fold_features`` with an NGramIndex over ``indexed``, by default ``train + test``."""
+    """``_fold_features``' (train, test) features, with an NGramIndex over ``indexed``, by default ``train + test``."""
     index = NGramIndex(train + test if indexed is None else indexed, cfg.ngram_orders, wv.words)
-    return _fold_features(train, test, y, cfg, wv, _StageClock(), index, **kwargs)
+    return _fold_features(train, test, y, cfg, wv, _StageClock(), index, **kwargs)[:2]
 
 
 def train_test_junk():
@@ -349,7 +349,22 @@ class TestReportSerialization:
         ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
         rep = run_experiment(small_config(folds=2), ds, wv)
         parsed = json.loads(rep.to_json())
-        assert set(parsed) == {"accuracy", "per_fold", "stage_times", "config_echo"}
+        assert set(parsed) == {"accuracy", "per_fold", "stage_times", "config_echo", "inertia_trace", "rechecked"}
+
+    @pytest.mark.parametrize("cluster_on_all", [False, True])
+    def test_kmeans_diagnostics_per_fold(self, cluster_on_all):
+        ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
+        cfg = small_config(folds=2, cluster_on_all=cluster_on_all)
+        cache = {}
+        rep = run_experiment(cfg, ds, wv, cache=cache)
+        fits = [fit for key, fit in cache.items() if key[0] == "kmeans"]
+        assert len(fits) == (1 if cluster_on_all else 2)
+        fits *= 2 // len(fits)  # under cluster_on_all both folds use the one fit
+        assert rep.inertia_trace == [fit.inertia_trace for fit in fits]
+        assert rep.rechecked == [fit.rechecked for fit in fits]
+        assert [len(t) for t in rep.inertia_trace + rep.rechecked] == [cfg.kmeans.iterations] * 4
+        bow = run_experiment(small_config(folds=2, feature_mode="bow_nb"), ds, wv)
+        assert bow.inertia_trace == bow.rechecked == []
 
 
 class TestWriteReports:
