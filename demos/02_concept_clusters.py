@@ -2,7 +2,8 @@
 
 Builds word vectors with planted topic structure, clusters n-gram
 embeddings, and prints each cluster's nearest members — the qualitative
-view the inspect-cluster CLI subcommand reproduces on real data.
+view that the CLI's cluster command prints for the concepts it fits on
+real data.
 Run with: python demos/02_concept_clusters.py
 """
 

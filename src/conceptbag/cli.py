@@ -1,4 +1,4 @@
-"""Command-line entry points for embedding training, clustering, cluster inspection and experiment runs."""
+"""Command-line entry points for embedding training, clustering (which prints the concepts it fits) and experiment runs."""
 
 import argparse
 import json
@@ -73,27 +73,20 @@ def _dataset_split(args):
 
 def cmd_cluster(args) -> int:
     config = _flags_config(clustering.KMeansConfig, args)
+    check_int("--top", args.top, minimum=1)
+    if args.cluster is not None:
+        check_int("--cluster", args.cluster, 0, config.K - 1)
     train, wv = _dataset_split(args)
     vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
-    result = clustering.fit(embed_all(vocab, wv), config, words=(wv.matrix, word_rows(vocab, wv)))
+    table = embed_all(vocab, wv)
+    result = clustering.fit(table, config, words=(wv.matrix, word_rows(vocab, wv)))
     clustering.save_centroids(result.centroids, args.out)
     print(
         f"clustered {len(vocab)} n-grams into K={config.K} "
         f"(inertia {result.inertia:.4f}); centroids -> {args.out}"
     )
-    return 0
-
-
-def cmd_inspect_cluster(args) -> int:
-    check_int("--top", args.top, minimum=1)
-    centroids = clustering.load_centroids(args.centroids)
-    if args.cluster is not None:
-        check_int("--cluster", args.cluster, 0, len(centroids) - 1)
-    train, wv = _dataset_split(args)
-    vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
-    which = range(len(centroids)) if args.cluster is None else [args.cluster]
-    assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), centroids)
-    for k in which:
+    assignment, sq_dists = clustering.nearest(table, result.centroids)
+    for k in range(config.K) if args.cluster is None else [args.cluster]:
         members = np.flatnonzero(assignment == k)
         if not len(members):
             print(f"cluster {k}: (empty)")
@@ -226,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train_embeddings)
 
-    p = sub.add_parser("cluster", help="build vocab, embed n-grams, run K-means")
+    p = sub.add_parser("cluster", help="build vocab, embed n-grams, run K-means, print nearest n-grams per concept")
     _add_dataset_args(p)
     p.add_argument("--K", type=int)
     p.add_argument("--iterations", type=int)
@@ -235,6 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=clustering.INITS)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="centroid file: K x m word vectors named c0 ... c<K-1>")
+    p.add_argument("--cluster", type=int, default=None, help="print only this concept id (default: all)")
+    p.add_argument("--top", type=int, default=8, help="n-grams printed per concept")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("run", help="run a JSON experiment grid, write JSON+CSV reports")
@@ -242,13 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default="reports")
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("inspect-cluster", help="print nearest n-grams per centroid")
-    _add_dataset_args(p)
-    p.add_argument("--centroids", required=True)
-    p.add_argument("--cluster", type=int, default=None, help="single cluster id (default: all)")
-    p.add_argument("--top", type=int, default=8)
-    p.set_defaults(func=cmd_inspect_cluster)
 
     return parser
 

@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .embeddings import WordVectors, _read_word_vectors, save_word_vectors
-from .errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
+from .embeddings import WordVectors, save_word_vectors
+from .errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 VARIANTS = ("lloyd", "minibatch")
 INITS = ("kmeanspp", "random_points")
@@ -153,7 +153,7 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     nothing overflows: partial sums stay below n (max_i |w_i|^2 + 2 M), so
     rows where that passes half the largest float32 are not decided. So a
     word-scored pass gives the labels of a row-scored one, bit for bit, as
-    long as each row of ids gives its row of X (a caller error otherwise).
+    long as each row of ids gives its row of X, which ``_check_points`` checks.
     """
     info = np.finfo(np.float32)
     rows_n, m = X.shape
@@ -219,8 +219,8 @@ def _distances_to(X: np.ndarray, words=None):
     that row t of the N x width int array ``ids`` names, padded with -1 (an
     n-gram table and its word vectors). Then x.c is the mean over those rows
     of W c, so a call costs one product over W and a gather over ``ids`` in
-    place of a product over X. Rows whose ids do not give X[t] are a caller
-    error: the distances are then wrong. When ``_word_source`` declines
+    place of a product over X. Rows whose ids do not give X[t] would give
+    wrong distances; ``_check_points`` rejects them before a fit seeds. When ``_word_source`` declines
     ``words`` (W has no fewer rows than X), X itself is the word matrix, one
     word per row, and x.c is the product X c.
     """
@@ -311,7 +311,38 @@ def _check_points(X, K: int, words=None) -> np.ndarray:
         raise TooFewPoints(f"{X.shape[0]} points for K={K}")
     if not np.isfinite(X).all():
         raise NonFiniteFeature("points contain NaN or inf")
+    if words is not None:
+        _check_word_means(X, *words)
     return X
+
+
+def _check_word_means(X, W, ids) -> None:
+    """Raise DimensionMismatch, naming the first, if a row of X is not the mean of the words its ids name.
+
+    One projection per row: its coordinate sum x.1 against the mean over
+    its n words of w_i.1. With A = (|w_1|_1 + ... + |w_n|_1) / n, v = 2^-53
+    and t the smallest normal float64, any float64 mean (``embed_all``'s, or
+    a sum then a division) passes within B = 2 gamma64_{2m+3n} A + (m + n +
+    2) t, gamma64_k = k v / (1 - k v). Why, as in ``_screen``: x is 2 (n -
+    1) roundings from the exact mean x* componentwise, so |x.1 - x*.1| <=
+    gamma64_{2n-2} A, and summing x costs gamma64_m |x|_1 more; each w_i.1
+    is within gamma64_m |w_i|_1, and their mean costs gamma64_n A. The
+    factor 2 covers the rounding of A and B, and each rounding that
+    underflows costs at most t. A row whose sums overflow is not checked.
+    """
+    m, n = X.shape[1], np.count_nonzero(ids >= 0, axis=1)
+    sums = np.zeros((len(W) + 1, 2))  # w.1 and |w|_1; the -1 padding reads the last row, which stays 0
+    with np.errstate(all="ignore"):  # an overflowing row compares inf or nan, and passes
+        sums[:-1, 0], sums[:-1, 1] = W.sum(axis=1), np.abs(W).sum(axis=1)
+        total = sums[ids[:, 0]]
+        for j in range(1, ids.shape[1]):
+            total += sums[ids[:, j]]
+        mean, scale = (total / n[:, None]).T
+        k = (2 * m + 3 * n) * 2.0**-53
+        bad = np.abs(X @ np.ones(m) - mean) > 2.0 * k / (1.0 - k) * scale + (m + n + 2) * np.finfo(float).tiny
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise DimensionMismatch(f"word row {t}, {ids[t].tolist()}, does not average to row {t} of the points")
 
 
 def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
@@ -425,18 +456,3 @@ def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
 def save_centroids(C: np.ndarray, path) -> None:
     """Write the K x m centroids C as word vectors named c0 ... c<K-1> (``save_word_vectors``)."""
     save_word_vectors(WordVectors({f"c{k}": k for k in range(len(C))}, C), path)
-
-
-def load_centroids(path) -> np.ndarray:
-    """Read a ``save_centroids`` file with ``load_word_vectors``.
-
-    Raises BadCentroidFile, naming the file, unless its rows are c0 ... c<K-1>
-    in order, each once, with K at least 1 (``load_word_vectors`` rejects 0
-    values per row).
-    """
-    wv, rows = _read_word_vectors(path)
-    K, m = wv.matrix.shape
-    if K < 1 or rows != K or wv.words != {f"c{k}": k for k in range(K)}:
-        raise BadCentroidFile(f"{path}: not a centroid file (rows c0 ... c<K-1>, each once, K at least 1); "
-                              f"read {rows} rows of a {K}x{m} matrix")
-    return wv.matrix

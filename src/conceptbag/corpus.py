@@ -2,7 +2,7 @@
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
@@ -55,15 +55,14 @@ class Dataset:
     """A named collection of documents, optionally with a train/test split.
 
     ``train_ids`` / ``test_ids`` index into ``documents``; both are None for
-    corpora evaluated by cross-validation. ``unlabeled_ids`` points at
-    documents with label None.
+    corpora evaluated by cross-validation. Unlabeled documents have label
+    None.
     """
 
     name: str
     documents: list[Document]
     train_ids: Optional[list[int]] = None
     test_ids: Optional[list[int]] = None
-    unlabeled_ids: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         ids = [d.id for d in self.documents]
@@ -349,7 +348,6 @@ def load_imdb_dataset(root_path) -> Dataset:
     docs: list[Document] = []
     train_ids: list[int] = []
     test_ids: list[int] = []
-    unlabeled_ids: list[int] = []
     for split, sub, label, bucket in [
         ("train", "train/pos", +1, train_ids),
         ("train", "train/neg", -1, train_ids),
@@ -361,15 +359,7 @@ def load_imdb_dataset(root_path) -> Dataset:
         docs.extend(loaded)
     unsup = root / "train" / "unsup"
     if unsup.is_dir():
-        loaded = _load_dir(root, "train/unsup", None, "train/unsup")
-        unlabeled_ids.extend(range(len(docs), len(docs) + len(loaded)))
-        docs.extend(loaded)
+        docs.extend(_load_dir(root, "train/unsup", None, "train/unsup"))
     else:
         logger.warning("no train/unsup directory under %s; unlabeled partition empty", root)
-    return Dataset(
-        name="imdb",
-        documents=docs,
-        train_ids=train_ids,
-        test_ids=test_ids,
-        unlabeled_ids=unlabeled_ids,
-    )
+    return Dataset(name="imdb", documents=docs, train_ids=train_ids, test_ids=test_ids)

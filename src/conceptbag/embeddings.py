@@ -57,11 +57,6 @@ def load_word_vectors(path) -> WordVectors:
     value (MalformedLine), or a row of the wrong length (DimensionMismatch),
     fails naming the file and the line.
     """
-    return _read_word_vectors(path)[0]
-
-
-def _read_word_vectors(path) -> tuple[WordVectors, int]:
-    """``load_word_vectors(path)`` and the number of rows read, duplicates included."""
     words: dict[str, int] = {}
     rows: list[np.ndarray] = []
     row_lines: list[int] = []  # the line each row was last read from
@@ -104,7 +99,7 @@ def _read_word_vectors(path) -> tuple[WordVectors, int]:
     if not np.isfinite(matrix).all():
         first = min(row_lines[i] for i in np.flatnonzero(~np.isfinite(matrix).all(axis=1)))
         raise MalformedLine(f"{path} line {first}: row holds a NaN or infinite value")
-    return WordVectors(words=words, matrix=matrix), read
+    return WordVectors(words=words, matrix=matrix)
 
 
 def save_word_vectors(wv: WordVectors, path) -> None:

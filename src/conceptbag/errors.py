@@ -40,7 +40,7 @@ class DimensionMismatch(ConceptBagError):
 
 
 class MalformedLine(ConceptBagError):
-    """A line of a word-vector or centroid file is not UTF-8 or does not parse.
+    """A line of a word-vector file (a centroid file is one) is not UTF-8 or does not parse.
 
     Also such a file with 0 values per row, a row beyond or missing from its
     header's count, or one holding NaN or infinity. The message names the
@@ -88,10 +88,6 @@ class NonFiniteFeature(ConceptBagError):
 
 class RankRequestTooLarge(ConceptBagError):
     """Requested SVD rank exceeds min(rows, cols)."""
-
-
-class BadCentroidFile(ConceptBagError, ValueError):
-    """A centroid file's rows are not c0 ... c<K-1>, each once, or K is 0; the message names the file."""
 
 
 class TooFewDocuments(ConceptBagError):

@@ -73,7 +73,7 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def kfold_split(labels, folds: int, seed: int = 42):
+def kfold_split(labels, folds: int, seed: int):
     """Stratified fold index pairs; per-class fold sizes differ by at most 1."""
     labels = np.asarray(labels)
     n = len(labels)

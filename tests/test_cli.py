@@ -1,5 +1,4 @@
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from conceptbag import cli, clustering, evaluation
 from conceptbag.cli import main
 from conceptbag.clustering import KMeansConfig, save_centroids
-from conceptbag.corpus import NGramIndex, build_vocab, load_imdb_dataset
+from conceptbag.corpus import NGramIndex, build_vocab, load_imdb_dataset, load_polarity_dataset
 from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors, word_rows
 
 POS_WORDS = ["good", "great", "nice", "superb"]
@@ -246,6 +245,57 @@ class TestCluster:
         assert capsys.readouterr().err == "error: 1 distinct points for K=3\n"
         assert not out.exists()
 
+    def test_prints_members(self, tmp_path, polarity_root, vectors_path, capsys):
+        rc = main(
+            ["cluster", *dataset_flags(polarity_root, vectors_path),
+             "--K", "3", "--cluster", "0", "--top", "3", "--out", str(tmp_path / "c.txt")]
+        )
+        assert rc == 0
+        summary, *lines = capsys.readouterr().out.splitlines()
+        assert summary.startswith("clustered ")
+        assert len(lines) == 1 and lines[0].startswith("cluster 0:")
+        assert len(lines[0].split(" | ")) <= 3
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    def test_printed_members_are_the_nearest_to_the_written_centroids(
+        self, tmp_path, polarity_root, vectors_path, capsys, variant
+    ):
+        out = tmp_path / "c.txt"
+        rc = main(
+            ["cluster", *dataset_flags(polarity_root, vectors_path), "--orders", "1,2",
+             "--K", "4", "--variant", variant, "--batch-size", "8", "--top", "3", "--out", str(out)]
+        )
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        wv, dataset = load_word_vectors(vectors_path), load_polarity_dataset(polarity_root)
+        vocab = build_vocab(dataset.documents, NGramIndex(dataset.documents, (1, 2), wv.words))
+        assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), load_word_vectors(out).matrix)
+        want = []
+        for k in range(4):
+            members = np.flatnonzero(assignment == k)
+            assert len(members)
+            closest = members[np.argsort(sq_dists[members])[:3]]
+            want.append(f"cluster {k}: " + " | ".join(" ".join(vocab.entries[t]) for t in closest))
+        assert printed == want
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--cluster", "20"], "--cluster must be an int in [0, 19], got 20"),
+         (["--cluster", "-1"], "--cluster must be an int in [0, 19], got -1"),
+         (["--top", "0"], "--top must be an int >= 1, got 0"),
+         (["--top", "-3"], "--top must be an int >= 1, got -3")],
+    )
+    def test_cluster_and_top_out_of_range_rejected_before_work(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, flags, message
+    ):
+        out = tmp_path / "c.txt"
+        monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
+        assert main(["cluster", *dataset_flags(polarity_root, vectors_path),
+                     "--K", "20", "--out", str(out), *flags]) == 1
+        out_text, err = capsys.readouterr()
+        assert (out_text, err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
 
 class TestPipelineChain:
     def test_table_built_only_where_read(
@@ -304,60 +354,6 @@ class TestHeldOutChain:
         result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=(wv.matrix, word_rows(vocab, wv)))
         save_centroids(result.centroids, tmp_path / "fit.txt")
         assert cents.read_bytes() == (tmp_path / "fit.txt").read_bytes()
-
-
-class TestInspectCluster:
-    def test_prints_members(self, tmp_path, polarity_root, vectors_path, capsys):
-        cents = tmp_path / "c.txt"
-        assert main(
-            ["cluster", *dataset_flags(polarity_root, vectors_path),
-             "--K", "3", "--out", str(cents)]
-        ) == 0
-        capsys.readouterr()
-        rc = main(
-            ["inspect-cluster", *dataset_flags(polarity_root, vectors_path),
-             "--centroids", str(cents), "--cluster", "0", "--top", "3"]
-        )
-        assert rc == 0
-        assert capsys.readouterr().out.startswith("cluster 0:")
-
-    @pytest.mark.parametrize(
-        "content",
-        [b"NOPE" + b"\0" * 40, b"CBGC\1\0",  # the old binary format, and bytes like it
-         b"CBGC" + struct.pack("<iiiq", 1, -1, -1, 0) + b"\0" * 8,  # K = m = -1, 32 bytes
-         b"CBGC" + struct.pack("<iiiq", 1, 0, 4, 0),  # K = 0, no data
-         b"3 2\nc0 1.0 2.0\nc1 3.0 4.0\n",  # truncated: the header gives 3 rows
-         b"2 2\ngood 1.0 2.0\nbad 3.0 4.0\n",  # word vectors, not centroids
-         b"2 2\nc1 1.0 2.0\nc0 3.0 4.0\n",  # rows out of order
-         b"2 2\nc0 1.0 2.0\nc1 nan 4.0\n",
-         b"0 4\n"],  # K = 0, no rows
-    )
-    def test_bad_centroid_file(self, tmp_path, polarity_root, vectors_path, capsys, content):
-        cents = tmp_path / "junk.bin"
-        cents.write_bytes(content)
-        rc = main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path), "--centroids", str(cents)])
-        assert rc == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
-        assert str(cents) in err  # BadCentroidFile and MalformedLine name the file
-
-    @pytest.mark.parametrize(
-        "flags, message",
-        [(["--cluster", "20"], "--cluster must be an int in [0, 19], got 20"),
-         (["--cluster", "-1"], "--cluster must be an int in [0, 19], got -1"),
-         (["--top", "0"], "--top must be an int >= 1, got 0"),
-         (["--top", "-3"], "--top must be an int >= 1, got -3")],
-    )
-    def test_cluster_and_top_out_of_range_rejected_before_work(
-        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, flags, message
-    ):
-        cents = tmp_path / "c.txt"
-        save_centroids(np.zeros((20, 6)), cents)
-        monkeypatch.setattr(cli, "_dataset_split", lambda *a: pytest.fail("loaded the dataset"))
-        assert main(["inspect-cluster", *dataset_flags(polarity_root, vectors_path),
-                     "--centroids", str(cents), *flags]) == 1
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", f"error: {message}\n")
 
 
 class TestRun:
@@ -650,7 +646,7 @@ class TestErrorHandling:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["cluster", "inspect-cluster", "run"])
+    @pytest.mark.parametrize("command", ["cluster", "run"])
     @pytest.mark.parametrize(
         "row", [b"v 1.0 \xff 2.0\n", b"v 1.0 x\n", b"v 1.0 nan\n", b""],
         ids=["not-utf8", "not-a-number", "nan", "truncated"],  # truncated: the header gives 2 rows
@@ -658,12 +654,6 @@ class TestErrorHandling:
     def test_malformed_vectors_file(self, tmp_path, polarity_root, capsys, command, row):
         vectors = tmp_path / "vectors.txt"
         vectors.write_bytes(b"2 2\nw 1.0 2.0\n" + row)
-        cents = tmp_path / "c.txt"
-        save_centroids(np.zeros((2, 2)), cents)
-        flags = {
-            "cluster": ["--out", str(tmp_path / "out.txt")],
-            "inspect-cluster": ["--centroids", str(cents)],
-        }
         if command == "run":
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"version": 1, "experiments": [
@@ -671,7 +661,7 @@ class TestErrorHandling:
             ]}), encoding="utf-8")
             argv = ["run", "--config", str(config), "--output-dir", str(tmp_path / "r")]
         else:
-            argv = [command, *dataset_flags(polarity_root, vectors), *flags[command]]
+            argv = [command, *dataset_flags(polarity_root, vectors), "--out", str(tmp_path / "out.txt")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vectors} line 3: ") and len(err.splitlines()) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from conceptbag.clustering import (
     KMeansConfig,
+    _check_word_means,
     _distances_to,
     _fix_empty_clusters,
     _init_centers,
@@ -16,14 +17,13 @@ from conceptbag.clustering import (
     fit,
     inertia,
     kmeans_fit,
-    load_centroids,
     minibatch_kmeans_fit,
     nearest,
     save_centroids,
 )
 from conceptbag.corpus import Document, NGramIndex, build_vocab
 from conceptbag.embeddings import WordVectors, embed_all, load_word_vectors, word_rows
-from conceptbag.errors import BadCentroidFile, BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
+from conceptbag.errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
 def best_partition_inertia(X, K):
@@ -317,6 +317,35 @@ class TestWordProductSeeding:
         ids[7] = {"past_the_end": [3, len(W)], "below_padding": [-2, 3], "no_word": [-1, -1]}[bad]
         with pytest.raises(DimensionMismatch, match="word row 7 is"):
             fit(X, KMeansConfig(K=3, variant=variant), words=(W, ids))
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    def test_word_rows_of_other_points_rejected(self, variant):
+        # ids rolled by one row name valid words, each row another row's: scored
+        # from its words, every pass would mislabel rows without an error
+        X, (W, ids) = word_table((1, 2), "random")
+        with pytest.raises(DimensionMismatch, match=r"word row 0, \[.*\], does not average to row 0"):
+            fit(X, KMeansConfig(K=3, variant=variant), words=(W, np.roll(ids, 1, axis=0)))
+
+    def test_row_whose_ids_drop_a_word_named(self):
+        X, (W, ids) = word_table((1, 2), "random")
+        t = int(np.argmax((ids[:, 1] >= 0) & (ids[:, 0] != ids[:, 1])))  # a bigram of two words
+        ids = ids.copy()
+        ids[t, 1] = -1  # its first word alone
+        with pytest.raises(DimensionMismatch, match=rf"word row {t}, \[{ids[t, 0]}, -1\], does not average"):
+            _check_word_means(X, W, ids)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("build", ["embed_all", "masked_mean"])
+    def test_tables_of_word_means_accepted(self, scale, build):
+        # embed_all's table and one built by summing W[ids] at once, then dividing,
+        # from subnormal words to words whose coordinate sums near the float64 limit
+        rng = np.random.default_rng(5)
+        X, (W, ids) = ngram_table(rng.normal(size=(40, 16)) * scale, (1, 2, 3), rng, docs=8, tokens=30)
+        if build == "masked_mean":
+            present = ids >= 0
+            X = np.where(present[..., None], W[ids], 0.0).sum(axis=1) / present.sum(axis=1)[:, None]
+        with np.errstate(all="raise"):
+            _check_word_means(X, W, ids)
 
 
 def reference_nearest(X, C):
@@ -727,7 +756,7 @@ class TestSerialization:
         ):
             p = tmp_path / "c.txt"
             save_centroids(matrix, p)
-            assert load_centroids(p).tobytes() == matrix.tobytes()
+            assert load_word_vectors(p).matrix.tobytes() == matrix.tobytes()
 
     def test_text_export(self, tmp_path):
         # a centroid file is a word-vector file: a "K m" header and rows c0 ... c<K-1>
@@ -740,18 +769,3 @@ class TestSerialization:
         wv = load_word_vectors(p)
         assert wv.words == {"c0": 0, "c1": 1, "c2": 2}
         assert np.array_equal(wv.matrix, matrix)
-
-    def test_word_vectors_not_centroids(self, tmp_path):
-        # a well-formed word-vector file whose row is not named c0
-        p = tmp_path / "junk.txt"
-        p.write_bytes(b"NOPE" + b" 0" * 40)
-        with pytest.raises(BadCentroidFile, match="not a centroid file"):
-            load_centroids(p)
-
-    @pytest.mark.parametrize("header", ["3 2\n", ""], ids=["header", "no-header"])
-    def test_repeated_row_name(self, tmp_path, header):
-        # load_word_vectors keeps the last of a repeated word, so this folds to a 2x2 matrix
-        p = tmp_path / "c.txt"
-        p.write_text(header + "c0 1 2\nc1 3 4\nc0 5 6\n")
-        with pytest.raises(BadCentroidFile, match="read 3 rows of a 2x2 matrix"):
-            load_centroids(p)

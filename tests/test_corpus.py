@@ -257,15 +257,14 @@ class TestLoaders:
         ds = load_imdb_dataset(tmp_path)
         assert len(ds.train_ids) == 2
         assert len(ds.test_ids) == 2
-        assert len(ds.unlabeled_ids) == 1
-        assert all(ds.documents[i].label is None for i in ds.unlabeled_ids)
+        assert [d.id for d in ds.documents if d.label is None] == ["train/unsup/e.txt"]
 
     def test_imdb_without_unsup_warns(self, tmp_path, caplog):
         for rel in ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt"]:
             self._write(tmp_path, rel, "x")
         with caplog.at_level("WARNING"):
             ds = load_imdb_dataset(tmp_path)
-        assert ds.unlabeled_ids == []
+        assert all(d.label is not None for d in ds.documents)
         assert any("unsup" in r.message for r in caplog.records)
 
     def test_duplicate_ids_rejected(self):

@@ -128,11 +128,11 @@ class TestKFold:
 
     def test_too_many_folds(self):
         with pytest.raises(TooFewDocuments):
-            kfold_split(np.array([1, -1]), folds=3)
+            kfold_split(np.array([1, -1]), folds=3, seed=0)
 
     def test_single_fold_rejected(self):
         with pytest.raises(TooFewDocuments):
-            kfold_split(np.array([1, -1]), folds=1)
+            kfold_split(np.array([1, -1]), folds=1, seed=0)
 
 
 class TestRunExperiment:
@@ -305,8 +305,7 @@ class TestRunExperiment:
         # unlabeled documents are read only when the vocabulary and clustering cover all
         ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
         unlabeled = [Document(id=f"u{i}", label=None, tokens=("pos0", "neg0") * 3) for i in range(5)]
-        ds = Dataset(name="synthetic", documents=ds.documents + unlabeled,
-                     unlabeled_ids=list(range(40, 45)))
+        ds = Dataset(name="synthetic", documents=ds.documents + unlabeled)
         run_experiment(small_config(folds=2, cluster_on_all=cluster_on_all), ds, wv)
         want = [d.id for d in ds.documents] if cluster_on_all else [d.id for d in ds.documents[:40]]
         assert index_builds == [((1,), want)]
