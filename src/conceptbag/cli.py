@@ -85,13 +85,12 @@ def cmd_cluster(args) -> int:
         f"clustered {len(vocab)} n-grams into K={config.K} "
         f"(inertia {result.inertia:.4f}); centroids -> {args.out}"
     )
-    assignment, sq_dists = clustering.nearest(table, result.centroids)
     for k in range(config.K) if args.cluster is None else [args.cluster]:
-        members = np.flatnonzero(assignment == k)
+        members = np.flatnonzero(result.labels == k)
         if not len(members):
             print(f"cluster {k}: (empty)")
             continue
-        closest = members[np.argsort(sq_dists[members])[: args.top]]
+        closest = members[np.argsort(result.sq_dists[members])[: args.top]]
         grams = [" ".join(vocab.entries[t]) for t in closest]
         print(f"cluster {k}: " + " | ".join(grams))
     return 0

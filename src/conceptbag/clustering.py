@@ -37,7 +37,8 @@ class KMeansConfig:
 class KMeansResult:
     centroids: np.ndarray  # K x m
     labels: np.ndarray
-    inertia: float
+    sq_dists: np.ndarray  # |x - c_label|^2 per row, from the final assignment pass
+    inertia: float  # sq_dists.sum()
     inertia_trace: list[float] = field(default_factory=list)
     # per Lloyd pass before a centroid update, the rows that the float32
     # screen left to float64 (empty for mini-batch); word-scored passes bound
@@ -392,7 +393,7 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
         distinct = len(np.unique(X, axis=0))
         if distinct < config.K:
             raise TooFewPoints(f"{distinct} distinct points for K={config.K}")
-    return KMeansResult(centers, labels, total, trace, rechecked)
+    return KMeansResult(centers, labels, sq_dists, total, trace, rechecked)
 
 
 def _fix_empty_clusters(X, centers, labels, K):
@@ -436,7 +437,7 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
             counts[k] += 1
             centers[k] += (X[idx] - centers[k]) / counts[k]
     labels, sq_dists, _ = _nearest(X, centers, words)
-    return KMeansResult(centers, labels, float(sq_dists.sum()))
+    return KMeansResult(centers, labels, sq_dists, float(sq_dists.sum()))
 
 
 def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:

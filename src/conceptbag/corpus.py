@@ -1,6 +1,7 @@
 """Dataset loading, tokenization, n-gram extraction and count matrices."""
 
 import logging
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -312,23 +313,26 @@ def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary) -> sp.c
     )
 
 
-def _read_review(path: Path) -> tuple[str, ...]:
+def _read_review(path: str) -> tuple[str, ...]:
     try:
-        raw = path.read_bytes().decode("utf-8", errors="ignore")
+        with open(path, "rb") as fh:
+            raw = fh.read().decode("utf-8", errors="ignore")
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
     return tuple(tokenize(raw))
 
 
 def _load_dir(root: Path, subdir: str, label, prefix: str) -> list[Document]:
+    """The files of ``root/subdir`` in name order (str order, as sorted Paths of one folder on POSIX)."""
     folder = root / subdir
     if not folder.is_dir():
         raise MissingDirectory(f"expected directory {folder}")
-    docs = []
-    for path in sorted(folder.iterdir()):
-        if path.is_file():
-            docs.append(Document(id=f"{prefix}/{path.name}", label=label, tokens=_read_review(path)))
-    return docs
+    with os.scandir(folder) as entries:
+        names = sorted(entry.name for entry in entries if entry.is_file())
+    return [
+        Document(id=f"{prefix}/{name}", label=label, tokens=_read_review(os.path.join(folder, name)))
+        for name in names
+    ]
 
 
 def load_polarity_dataset(root_path) -> Dataset:

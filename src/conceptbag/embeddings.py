@@ -1,6 +1,7 @@
 """Word vectors: text-format I/O, n-gram averaging, and a toy skip-gram trainer."""
 
 import logging
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -16,6 +17,7 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
+_LOAD_CHUNK_ROWS = 256  # lines load_word_vectors hands numpy's text parser at a time; bounds its buffers
 _EMBED_ROWS = 256  # rows embed_all gathers at a time; bounds its buffer, not its result
 _SGNS_BLOCK_PAIRS = 16  # (center, context) pairs train_sgns updates from one snapshot
 _SGNS_CHUNK_TOKENS = 256  # center tokens whose pairs train_sgns holds at a time
@@ -45,60 +47,142 @@ class WordVectors:
         return self.matrix[idx]
 
 
+def _parse_values(values: list[str]) -> np.ndarray:
+    """One float64 row per string of space-separated values, from numpy's C text parser."""
+    return np.loadtxt(values, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+
+
+def _parse_chunk(path, values: list[str], lines: list[int], dim) -> np.ndarray:
+    """The rows of ``values``, read from ``lines`` of ``path``, each ``dim`` wide (None: the first row's width).
+
+    The chunk is parsed in one call. The parser reads a run of spaces as
+    empty fields, which it rejects, so a rejected chunk whose lines hold such
+    runs is parsed again with one space per run: runs are rare, and looking
+    for them in every line would cost about a sixth of the parse. If the
+    parser still rejects the chunk, or its width is not ``dim``, each line is
+    parsed alone with the same call, only to raise at the first bad one:
+    MalformedLine if it does not parse, DimensionMismatch if its width differs.
+    """
+    while True:
+        try:
+            rows = _parse_values(values)
+            if dim in (None, rows.shape[1]):
+                return rows
+        except ValueError:
+            pass
+        if not any("  " in text for text in values):
+            break
+        values = [" ".join(v for v in text.split(" ") if v) for text in values]
+    for lineno, text in zip(lines, values):
+        try:
+            width = _parse_values([text]).shape[1]
+        except ValueError as exc:
+            raise MalformedLine(f"{path} line {lineno}: {exc}") from exc
+        dim = dim or width
+        if width != dim:
+            raise DimensionMismatch(f"{path} line {lineno}: row has {width} values, expected {dim}")
+    raise AssertionError(f"{path} lines {lines[0]}-{lines[-1]} parse one by one but not together")
+
+
 def load_word_vectors(path) -> WordVectors:
     """Parse the standard text embedding format.
 
     The first line is a "<count> <dim>" header when both of its fields are
     integers; otherwise it is a regular row and the dimension is inferred
     from it. With a header, the file holds exactly <count> rows, duplicates
-    included. Duplicate words keep the last occurrence with a warning. A line
-    that is not UTF-8 or does not parse, a header or first row giving 0 values
-    per row, a row missing or beyond the header's count, or a NaN or infinite
-    value (MalformedLine), or a row of the wrong length (DimensionMismatch),
-    fails naming the file and the line.
+    included. Duplicate words keep the last occurrence, at the first one's
+    position, with a warning. A line that is not UTF-8 or does not parse, a
+    header or first row giving 0 values per row, a row missing or beyond the
+    header's count, or a NaN or infinite value (MalformedLine), or a row of
+    the wrong length (DimensionMismatch), fails naming the file and the line.
+    Errors are raised in line order, except NaN and infinity, which are
+    checked last and only in the rows that the result keeps.
+
+    Fields are separated by runs of spaces; blank lines are skipped. Each
+    line's word is split off in Python, and its values go to numpy's text
+    parser _LOAD_CHUNK_ROWS lines at a time, each chunk written into one
+    matrix, allocated for the header's count (at most the rows the file's
+    size can hold) or grown by doubling.
     """
     words: dict[str, int] = {}
-    rows: list[np.ndarray] = []
-    row_lines: list[int] = []  # the line each row was last read from
-    count = dim = None
-    read = 0
+    repeats: list[tuple[int, int]] = []  # (word id, row) of each repeated word
+    nonfinite: dict[int, int] = {}  # row -> line, for rows holding a NaN or infinity
+    values_of: list[str] = []  # the rows read but not yet parsed, and their lines
+    lines_of: list[int] = []
+    matrix = count = dim = None
+    read = stored = 0
+
+    def flush():
+        nonlocal matrix, dim, stored
+        if not values_of:
+            return
+        rows = _parse_chunk(path, values_of, lines_of, dim)
+        dim = rows.shape[1]
+        if matrix is None:
+            capacity = _LOAD_CHUNK_ROWS if count is None else count
+            # a row of dim values takes at least 2 * dim + 1 bytes; a header may claim more rows
+            matrix = np.empty((min(capacity, os.stat(path).st_size // (2 * dim + 1)), dim))
+        stop = stored + len(rows)
+        if stop > len(matrix):  # no header, or a file whose size stat does not give
+            matrix.resize((max(stop, 2 * len(matrix)), dim), refcheck=False)  # no view of it exists
+        matrix[stored:stop] = rows
+        for i in np.flatnonzero(~np.isfinite(rows).all(axis=1)).tolist():
+            nonfinite[stored + i] = lines_of[i]
+        stored = stop
+        values_of.clear()
+        lines_of.clear()
+
     with numbered_lines(path) as lines:
-        for lineno, line in enumerate(lines, start=1):
-            parts = [p for p in line.rstrip("\r\n").split(" ") if p]
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
-                count, dim = int(parts[0]), int(parts[1])
-                if dim == 0:
-                    raise ValueError("the header gives 0 values per row")
-                continue
-            read += 1
-            if count is not None and read > count:
-                raise ValueError(f"row {read}, but the header gives {count} rows")
-            word, values = parts[0], parts[1:]
-            vec = np.array(values, dtype=np.float64)
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                text = line.rstrip("\r\n")
+                if lineno == 1:
+                    parts = [p for p in text.split(" ") if p]
+                    if len(parts) == 2 and all(p.isdecimal() for p in parts):
+                        count, dim = int(parts[0]), int(parts[1])
+                        if dim == 0:
+                            raise ValueError("the header gives 0 values per row")
+                        continue
+                word, _, values = text.lstrip(" ").partition(" ")
+                if not word:
+                    continue
+                read += 1
+                if count is not None and read > count:
+                    raise ValueError(f"row {read}, but the header gives {count} rows")
+                values = values.strip(" ")
+                if "\r" in values:
+                    # numpy's parser ends a line at a CR; float() and a tab both take it for space
+                    values = values.replace("\r", "\t")
+                if not values:
+                    flush()
+                    if dim is not None:
+                        raise DimensionMismatch(f"{path} line {lineno}: row has 0 values, expected {dim}")
                     raise ValueError(f"row {word!r} has no values")
-            if len(vec) != dim:
-                raise DimensionMismatch(
-                    f"{path} line {lineno}: row has {len(vec)} values, expected {dim}"
-                )
-            if word in words:
-                logger.warning("duplicate word %r at line %d; keeping last", word, lineno)
-                rows[words[word]] = vec
-                row_lines[words[word]] = lineno
-            else:
-                words[word] = len(rows)
-                rows.append(vec)
-                row_lines.append(lineno)
+                n = len(words)
+                if words.setdefault(word, n) != n:
+                    logger.warning("duplicate word %r at line %d; keeping last", word, lineno)
+                    repeats.append((words[word], read - 1))
+                values_of.append(values)
+                lines_of.append(lineno)
+                if len(values_of) == _LOAD_CHUNK_ROWS:
+                    flush()
+        except ValueError:
+            flush()  # an earlier line's error comes first
+            raise
+        flush()
         if count is not None and read < count:
             raise ValueError(f"{read} rows, but the header gives {count}")
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim or 0))
-    if not np.isfinite(matrix).all():
-        first = min(row_lines[i] for i in np.flatnonzero(~np.isfinite(matrix).all(axis=1)))
-        raise MalformedLine(f"{path} line {first}: row holds a NaN or infinite value")
+    if matrix is None:
+        return WordVectors(words=words, matrix=np.zeros((0, dim or 0)))
+    matrix.resize((stored, dim), refcheck=False)
+    if repeats:  # each word's last row, in the order of first occurrence
+        kept = np.delete(np.arange(stored), [row for _, row in repeats])
+        for word_id, row in repeats:
+            kept[word_id] = row
+        matrix = matrix[kept]
+        nonfinite = {row: nonfinite[row] for row in kept.tolist() if row in nonfinite}
+    if nonfinite:
+        raise MalformedLine(f"{path} line {min(nonfinite.values())}: row holds a NaN or infinite value")
     return WordVectors(words=words, matrix=matrix)
 
 

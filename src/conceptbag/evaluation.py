@@ -200,8 +200,6 @@ def run_experiment(
     """
     if config.feature_mode in features.CONCEPT_MODES and wv is None:
         raise ValueError("word vectors are required for concept feature modes")
-    # without word vectors (BOW/LSA) every corpus word is in the dictionary
-    dictionary = {t for d in dataset.documents for t in d.tokens} if wv is None else wv.words
 
     if cache is None and config.cluster_on_all:
         cache = {}  # the fits on all documents serve every fold
@@ -225,9 +223,12 @@ def run_experiment(
         read = docs
     else:  # the documents of the splits: no fold reads IMDB's unlabeled reviews
         read = [docs[i] for i in np.unique(np.concatenate([np.concatenate(split) for split in splits]))]
+    # without word vectors (BOW/LSA) every word of the documents read is in the dictionary
     index = _cached(
         {} if cache is None else cache, ("index", config.ngram_orders, tuple(d.id for d in read)),
-        clock, "vocab", lambda: NGramIndex(read, config.ngram_orders, dictionary),
+        clock, "vocab", lambda: NGramIndex(
+            read, config.ngram_orders, {t for d in read for t in d.tokens} if wv is None else wv.words
+        ),
     )
     per_fold, traces, rechecked = [], [], []
     for train_idx, test_idx in splits:

@@ -117,9 +117,10 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
         if gnorm < config.tolerance or gnorm == 0.0:  # 0 is optimal even at tolerance 0
             break
         Xa = X[y * scores < 1.0]
+        XaT = Xa.T  # once per Newton step, not per CG iteration
 
         def hessvec(v):
-            return v + 2.0 * C * np.asarray(Xa.T @ (Xa @ v)).ravel()
+            return v + 2.0 * C * np.asarray(XaT @ (Xa @ v)).ravel()
 
         step, iters = _cg(hessvec, -grad, max_iter=max(50, d), tol=CG_RELATIVE_TOLERANCE * gnorm)
         cg_iters += iters

@@ -278,6 +278,32 @@ class TestCluster:
             want.append(f"cluster {k}: " + " | ".join(" ".join(vocab.entries[t]) for t in closest))
         assert printed == want
 
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    def test_runs_no_assignment_pass_after_the_fit(
+        self, tmp_path, polarity_root, vectors_path, monkeypatch, capsys, variant
+    ):
+        # the printed members come from the fit's own final pass
+        fitted, after = [], []
+        real_fit, real_nearest, real_own = clustering.fit, clustering.nearest, clustering._nearest
+
+        def fit(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            fitted.append(result)
+            return result
+
+        def counted(real):
+            return lambda *args, **kwargs: (after.append(real) if fitted else None) or real(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "fit", fit)
+        monkeypatch.setattr(clustering, "nearest", counted(real_nearest))
+        monkeypatch.setattr(clustering, "_nearest", counted(real_own))
+        rc = main(
+            ["cluster", *dataset_flags(polarity_root, vectors_path), "--orders", "1,2",
+             "--K", "4", "--variant", variant, "--batch-size", "8", "--out", str(tmp_path / "c.txt")]
+        )
+        assert rc == 0 and len(fitted) == 1 and after == []
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+
     @pytest.mark.parametrize(
         "flags, message",
         [(["--cluster", "20"], "--cluster must be an int in [0, 19], got 20"),

@@ -267,6 +267,17 @@ class TestLoaders:
         assert all(d.label is not None for d in ds.documents)
         assert any("unsup" in r.message for r in caplog.records)
 
+    def test_files_in_sorted_path_order(self, tmp_path):
+        names = ["b.txt", "B.txt", "a10.txt", "a9.txt", "a_1.txt", "é.txt", "z.txt", "Ω.txt", "0.txt", "a b.txt"]
+        for name in names:
+            self._write(tmp_path, f"pos/{name}", name)
+        (tmp_path / "pos" / "sub.txt").mkdir()  # a folder is not a document
+        (tmp_path / "neg").mkdir()
+        ds = load_polarity_dataset(tmp_path)
+        want = [f"pos/{p.name}" for p in sorted((tmp_path / "pos").iterdir()) if p.is_file()]
+        assert [d.id for d in ds.documents] == want and len(want) == len(names)
+        assert all(d.tokens == tuple(corpus.tokenize(d.id[4:])) for d in ds.documents)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             Dataset(name="x", documents=[doc(["a"], id="same"), doc(["b"], id="same")])

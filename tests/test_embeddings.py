@@ -1,11 +1,13 @@
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import sgns_pair_corpus, vocab_of
+from reference_vectors import reference_load_word_vectors
 
 from conceptbag import embeddings
 from conceptbag.embeddings import (
@@ -96,6 +98,123 @@ class TestLoader:
         back = load_word_vectors(p)
         assert back.words == wv.words
         assert np.array_equal(back.matrix, wv.matrix)
+
+
+def load_outcome(load, path):
+    """("ok", words in order, matrix shape, matrix bytes), or (exception type, line) of ``load(path)``."""
+    try:
+        got = load(path)
+    except (ValueError, MalformedLine, DimensionMismatch) as exc:
+        return type(exc).__name__, re.search(r" line (\d+): ", str(exc)).group(1)
+    words, matrix = (got.words, got.matrix) if isinstance(got, WordVectors) else got
+    return "ok", list(words.items()), matrix.shape, matrix.tobytes()
+
+
+# values inside the format's grammar; float() and numpy's parser read each alike
+_GOOD_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "-0", "+1", ".5", "5.", "1e5", "1E-5", "5e-324", "2.5e-310", "-1.5E+300", "1e400",
+                     "NaN", "-inf", "Infinity", "\t1", "1\t", "1\r", "007"]),
+)
+_BAD_VALUES = st.sampled_from(["x", "1.2.3", "--1", "1e", "\t", "\r", "1\t2", "1\r2", "1,5", "0x10"])
+
+
+@st.composite
+def vector_files(draw):
+    """Bytes of a word-vector file over the format's grammar, errors of every kind included."""
+    dim = draw(st.integers(1, 3))
+    values = _GOOD_VALUES if draw(st.integers(0, 3)) else st.one_of(_GOOD_VALUES, _BAD_VALUES)
+    word = st.sampled_from(["0", "7", "a", "b", "c", "é", "词", "a\tb", "Ab"])
+    lines = []
+    for _ in range(draw(st.integers(0, 9))):
+        width = draw(st.sampled_from([dim] * 8 + [dim - 1, dim + 1, 0]))
+        fields = [draw(word)] + draw(st.lists(values, min_size=width, max_size=width))
+        sep = draw(st.sampled_from([" ", " ", " ", "  "]))
+        lead, trail = draw(st.sampled_from(["", "", " "])), draw(st.sampled_from(["", "", " ", "  "]))
+        lines.append(lead + sep.join(fields) + trail + draw(st.sampled_from(["\n", "\n", "\r\n", "\n\n"])))
+    header = draw(st.sampled_from(["none", "count", "count", "over", "under", "dim+1", "dim 0"]))
+    if header != "none":
+        count = len(lines) + {"over": 1, "under": -1}.get(header, 0)
+        lines.insert(0, f"{max(count, 0)} {0 if header == 'dim 0' else dim + (header == 'dim+1')}\n")
+    data = "".join(lines).encode("utf-8")
+    if lines and draw(st.integers(0, 5)) == 0:
+        data = data.rstrip(b"\n")  # a last line without its newline
+    if lines and draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]  # a byte that is not UTF-8
+    return data
+
+
+class TestChunkedReader:
+    """The chunked reader against the per-line reference reader it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vector_files(), st.sampled_from([1, 2, 3, 256]))
+    def test_same_words_bits_and_errors_as_the_reference(self, tmp_path_factory, data, chunk):
+        p = tmp_path_factory.getbasetemp() / "chunked-reader-vectors.txt"
+        p.write_bytes(data)
+        with mock.patch.object(embeddings, "_LOAD_CHUNK_ROWS", chunk):
+            got = load_outcome(load_word_vectors, p)
+        assert got == load_outcome(reference_load_word_vectors, p)
+
+    @pytest.mark.parametrize(
+        "rows, line, error",
+        [
+            (["a 1 2", "b 3 4", "c 5 6", "d x 8", "e 9 1", "f 2 3"], 5, MalformedLine),
+            (["a 1 2", "b 3 4", "c 5 x", "d 7 8", "e 9 1", "f 2 3"], 4, MalformedLine),
+            (["a 1 2", "b 3 4", "c 5 6", "d 7 8 9", "e 9 1", "f 2 3"], 5, DimensionMismatch),
+            (["a 1 2", "b 3 4", "c 5", "d 7 8", "e 9 1", "f 2 3"], 4, DimensionMismatch),
+            (["a 1 2", "b 3 4", "c 5 6", "d", "e 9 1", "f 2 3"], 5, DimensionMismatch),
+        ],
+        ids=["bad-value-first", "bad-value-last", "too-wide-first", "too-short-last", "bare-word-first"],
+    )
+    def test_bad_row_at_a_chunk_edge(self, tmp_path, monkeypatch, rows, line, error):
+        monkeypatch.setattr(embeddings, "_LOAD_CHUNK_ROWS", 3)
+        p = tmp_path / "v.txt"
+        p.write_text("6 2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(error, match=re.escape(f"{p} line {line}: ")):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("header", ["", "5 2\n"])
+    def test_duplicate_across_chunks_keeps_last_at_first_position(self, tmp_path, monkeypatch, header):
+        monkeypatch.setattr(embeddings, "_LOAD_CHUNK_ROWS", 2)
+        p = tmp_path / "v.txt"
+        p.write_text(header + "a nan 0\nb 1 1\nc 2 2\na 3 3\nd 4 4\n")
+        wv = load_word_vectors(p)  # the NaN row is replaced, so it is not an error
+        assert list(wv.words) == ["a", "b", "c", "d"]
+        assert wv.matrix.tolist() == [[3, 3], [1, 1], [2, 2], [4, 4]]
+
+    @pytest.mark.parametrize("rows", [3, 4, 5])
+    @pytest.mark.parametrize("off, line", [(1, "missing"), (-1, "last")])
+    def test_header_count_one_off(self, tmp_path, monkeypatch, rows, off, line):
+        monkeypatch.setattr(embeddings, "_LOAD_CHUNK_ROWS", 2)
+        p = tmp_path / "v.txt"
+        p.write_text(f"{rows + off} 2\n" + "".join(f"w{i} {i} 1\n" for i in range(rows)))
+        lineno = rows + 2 if line == "missing" else rows + 1
+        with pytest.raises(MalformedLine, match=re.escape(f"{p} line {lineno}: ")):
+            load_word_vectors(p)
+
+    def test_headerless_file_grows_by_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_LOAD_CHUNK_ROWS", 2)
+        p = tmp_path / "v.txt"
+        p.write_text("".join(f"w{i} {i} {-i}.5\n" for i in range(7)))
+        wv = load_word_vectors(p)
+        assert wv.matrix.shape == (7, 2) and wv.matrix[6].tolist() == [6.0, -6.5]
+
+    def test_header_count_beyond_the_file_size_is_a_missing_row(self, tmp_path):
+        # the matrix is sized by the rows the file can hold, not by the header alone
+        p = tmp_path / "v.txt"
+        p.write_text("10000000000000 3\na 1 2 3\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{p} line 3: ")):
+            load_word_vectors(p)
+
+    @pytest.mark.parametrize("value", ["1_000", "١", "１"])
+    def test_values_only_python_float_reads_are_rejected(self, tmp_path, value):
+        # digit separators and non-ASCII digits are not in the format; numpy's parser rejects them
+        p = tmp_path / "v.txt"
+        p.write_text(f"a {value} 2\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=re.escape(f"{p} line 1: ")):
+            load_word_vectors(p)
 
 
 class TestEmbedNgram:

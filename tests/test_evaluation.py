@@ -204,6 +204,24 @@ class TestRunExperiment:
         rep = run_experiment(small_config(folds=0), ds, wv)
         assert len(rep.per_fold) == 1
 
+    @pytest.mark.parametrize("mode", ["bow_nb", "lsa"])
+    def test_run_without_vectors_reads_no_unread_document(self, mode):
+        # an unlabeled document that no split reads is never tokenized, not even for the dictionary
+        class Unread(tuple):
+            def __iter__(self):
+                raise AssertionError("read an unlabeled document")
+
+        ds, _ = make_synthetic_sentiment(seed=8, n_docs=60)
+        unsup = Document(id="train/unsup/0.txt", label=None, tokens=Unread(("good",)))
+        ds = Dataset(
+            name="synthetic",
+            documents=ds.documents + [unsup],
+            train_ids=list(range(0, 20)) + list(range(30, 50)),
+            test_ids=list(range(20, 30)) + list(range(50, 60)),
+        )
+        rep = run_experiment(small_config(folds=0, feature_mode=mode, K=2), ds)
+        assert len(rep.per_fold) == 1
+
     def test_folds_zero_without_split(self):
         ds, wv = make_synthetic_sentiment(seed=9, n_docs=40)
         with pytest.raises(TooFewDocuments):
