@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -203,6 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="conceptbag",
         description="Bag-of-semantic-concepts document classification pipeline",
     )
+    parser.add_argument(
+        "--log-level", default="WARNING", choices=["DEBUG", "INFO", "WARNING", "ERROR"],
+        help="least severe log messages printed to stderr (default WARNING); INFO adds one line per dataset loaded",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-embeddings", help="train toy skip-gram vectors")
@@ -242,6 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # bare messages on stderr, as Python prints a warning when logging is not configured
+    logging.basicConfig(level=args.log_level, format="%(message)s")
     try:
         return args.func(args)
     except ConceptBagError as exc:

@@ -3,6 +3,7 @@
 import logging
 import os
 import re
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -23,9 +24,10 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-# One-pass token scan: word stems before "n't" ("didn't" -> "did" + "n't"),
-# apostrophe clitics ("it's" -> "it" + "'s"), plain words, then any other
-# non-space character as its own token.
+# Token grammar, applied to each whitespace-separated chunk of lowercased text
+# whose digit runs are "0": word stems before "n't" ("didn't" -> "did" +
+# "n't"), apostrophe clitics ("it's" -> "it" + "'s"), plain words, then any
+# other non-space character as its own token.
 _DIGIT_RUN = re.compile(r"\d+")
 _TOKEN = re.compile(r"[a-z0]+(?=n't\b)|n't|'[a-z0]+|[a-z0]+|\S")
 
@@ -33,13 +35,28 @@ _TOKEN = re.compile(r"[a-z0]+(?=n't\b)|n't|'[a-z0]+|[a-z0]+|\S")
 def tokenize(raw_text: str) -> list[str]:
     """Turn raw text into lowercase tokens.
 
-    Digit runs collapse to the single token "0", punctuation characters
-    become separate tokens, and apostrophe clitics are split off
-    ("didn't" -> ["did", "n't"]). Empty input yields an empty list.
+    A token is a run of ASCII letters and decimal digits, a word stem
+    before "n't" ("didn't" -> ["did", "n't"]), "n't", an apostrophe clitic
+    ("it's" -> ["it", "'s"]), or any other non-space character alone. Every
+    run of decimal digits becomes "0" inside its token ("b2b" -> ["b0b"],
+    "1984" -> ["0"], "7/10" -> ["0", "/", "0"]). Empty input yields an empty
+    list.
+
+    No token crosses whitespace (``str.split`` and the pattern's ``\\s``
+    agree on every code point), so each chunk is tokenized alone: a chunk of
+    ASCII letters is one token as it stands, and a chunk of one character is
+    itself or, if a decimal digit, "0"; only the other chunks go through the
+    pattern.
     """
-    text = raw_text.lower()
-    text = _DIGIT_RUN.sub("0", text)
-    return _TOKEN.findall(text)
+    tokens = []
+    for chunk in raw_text.lower().split():
+        if chunk.isalpha() and chunk.isascii():
+            tokens.append(chunk)
+        elif len(chunk) == 1:
+            tokens.append("0" if chunk.isdecimal() else chunk)
+        else:
+            tokens += _TOKEN.findall(_DIGIT_RUN.sub("0", chunk))
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -335,17 +352,30 @@ def _load_dir(root: Path, subdir: str, label, prefix: str) -> list[Document]:
     ]
 
 
+def _log_loaded(dataset: Dataset, root: Path, start: float) -> None:
+    """Log at INFO what a loader read from ``root`` since ``start`` (a ``time.perf_counter()``)."""
+    logger.info(
+        "loaded %s dataset %s: %d documents, %d tokens in %.3f s",
+        dataset.name, root, len(dataset.documents), sum(len(d.tokens) for d in dataset.documents),
+        time.perf_counter() - start,
+    )
+
+
 def load_polarity_dataset(root_path) -> Dataset:
     """Load the Pang & Lee polarity layout root/{pos,neg}/*.txt."""
+    start = time.perf_counter()
     root = Path(root_path)
     if not root.is_dir():
         raise MissingDirectory(f"expected directory {root}")
     docs = _load_dir(root, "pos", +1, "pos") + _load_dir(root, "neg", -1, "neg")
-    return Dataset(name="polarity", documents=docs)
+    dataset = Dataset(name="polarity", documents=docs)
+    _log_loaded(dataset, root, start)
+    return dataset
 
 
 def load_imdb_dataset(root_path) -> Dataset:
     """Load the Maas et al. layout root/{train/{pos,neg,unsup},test/{pos,neg}}."""
+    start = time.perf_counter()
     root = Path(root_path)
     if not root.is_dir():
         raise MissingDirectory(f"expected directory {root}")
@@ -366,4 +396,6 @@ def load_imdb_dataset(root_path) -> Dataset:
         docs.extend(_load_dir(root, "train/unsup", None, "train/unsup"))
     else:
         logger.warning("no train/unsup directory under %s; unlabeled partition empty", root)
-    return Dataset(name="imdb", documents=docs, train_ids=train_ids, test_ids=test_ids)
+    dataset = Dataset(name="imdb", documents=docs, train_ids=train_ids, test_ids=test_ids)
+    _log_loaded(dataset, root, start)
+    return dataset

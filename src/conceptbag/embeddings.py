@@ -52,6 +52,20 @@ def _parse_values(values: list[str]) -> np.ndarray:
     return np.loadtxt(values, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
 
 
+def _first_bad_value(text: str) -> str:
+    """Which of the space-separated values of ``text`` the parser rejects first, and its position among them.
+
+    The parser reads each value apart from the others, so the one it rejects
+    is the first that does not parse alone.
+    """
+    for i, value in enumerate(text.split(" "), start=1):
+        try:
+            _parse_values([value])
+        except ValueError:
+            return f"value {i}, {value!r}, is not a number"
+    raise AssertionError(f"{text!r} parses value by value but not as a row")
+
+
 def _parse_chunk(path, values: list[str], lines: list[int], dim) -> np.ndarray:
     """The rows of ``values``, read from ``lines`` of ``path``, each ``dim`` wide (None: the first row's width).
 
@@ -77,7 +91,7 @@ def _parse_chunk(path, values: list[str], lines: list[int], dim) -> np.ndarray:
         try:
             width = _parse_values([text]).shape[1]
         except ValueError as exc:
-            raise MalformedLine(f"{path} line {lineno}: {exc}") from exc
+            raise MalformedLine(f"{path} line {lineno}: {_first_bad_value(text)}") from exc
         dim = dim or width
         if width != dim:
             raise DimensionMismatch(f"{path} line {lineno}: row has {width} values, expected {dim}")

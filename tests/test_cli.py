@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +385,32 @@ class TestHeldOutChain:
         result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=(wv.matrix, word_rows(vocab, wv)))
         save_centroids(result.centroids, tmp_path / "fit.txt")
         assert cents.read_bytes() == (tmp_path / "fit.txt").read_bytes()
+
+
+class TestLogLevel:
+    """``--log-level`` configures logging in a fresh interpreter, as the console script runs."""
+
+    def cluster(self, tmp_path, root, vectors_path, *flags, dataset_type="polarity"):
+        command = [
+            sys.executable, "-m", "conceptbag.cli", *flags, "cluster", "--embeddings", str(vectors_path),
+            "--dataset-root", str(root), "--dataset-type", dataset_type, "--K", "2", "--out", str(tmp_path / "c.txt"),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        return subprocess.run(command, capture_output=True, text=True, env=env, check=True)
+
+    def test_info_prints_the_load_line_to_stderr(self, tmp_path, polarity_root, vectors_path):
+        default = self.cluster(tmp_path, polarity_root, vectors_path)
+        info = self.cluster(tmp_path, polarity_root, vectors_path, "--log-level", "INFO")
+        assert default.stderr == ""
+        assert info.stdout == default.stdout
+        pattern = rf"loaded polarity dataset {re.escape(str(polarity_root))}: 24 documents, 600 tokens in \d+\.\d{{3}} s\n"
+        assert re.fullmatch(pattern, info.stderr)
+
+    def test_default_prints_warnings_bare(self, tmp_path, vectors_path):
+        root = write_imdb(tmp_path / "imdb")
+        (root / "train" / "unsup").rmdir()
+        default = self.cluster(tmp_path, root, vectors_path, dataset_type="imdb")
+        assert default.stderr == f"no train/unsup directory under {root}; unlabeled partition empty\n"
 
 
 class TestRun:

@@ -1,9 +1,10 @@
 import re
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conceptbag.corpus import (
     Dataset,
@@ -20,6 +21,7 @@ from conceptbag.embeddings import WordVectors, embed_all
 from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnknownDocument
 
 from conftest import indexed_vocab, vocab_of
+from reference_tokenizer import reference_tokenize
 
 
 def doc(tokens, label=1, id="d0"):
@@ -58,6 +60,35 @@ class TestTokenize:
             assert not re.search(r"\d", tok) or tok == "0" or "0" in tok
             # a token never contains two adjacent digits
             assert "00" not in tok
+
+    def test_digit_run_becomes_0_inside_its_token(self):
+        assert tokenize("b2b 2nd a\u0663b") == ["b0b", "0nd", "a0b"]
+
+    # any code point, or a piece of the grammar: ASCII and non-ASCII letters (the
+    # Kelvin sign lowercases to "k", U+0130 to "i" and a combining dot), ASCII and
+    # non-ASCII decimal digits and a superscript digit, which is not decimal, clitics,
+    # punctuation, and every kind of whitespace
+    _PIECES = st.sampled_from([
+        "a", "Z", "k", "\u212a", "\u0130", "\u00e9", "\u00df", "\u03a3",
+        "0", "7", "42", "\u0663", "\uff11", "\u00b2",
+        "'", "'S", "n't", "N'T", "n'", "'t", ".", ",", "!", "-", "/", "$",
+        " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+        "\u00a0", "\u1680", "\u2000", "\u2028", "\u2029", "\u202f", "\u3000",
+    ])
+
+    @given(st.lists(_PIECES | st.characters(), max_size=40).map("".join))
+    @example("Caf\u00e9 DIDN'T cost \u20ac2,50 \u2014 b2b\u3000it's 2nd")
+    def test_matches_the_whole_text_regex(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_every_code_point_alone_matches_the_whole_text_regex(self):
+        text = " ".join(map(chr, range(sys.maxunicode + 1)))
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_split_whitespace_is_the_pattern_whitespace(self):
+        # tokenize splits chunks at str.isspace; the pattern's \S stops at \s
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert [c for c in every if c.isspace()] == re.findall(r"\s", every)
 
 
 class TestExtractNgrams:
@@ -266,6 +297,24 @@ class TestLoaders:
             ds = load_imdb_dataset(tmp_path)
         assert all(d.label is not None for d in ds.documents)
         assert any("unsup" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        "load, files",
+        [
+            (load_polarity_dataset, ["pos/a.txt", "neg/b.txt"]),
+            (load_imdb_dataset, ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt",
+                                 "train/unsup/e.txt"]),
+        ],
+        ids=["polarity", "imdb"],
+    )
+    def test_logs_documents_tokens_and_seconds_at_info(self, tmp_path, caplog, load, files):
+        for rel in files:
+            self._write(tmp_path, rel, "Great movie!")
+        with caplog.at_level("INFO", logger="conceptbag.corpus"):
+            ds = load(tmp_path)
+        [message] = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+        pattern = rf"loaded {ds.name} dataset {re.escape(str(tmp_path))}: {len(files)} documents, {3 * len(files)} tokens in \d+\.\d{{3}} s"
+        assert re.fullmatch(pattern, message)
 
     def test_files_in_sorted_path_order(self, tmp_path):
         names = ["b.txt", "B.txt", "a10.txt", "a9.txt", "a_1.txt", "é.txt", "z.txt", "Ω.txt", "0.txt", "a b.txt"]

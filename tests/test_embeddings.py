@@ -66,6 +66,23 @@ class TestLoader:
             load_word_vectors(p)
 
     @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("b 1 x 0", "value 2, 'x', is not a number"),
+            ("b 1,5 2 0", "value 1, '1,5', is not a number"),
+            ("b 1\t 2 \t", "value 3, '\\t', is not a number"),
+            ("b  1  2  1e", "value 3, '1e', is not a number"),
+        ],
+        ids=["x", "comma", "tab", "runs-of-spaces"],
+    )
+    def test_malformed_line_names_the_value_and_its_place_in_the_row(self, tmp_path, row, reason):
+        p = tmp_path / "v.txt"
+        p.write_text(f"2 3\na 1 0 0\n{row}\n")
+        with pytest.raises(MalformedLine) as info:
+            load_word_vectors(p)
+        assert str(info.value) == f"{p} line 3: {reason}"
+
+    @pytest.mark.parametrize(
         "content, line",
         [("good\nfilm\n", 1), ("good\nfilm 1 2\n", 1), ("2 0\ngood\nfilm\n", 1), ("0 0\n", 1)],
         ids=["bare-words", "bare-first-row", "header-dim-0", "empty-header-dim-0"],
