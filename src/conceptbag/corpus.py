@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    BadLabel,
     BadOrders,
     EmptyVocabulary,
     MissingDirectory,
@@ -61,7 +62,11 @@ def tokenize(raw_text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
-    """A tokenized review with a sentiment label (+1, -1, or None)."""
+    """A tokenized review with a sentiment label.
+
+    A ``Dataset`` holds labels of +1 or -1 only; documents given to an
+    ``NGramIndex`` directly need none, and carry None.
+    """
 
     id: str
     label: Optional[int]
@@ -73,8 +78,8 @@ class Dataset:
     """A named collection of documents, optionally with a train/test split.
 
     ``train_ids`` / ``test_ids`` index into ``documents``; both are None for
-    corpora evaluated by cross-validation. Unlabeled documents have label
-    None.
+    corpora evaluated by cross-validation. Every document is labeled +1 or
+    -1: anything else raises BadLabel, naming the first such document.
     """
 
     name: str
@@ -86,14 +91,16 @@ class Dataset:
         ids = [d.id for d in self.documents]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate document ids in dataset {self.name!r}")
+        for d in self.documents:
+            if d.label not in (1, -1):
+                raise BadLabel(
+                    f"document {d.id!r} of dataset {self.name!r} has label {d.label!r}, not +1 or -1"
+                )
 
     @property
     def labels(self) -> np.ndarray:
-        """Label vector with 0 for unlabeled documents."""
-        return np.array([d.label or 0 for d in self.documents], dtype=np.int64)
-
-    def labeled_indices(self) -> list[int]:
-        return [i for i, d in enumerate(self.documents) if d.label is not None]
+        """The documents' labels, in order, as an int64 vector."""
+        return np.array([d.label for d in self.documents], dtype=np.int64)
 
 
 NGram = tuple[str, ...]
@@ -374,7 +381,7 @@ def load_polarity_dataset(root_path) -> Dataset:
 
 
 def load_imdb_dataset(root_path) -> Dataset:
-    """Load the Maas et al. layout root/{train/{pos,neg,unsup},test/{pos,neg}}."""
+    """Load the Maas et al. layout root/{train,test}/{pos,neg}; train/unsup is not read."""
     start = time.perf_counter()
     root = Path(root_path)
     if not root.is_dir():
@@ -382,20 +389,15 @@ def load_imdb_dataset(root_path) -> Dataset:
     docs: list[Document] = []
     train_ids: list[int] = []
     test_ids: list[int] = []
-    for split, sub, label, bucket in [
-        ("train", "train/pos", +1, train_ids),
-        ("train", "train/neg", -1, train_ids),
-        ("test", "test/pos", +1, test_ids),
-        ("test", "test/neg", -1, test_ids),
+    for sub, label, bucket in [
+        ("train/pos", +1, train_ids),
+        ("train/neg", -1, train_ids),
+        ("test/pos", +1, test_ids),
+        ("test/neg", -1, test_ids),
     ]:
         loaded = _load_dir(root, sub, label, sub)
         bucket.extend(range(len(docs), len(docs) + len(loaded)))
         docs.extend(loaded)
-    unsup = root / "train" / "unsup"
-    if unsup.is_dir():
-        docs.extend(_load_dir(root, "train/unsup", None, "train/unsup"))
-    else:
-        logger.warning("no train/unsup directory under %s; unlabeled partition empty", root)
     dataset = Dataset(name="imdb", documents=docs, train_ids=train_ids, test_ids=test_ids)
     _log_loaded(dataset, root, start)
     return dataset

@@ -300,17 +300,6 @@ def _sgns_coefficients(scores: np.ndarray) -> np.ndarray:
     return coef
 
 
-def sgns_loss_and_grad(center, context, negatives):
-    """Negative-sampling loss and its gradient w.r.t. the center vector.
-
-    loss = -log sigmoid(c.x) - sum_j log sigmoid(-n_j.x).
-    """
-    targets = np.vstack([context, *negatives])
-    scores = targets @ center
-    loss = np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum()
-    return loss, _sgns_coefficients(scores) @ targets
-
-
 def _sgns_chunks(doc_ids, keep_prob, cdf, config: SgnsConfig, rng):
     """Training pairs, one row [center, context, negative_1..k] each, a chunk at a time.
 

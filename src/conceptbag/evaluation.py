@@ -31,7 +31,6 @@ class ExperimentConfig:
     svm: SvmConfig = field(default_factory=SvmConfig)
     folds: int = 10  # 0 = use the dataset's predefined split
     seed: int = 42
-    cluster_on_all: bool = False
 
     def __post_init__(self):
         check_int("K", self.K)
@@ -39,8 +38,6 @@ class ExperimentConfig:
         if self.folds == 1 or self.folds < 0:
             raise BadConfig(f"folds must be 0 (the dataset's own split) or >= 2, got {self.folds}")
         check_int("seed", self.seed, minimum=0)
-        if not isinstance(self.cluster_on_all, (bool, np.bool_)):
-            raise BadConfig(f"cluster_on_all must be a bool, got {self.cluster_on_all!r}")
         self.ngram_orders = check_orders(self.ngram_orders)
         if self.feature_mode not in FEATURE_MODES:
             raise BadConfig(f"unknown feature_mode {self.feature_mode!r}; expected one of {FEATURE_MODES}")
@@ -53,8 +50,8 @@ class ExperimentReport:
     per_fold: list[float]
     stage_times: dict[str, float]
     config_echo: ExperimentConfig
-    # per fold, the inertia_trace and rechecked of the K-means fit the fold
-    # used (the shared fit under cluster_on_all); empty outside concept modes
+    # per fold, the inertia_trace and rechecked of the fold's K-means fit;
+    # empty outside concept modes
     inertia_trace: list[list[float]] = field(default_factory=list)
     rechecked: list[list[int]] = field(default_factory=list)
 
@@ -126,7 +123,7 @@ def _cached(cache, key, clock, stage, compute):
 
 
 def _fold_features(
-    train_docs, test_docs, y_train, config, wv, clock, index, all_docs=None, cache=None,
+    train_docs, test_docs, y_train, config, wv, clock, index, cache=None,
 ):
     """Featurize one train/test split; returns (train feats, test feats, K-means fit or None).
 
@@ -135,16 +132,14 @@ def _fold_features(
     n-gram ids; ``wv`` is read only in the concept modes. ``cache`` is an
     optional dict shared across folds or experiments on one dataset and one
     set of word vectors. The vocabulary and K-means result are keyed on the
-    documents they are fitted on (every document under ``cluster_on_all``,
-    else the training fold) and on the index's documents, as the vocabulary
-    numbers words as its index does; the counts on those and the split. So
-    each is reused whenever every setting that shapes it coincides. The
-    n-gram table is built only to fit K-means, and not kept.
+    training documents they are fitted on and on the index's documents, as
+    the vocabulary numbers words as its index does; the counts on those and
+    the split. So each is reused whenever every setting that shapes it
+    coincides. The n-gram table is built only to fit K-means, and not kept.
     """
     cache = {} if cache is None else cache
-    vocab_docs = all_docs if (config.cluster_on_all and all_docs) else train_docs
-    fit_key = (config.ngram_orders, index.document_ids, tuple(d.id for d in vocab_docs))
-    vocab = _cached(cache, ("vocab", fit_key), clock, "vocab", lambda: build_vocab(vocab_docs, index))
+    fit_key = (config.ngram_orders, index.document_ids, tuple(d.id for d in train_docs))
+    vocab = _cached(cache, ("vocab", fit_key), clock, "vocab", lambda: build_vocab(train_docs, index))
     split_key = (fit_key, tuple(d.id for d in train_docs), tuple(d.id for d in test_docs))
     counts_train, counts_test = _cached(
         cache, ("counts", split_key), clock, "counts",
@@ -186,23 +181,18 @@ def run_experiment(
     wv: Optional[WordVectors] = None,
     cache: Optional[dict] = None,
 ) -> ExperimentReport:
-    """Run the full pipeline under the fold discipline of ``config``.
+    """Run the full pipeline on the folds of ``config``.
 
-    All fitted parameters (vocabulary, log-count ratios, centroids, SVM
-    weights) come from training documents only, unless cluster_on_all is set,
-    in which case the vocabulary and clustering cover all documents while the
-    ratios and classifier stay train-only, and are fitted once for all folds.
-    The documents are numbered once, in one ``NGramIndex`` over every
-    document a fold reads (all of them under cluster_on_all, else those of
-    the splits), which every fold selects from. ``cache``, if given, must
-    only be shared by runs on this ``dataset`` with these ``wv``; it keeps
-    the index too, so runs with the same orders build it once.
+    Every fitted parameter (vocabulary, log-count ratios, centroids, SVM
+    weights) comes from the fold's training documents only. The documents
+    are numbered once, in one ``NGramIndex`` over the documents of the
+    splits, which every fold selects from. ``cache``, if given, must only be
+    shared by runs on this ``dataset`` with these ``wv``; it keeps the index
+    too, so runs with the same orders build it once.
     """
     if config.feature_mode in features.CONCEPT_MODES and wv is None:
         raise ValueError("word vectors are required for concept feature modes")
 
-    if cache is None and config.cluster_on_all:
-        cache = {}  # the fits on all documents serve every fold
     clock = _StageClock()
     t_start = time.monotonic()
     docs = dataset.documents
@@ -213,16 +203,9 @@ def run_experiment(
             raise TooFewDocuments(f"dataset {dataset.name!r} has no predefined split")
         splits = [(np.array(dataset.train_ids), np.array(dataset.test_ids))]
     else:
-        labeled = np.array(dataset.labeled_indices())
-        splits = [
-            (labeled[tr], labeled[te])
-            for tr, te in kfold_split(labels[labeled], config.folds, config.seed)
-        ]
+        splits = kfold_split(labels, config.folds, config.seed)
 
-    if config.cluster_on_all:
-        read = docs
-    else:  # the documents of the splits: no fold reads IMDB's unlabeled reviews
-        read = [docs[i] for i in np.unique(np.concatenate([np.concatenate(split) for split in splits]))]
+    read = [docs[i] for i in np.unique(np.concatenate([np.concatenate(split) for split in splits]))]
     # without word vectors (BOW/LSA) every word of the documents read is in the dictionary
     index = _cached(
         {} if cache is None else cache, ("index", config.ngram_orders, tuple(d.id for d in read)),
@@ -237,7 +220,7 @@ def run_experiment(
         y_train = labels[train_idx]
         y_test = labels[test_idx]
         f_train, f_test, kmeans = _fold_features(
-            train_docs, test_docs, y_train, config, wv, clock, index, all_docs=docs, cache=cache
+            train_docs, test_docs, y_train, config, wv, clock, index, cache=cache
         )
         if kmeans is not None:
             traces.append(list(kmeans.inertia_trace))

