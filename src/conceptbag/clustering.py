@@ -12,6 +12,7 @@ VARIANTS = ("lloyd", "minibatch")
 INITS = ("kmeanspp", "random_points")
 
 _BLOCK_ROWS = 512  # rows per block in every nearest-centroid computation; 512 beat 1024 and 2048 (README)
+_DRAW_BLOCK = 256  # rows per block sum in a k-means++ draw (``_draw``)
 
 
 @dataclass
@@ -75,9 +76,13 @@ def _nearest(X, C, words=None) -> tuple[np.ndarray, np.ndarray, int]:
     labels, undecided = _screen(X, C, c_sq, words)
     labels[undecided] = _direct_argmin(X[undecided], C)
     sq_dists = np.empty(X.shape[0])
+    diff = np.empty((min(_BLOCK_ROWS, X.shape[0]), X.shape[1]))
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
-        diff = X[lo : lo + _BLOCK_ROWS] - C[labels[lo : lo + _BLOCK_ROWS]]
-        sq_dists[lo : lo + len(diff)] = np.einsum("ij,ij->i", diff, diff)
+        hi = min(lo + _BLOCK_ROWS, X.shape[0])
+        block = diff[: hi - lo]
+        np.take(C, labels[lo:hi], axis=0, out=block, mode="wrap")  # labels lie in [0, K); "raise" would buffer
+        np.subtract(X[lo:hi], block, out=block)
+        np.einsum("ij,ij->i", block, block, out=sq_dists[lo:hi])
     return labels, sq_dists, len(undecided)
 
 
@@ -109,52 +114,60 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels that float32 arithmetic decides, and the undecided rows.
 
     Each row gets float32 scores s_k for the exact S_k = D_k - |x|^2 =
-    -2 x.c_k + |c_k|^2 (D_k the exact squared distance), from one of two
-    sources, in blocks of ``_BLOCK_ROWS`` rows:
-    - rows: the block is rounded to float32 and s_k = x.(-2 c_k) + |c_k|^2;
+    |c_k|^2 - 2 x.c_k (D_k the exact squared distance), in blocks of
+    ``_BLOCK_ROWS`` rows. Scores come from one float32 product with the
+    (m + 1) x K matrix G = [-2 C^T; |c|^2], which scores a vector [w, 1] as
+    |c_k|^2 - 2 w.c_k, from one of two sources:
+    - rows: the block, rounded to float32, is [x, 1] G;
     - words, when ``_word_source`` passes ``words`` = (W, ids): one V x K
-      float32 product P = W (-2 C)^T per call, and a row whose ids name
-      words w_1 ... w_n scores s_k = P_1k / n + ... + P_nk / n + |c_k|^2,
-      gathered from P / n, which is computed once per call for each n.
+      product Q = [W, 1] G per call, and a row whose ids name words w_1 ...
+      w_n scores s_k = Q_1k / n + ... + Q_nk / n, gathered from Q / n,
+      which is computed once per call for each n.
     The row source is the word source with each row its own word (n = 1,
     w_1 = x), so one bound serves both. With Wbar = (|w_1|^2 + ... +
     |w_n|^2) / n (|x|^2 when n = 1), a row keeps the argmin j of its scores
     when the gap g between its two smallest scores exceeds
 
-        B = 2 (gamma + gamma64) (Wbar + M) + 8 (m + n + 1) t,
-        gamma = (m + 2n + 6) u / (1 - (m + 2n + 6) u),
+        B = 2 (gamma + gamma64) (Wbar + 2 M) + 8 (m + n + 2) t,
+        gamma = (m + 2n + 4) u / (1 - (m + 2n + 4) u),
         gamma64 = (2m + 4n + 1) v / (1 - (2m + 4n + 1) v),
 
     with u = 2^-24 the unit roundoff of float32, v = 2^-53, t the smallest
     normal float32 and M = max |c_k|^2. For n = 1 these are the row bound.
     Why that suffices (gamma_k = k u / (1 - k u), gamma64_k likewise in v):
-    rounding w_i and c to float32 and the m-term dot product in any order
-    (FMA or not) cost P_ik at most gamma_{m+3} (|w_i|^2 + |c_k|^2), since
-    2 |w.c| <= |w|^2 + |c|^2. The divisions by n (exact for n <= 2) and the
-    n - 1 float32 additions put at most n roundings on a term, and none for
-    n = 1, so at most 2 (n - 1): the mean errs from -2 x*.c_k, x* the exact
-    mean of the words, by at most gamma_{m+2n+1} (Wbar + |c_k|^2). Rounding
-    |c_k|^2 and the sum add gamma_4.
-    The stored row x is the float64 mean of its words (``embed_all``), 2 (n
-    - 1) roundings from x*, so 2 |(x - x*).c_k| <= gamma64_{2n-2} (Wbar +
-    |c_k|^2). Each rounding that underflows, to a subnormal or flushed to
-    zero, costs at most t more: m + 2 per word, after folding the t |w|_1
-    terms into u |w|^2 + m t^2 / u, so m + 2 over the mean, and one for the
-    divisions (a float32 addition that underflows is exact). So |s_k - S_k|
-    <= E = (gamma_{m+2n+5} + gamma64_{2n-2}) (Wbar + M) + (m + n + 1) t for
-    every k. A float64 value for D_k, as |x|^2 - 2 x.c + |c|^2 or as a direct
-    sum, in any order of summation, errs by at most gamma64_{2m+4} (|x|^2 +
-    M) + (2m + 4) 2^-1022, and |x|^2 <= (1 + gamma64_{2n-2})^2 Wbar, as
-    |x*|^2 <= Wbar; together with E's float64 term that is at most
-    gamma64_{2m+4n} (Wbar + M). The computed gap is at most (1 + u) times
-    the true one, and the float64 rounding of Wbar and B is within the
-    1 / (1 - k u) slack. If g > B, then S_k - S_j exceeds twice both errors
-    for every k != j: j is the exact nearest centroid, and any float64
-    evaluation of the distances puts it strictly first. The bound assumes
-    nothing overflows: partial sums stay below n (max_i |w_i|^2 + 2 M), so
-    rows where that passes half the largest float32 are not decided. So a
+    Q_ik is a dot product of m + 1 terms, w_i and c_k rounded to float32
+    and |c_k|^2 summed in float64 (within gamma64_m |c_k|^2 <= u |c_k|^2)
+    and rounded to float32. The terms' absolute values add up to at most
+    |w_i|^2 + 2 |c_k|^2, since 2 |w.c| <= |w|^2 + |c|^2, and summing them in
+    any order (FMA or not) after two roundings of each input costs Q_ik at
+    most gamma_{m+3} (|w_i|^2 + 2 |c_k|^2). The divisions by n (exact for n
+    <= 2) and the n - 1 float32 additions put at most n roundings on a
+    term, and none for n = 1, so at most 2 (n - 1): the mean errs from
+    |c_k|^2 - 2 x*.c_k, x* the exact mean of the words, by at most
+    gamma_{m+2n+1} (Wbar + 2 |c_k|^2). The stored row x is the float64 mean
+    of its words (``embed_all``), 2 (n - 1) roundings from x*, so 2 |(x -
+    x*).c_k| <= gamma64_{2n-2} (Wbar + |c_k|^2). Each rounding that
+    underflows, to a subnormal or flushed to zero, costs at most t more: m
+    + 3 per word, after folding the t |w|_1 terms into u |w|^2 + m t^2 / u,
+    so m + 3 over the mean, and one for the divisions (a float32 addition
+    that underflows is exact). So |s_k - S_k| <= E = (gamma_{m+2n+1} +
+    gamma64_{2n-2}) (Wbar + 2 M) + (m + n + 2) t for every k. A float64
+    value for D_k, as |x|^2 - 2 x.c + |c|^2 or as a direct sum, in any
+    order of summation, errs by at most gamma64_{2m+4} (|x|^2 + M) + (2m +
+    4) 2^-1022, and |x|^2 <= (1 + gamma64_{2n-2})^2 Wbar, as |x*|^2 <=
+    Wbar; together with E's float64 term that is at most gamma64_{2m+4n}
+    (Wbar + 2 M). The computed gap is at most (1 + u) times the true one,
+    and it and the float64 rounding of Wbar and B are within the slack of
+    gamma_{m+2n+4} over gamma_{m+2n+1}. If g > B, then S_k - S_j exceeds
+    twice both errors for every k != j: j is the exact nearest centroid,
+    and any float64 evaluation of the distances puts it strictly first.
+    The runner-up's score is read at the argmin of the scores with s_j set
+    to inf, the value their minimum would give. The bound assumes nothing
+    overflows: partial sums stay below n (max_i |w_i|^2 + 2 M), so rows
+    where that passes half the largest float32 are not decided. So a
     word-scored pass gives the labels of a row-scored one, bit for bit, as
-    long as each row of ids gives its row of X, which ``_check_points`` checks.
+    long as each row of ids gives its row of X, which ``_check_points``
+    checks.
     """
     info = np.finfo(np.float32)
     rows_n, m = X.shape
@@ -172,49 +185,65 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
         sq = w_sq[ids]
         n = np.count_nonzero(ids >= 0, axis=0)
         row_sq, worst_sq = sq.sum(axis=0) / n, sq.max(axis=0)
-    k = (m + 2 * n + 6) * u
+    k = (m + 2 * n + 4) * u
     k64 = (2 * m + 4 * n + 1) * 2.0**-53
     fits = n * (worst_sq + 2.0 * M) < 0.5 * float(info.max)
     labels = np.zeros(rows_n, dtype=np.int64)
     if not fits.any() or k.max() >= 0.5:
         return labels, np.arange(rows_n)
-    limit = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64)) * (row_sq + M) + 8.0 * (m + n + 1) * t
-    neg2_ct = (-2.0 * C.T).astype(np.float32)
-    c_sq = c_sq.astype(np.float32)
+    limit = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64)) * (row_sq + 2.0 * M) + 8.0 * (m + n + 2) * t
+    G = np.empty((m + 1, len(C)), dtype=np.float32)
+    G[:m], G[m] = -2.0 * C.T, c_sq
+    block_rows = min(_BLOCK_ROWS, rows_n)
+    s_buf = np.empty((block_rows, len(C)), dtype=np.float32)
     decided = np.zeros(rows_n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
-        if words is not None:
-            # P, P / 2, ..., P / width, then a zero row that the -1 padding reads
-            V, width = W.shape[0], ids.shape[0]
-            P = np.zeros((width * V + 1, len(C)), dtype=np.float32)
-            np.matmul(W.astype(np.float32), neg2_ct, out=P[:V])
-            for j in range(2, width + 1):
-                np.divide(P[:V], j, out=P[(j - 1) * V : j * V])
-            ids = np.where(ids >= 0, ids + (n - 1) * V, -1)  # a word of an n-gram reads P / n
+        if words is None:
+            xs = np.ones((block_rows, m + 1), dtype=np.float32)  # [x, 1] for each row of a block
+        else:
+            Q = _word_scores(W, G, len(ids))
+            ids = np.where(ids >= 0, ids + (n - 1) * len(W), -1)  # a word of an n-gram reads Q / n
+            gathered = np.empty_like(s_buf)
         for lo in range(0, rows_n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, rows_n)
+            s = s_buf[: hi - lo]
             if words is None:
-                s = X[lo:hi].astype(np.float32) @ neg2_ct
+                xs[: hi - lo, :m] = X[lo:hi]
+                np.matmul(xs[: hi - lo], G, out=s)
             else:
-                s = P[ids[0, lo:hi]]
-                for j in range(1, width):
-                    s += P[ids[j, lo:hi]]
-            s += c_sq
-            rows = np.arange(len(s))
+                # "wrap" reads the -1 padding as the last row, and unlike "raise" does not buffer
+                np.take(Q, ids[0, lo:hi], axis=0, out=s, mode="wrap")
+                for row in ids[1:]:
+                    s += np.take(Q, row[lo:hi], axis=0, out=gathered[: hi - lo], mode="wrap")
+            rows = np.arange(hi - lo)
             best = s.argmin(axis=1)
             s_best = s[rows, best]
             s[rows, best] = np.inf
-            decided[lo:hi] = s.min(axis=1) - s_best > limit[lo:hi]
+            decided[lo:hi] = s[rows, s.argmin(axis=1)] - s_best > limit[lo:hi]
             labels[lo:hi] = best
     return labels, np.flatnonzero(~(decided & fits))
+
+
+def _word_scores(W, G, width):
+    """Q, Q / 2, ..., Q / width for the float32 word scores Q = [W, 1] G, stacked, then a zero row."""
+    V = W.shape[0]
+    ws = np.ones((V, G.shape[0]), dtype=np.float32)
+    ws[:, :-1] = W
+    Q = np.zeros((width * V + 1, G.shape[1]), dtype=np.float32)  # the -1 padding reads the zero row
+    np.matmul(ws, G, out=Q[:V])
+    for j in range(2, width + 1):
+        np.divide(Q[:V], j, out=Q[(j - 1) * V : j * V])
+    return Q
 
 
 def _distances_to(X: np.ndarray, words=None):
     """The function c -> squared distance from every row of X to c, for k-means++ seeding.
 
     A distance is |x|^2 - 2 x.c + |c|^2, with |x|^2 computed once. Where
-    that value is within rounding of zero, the row is recomputed as
-    |x - c|^2 directly, so a row equal to c gets exactly 0.
+    that value is within rounding of zero, at most 1e-9 (|x|^2 + |c|^2),
+    the row is recomputed as |x - c|^2 directly, so a row equal to c gets
+    exactly 0. The rows tested against that are those at most 1e-9 (max
+    |x|^2 + |c|^2), which holds them all, as rounding is monotone.
 
     ``words``, if given, is (W, ids): row t of X is the mean of the rows of W
     that row t of the N x width int array ``ids`` names, padded with -1 (an
@@ -227,25 +256,51 @@ def _distances_to(X: np.ndarray, words=None):
     """
     n = X.shape[0]
     W, ids = _word_source(X, words) or (X, np.arange(n)[:, None])
-    lengths = np.count_nonzero(ids >= 0, axis=1).astype(np.float64)
+    ids = np.ascontiguousarray(ids.T)  # one row per word position, so each gather reads a contiguous row
+    lengths = np.count_nonzero(ids >= 0, axis=0).astype(np.float64)
     wc = np.zeros(len(W) + 1)  # the -1 padding reads wc[-1], which stays 0
     x_sq = np.einsum("ij,ij->i", X, X)
+    x_sq_max = x_sq.max(initial=0.0)
 
     def sq_dists_to(c):
         np.matmul(W, c, out=wc[:-1])
-        d = wc[ids[:, 0]]
-        for j in range(1, ids.shape[1]):
-            d += wc[ids[:, j]]
+        d = wc[ids[0]]
+        for row in ids[1:]:
+            d += wc[row]
         d /= lengths
         d *= -2.0
         d += x_sq
         c_sq = c @ c
         d += c_sq
-        near = np.flatnonzero(d <= 1e-9 * (x_sq + c_sq))
+        near = np.flatnonzero(d <= 1e-9 * (x_sq_max + c_sq))
+        near = near[d[near] <= 1e-9 * (x_sq[near] + c_sq)]
         d[near] = ((X[near] - c) ** 2).sum(axis=1)
         return d
 
     return sq_dists_to
+
+
+def _draw(blocks: np.ndarray, n: int, rng) -> int:
+    """A row index below n, drawn with probability proportional to its weight; uniform if all are 0.
+
+    ``blocks`` holds the n weights row-major, zero-padded to whole rows of
+    ``_DRAW_BLOCK``. The draw is that of searchsorted(cumsum(weights),
+    random() * total), but the total and the running sums come from the
+    blocks' sums, and cumsum runs over the one block the draw lands in. The
+    sums round differently, so a draw within rounding of a block boundary
+    may move; with weights whose every partial sum is exact (integers) it
+    is the same index.
+    """
+    ends = np.cumsum(blocks.sum(axis=1))
+    if ends[-1] <= 0:
+        return int(rng.integers(n))
+    r = rng.random() * ends[-1]
+    b = int(np.searchsorted(ends, r))
+    within = np.cumsum(blocks[b])
+    j = int(np.searchsorted(within, r - ends[b - 1] if b else r))
+    if j == len(within):  # past the block's own running sum, by rounding: its last row of weight
+        j = int(np.flatnonzero(blocks[b])[-1])
+    return b * blocks.shape[1] + j
 
 
 def _kmeanspp_init(X: np.ndarray, K: int, rng, words=None) -> np.ndarray:
@@ -253,24 +308,21 @@ def _kmeanspp_init(X: np.ndarray, K: int, rng, words=None) -> np.ndarray:
 
     Each step draws the next centre with probability proportional to every
     row's squared distance to its closest centre so far, from
-    ``_distances_to(X, words)``. A chosen point and its exact duplicates
-    keep exactly zero weight, so that they are never drawn again and, once
-    every row coincides with a centre, the total is 0 and the remaining
-    centres are drawn uniformly.
+    ``_distances_to(X, words)``, by ``_draw``. A chosen point and its exact
+    duplicates keep exactly zero weight, so that they are never drawn again
+    and, once every row coincides with a centre, the total is 0 and the
+    remaining centres are drawn uniformly.
     """
     n = X.shape[0]
     sq_dists_to = _distances_to(X, words)
     centers = np.empty((K, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    closest = sq_dists_to(centers[0])
+    padded = np.zeros(-(-n // _DRAW_BLOCK) * _DRAW_BLOCK)
+    closest = padded[:n]
+    closest[:] = sq_dists_to(centers[0])
+    blocks = padded.reshape(-1, _DRAW_BLOCK)
     for k in range(1, K):
-        total = closest.sum()
-        if total <= 0:
-            idx = rng.integers(n)
-        else:
-            idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
-            idx = min(idx, n - 1)
-        centers[k] = X[idx]
+        centers[k] = X[_draw(blocks, n, rng)]
         np.minimum(closest, sq_dists_to(centers[k]), out=closest)
     return centers
 
@@ -378,12 +430,11 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     for _ in range(config.iterations):
         rechecked.append(n_rechecked)
         labels = _fix_empty_clusters(X, centers, labels, config.K)
-        # a stable sort keeps each cluster's rows in index order, and the
-        # product adds them from 0.0 in that order, as X[labels == k].mean(axis=0) does
-        order = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[order], np.arange(config.K + 1))
-        members = sp.csr_matrix((np.ones(len(X)), order, bounds), shape=(config.K, len(X)))
-        sizes = np.diff(bounds)
+        # the conversion to CSR is a stable counting sort, which keeps each cluster's rows in
+        # index order, and the product adds them from 0.0 in that order, as
+        # X[labels == k].mean(axis=0) does
+        members = sp.coo_matrix((np.ones(len(X)), (labels, np.arange(len(X)))), shape=(config.K, len(X))).tocsr()
+        sizes = np.diff(members.indptr)
         filled = sizes > 0
         centers[filled] = (members @ X)[filled] / sizes[filled, None]
         labels, sq_dists, n_rechecked = _nearest(X, centers, words)

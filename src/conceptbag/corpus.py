@@ -337,24 +337,29 @@ def count_vectors(documents: Sequence[Document], vocab: NGramVocabulary) -> sp.c
     )
 
 
-def _read_review(path: str) -> tuple[str, ...]:
+def _read_review(path: str, line_breaks: bool) -> tuple[str, ...]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read().decode("utf-8", errors="ignore")
     except OSError as exc:
         raise UnreadableFile(f"cannot read {path}: {exc}") from exc
+    if line_breaks:  # the HTML line breaks of IMDB reviews separate words and are not tokens
+        raw = raw.replace("<br />", " ").replace("<br/>", " ")
     return tuple(tokenize(raw))
 
 
-def _load_dir(root: Path, subdir: str, label, prefix: str) -> list[Document]:
-    """The files of ``root/subdir`` in name order (str order, as sorted Paths of one folder on POSIX)."""
+def _load_dir(root: Path, subdir: str, label, prefix: str, line_breaks: bool = False) -> list[Document]:
+    """The files of ``root/subdir`` in name order (str order, as sorted Paths of one folder on POSIX).
+
+    ``line_breaks``: each ``<br />`` or ``<br/>`` in a file is read as a space.
+    """
     folder = root / subdir
     if not folder.is_dir():
         raise MissingDirectory(f"expected directory {folder}")
     with os.scandir(folder) as entries:
         names = sorted(entry.name for entry in entries if entry.is_file())
     return [
-        Document(id=f"{prefix}/{name}", label=label, tokens=_read_review(os.path.join(folder, name)))
+        Document(id=f"{prefix}/{name}", label=label, tokens=_read_review(os.path.join(folder, name), line_breaks))
         for name in names
     ]
 
@@ -381,7 +386,10 @@ def load_polarity_dataset(root_path) -> Dataset:
 
 
 def load_imdb_dataset(root_path) -> Dataset:
-    """Load the Maas et al. layout root/{train,test}/{pos,neg}; train/unsup is not read."""
+    """Load the Maas et al. layout root/{train,test}/{pos,neg}; train/unsup is not read.
+
+    The reviews' ``<br />`` line breaks (and ``<br/>``) are read as spaces.
+    """
     start = time.perf_counter()
     root = Path(root_path)
     if not root.is_dir():
@@ -395,7 +403,7 @@ def load_imdb_dataset(root_path) -> Dataset:
         ("test/pos", +1, test_ids),
         ("test/neg", -1, test_ids),
     ]:
-        loaded = _load_dir(root, sub, label, sub)
+        loaded = _load_dir(root, sub, label, sub, line_breaks=True)
         bucket.extend(range(len(docs), len(docs) + len(loaded)))
         docs.extend(loaded)
     dataset = Dataset(name="imdb", documents=docs, train_ids=train_ids, test_ids=test_ids)

@@ -3,11 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptbag.clustering import (
+    _DRAW_BLOCK,
     KMeansConfig,
     _check_word_means,
     _distances_to,
+    _draw,
     _fix_empty_clusters,
     _init_centers,
     _kmeanspp_init,
@@ -233,6 +236,87 @@ class TestLloydSteps:
         assert np.bincount(got, minlength=K).min() > 0
 
 
+def cumsum_draw(weights, rng):
+    """A k-means++ draw from one cumulative sum over all the weights (oracle)."""
+    total = weights.sum()
+    if total <= 0:
+        return int(rng.integers(len(weights)))
+    return min(int(np.searchsorted(np.cumsum(weights), rng.random() * total)), len(weights) - 1)
+
+
+DRAW_SIZES = [1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK - 1, 3 * _DRAW_BLOCK + 1]
+DRAW_PATTERNS = ["random", "zero_blocks", "last_block", "zero"]
+
+
+def draw_weights(n, pattern, rng):
+    """Integer weights, so that every partial sum is exact, zero-padded to whole blocks."""
+    blocks = np.zeros((-(-n // _DRAW_BLOCK), _DRAW_BLOCK))
+    weights = blocks.reshape(-1)[:n]
+    weights[:] = rng.integers(0, 1000, size=n) * (rng.random(n) < 0.7)  # some rows already centres
+    if pattern == "zero_blocks":  # about half the blocks all zero
+        blocks[rng.random(len(blocks)) < 0.5] = 0.0
+    elif pattern == "last_block":  # only the last block, partial unless n is a multiple of the block
+        blocks[:-1] = 0.0
+        weights[-1] = rng.integers(1, 1000)
+    elif pattern == "zero":  # every row a centre: the draw is uniform
+        weights[:] = 0.0
+    return blocks, weights
+
+
+def assert_draws_match(blocks, weights, seeds):
+    n = len(weights)
+    for seed in seeds:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _draw(blocks, n, got_rng), cumsum_draw(weights, want_rng)
+        assert got == want
+        assert 0 <= got < n
+        assert weights[got] > 0 or weights.sum() == 0
+        assert got_rng.random() == want_rng.random()  # the same random numbers used
+
+
+class TestDraw:
+    """The block-sum draw picks the index of a cumulative sum over all rows when the sums are exact."""
+
+    @pytest.mark.parametrize("n", DRAW_SIZES)
+    @pytest.mark.parametrize("pattern", DRAW_PATTERNS)
+    def test_matches_cumsum(self, n, pattern):
+        blocks, weights = draw_weights(n, pattern, np.random.default_rng(n))
+        if pattern == "last_block":
+            assert weights[: (len(blocks) - 1) * _DRAW_BLOCK].sum() == 0 < weights.sum()
+        assert_draws_match(blocks, weights, range(40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(DRAW_SIZES) | st.integers(1, 4 * _DRAW_BLOCK), st.sampled_from(DRAW_PATTERNS),
+           st.integers(0, 2**32 - 1))
+    def test_matches_cumsum_anywhere(self, n, pattern, seed):
+        rng = np.random.default_rng(seed)
+        assert_draws_match(*draw_weights(n, pattern, rng), rng.integers(2**32, size=3))
+
+    def test_a_draw_past_its_blocks_running_sum_takes_its_last_row_of_weight(self):
+        # random() just below 1 puts the draw a rounding step below the total, and a
+        # last block whose running sum ends below that (its cumsum adds in another
+        # order than its sum) leaves the search past the block, into the padding
+        class AlmostOne:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        rng, n, past = np.random.default_rng(7), 2 * _DRAW_BLOCK - 5, 0
+        for _ in range(50):
+            blocks = np.zeros((2, _DRAW_BLOCK))
+            blocks.reshape(-1)[:n] = rng.random(n)
+            ends = np.cumsum(blocks.sum(axis=1))
+            past += np.cumsum(blocks[1])[-1] < AlmostOne().random() * ends[-1] - ends[0]
+            assert _draw(blocks, n, AlmostOne()) == n - 1
+        assert past
+
+    def test_a_single_positive_weight_is_always_drawn(self):
+        blocks, weights = draw_weights(3 * _DRAW_BLOCK + 1, "zero", np.random.default_rng(0))
+        for t in (0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3 * _DRAW_BLOCK):
+            weights[:] = 0.0
+            weights[t] = 1e-300
+            assert {_draw(blocks, len(weights), np.random.default_rng(s)) for s in range(10)} == {t}
+
+
 WORD_ORDERS = [(1,), (1, 2), (1, 3), (1, 2, 3)]
 
 
@@ -244,11 +328,14 @@ def word_table(orders, kind):
     for most pairs of rows. "duplicates" gives words that
     share a vector, so distinct n-grams share a row; "fewer_distinct_than_k"
     has three words, two of them alike, so every table has at most 4
-    distinct rows. Past unigrams the table has more rows than there are
-    words, so seeding goes through word products.
+    distinct rows; "wide_scales" is "duplicates" with rows from about 1e-150
+    to 1e150. Past unigrams the table has more rows than there are words, so
+    seeding goes through word products.
     """
     rng = np.random.default_rng(41)
     W = rng.normal(scale=3.0, size=(3 if kind == "fewer_distinct_than_k" else 30, 8))
+    if kind == "wide_scales":  # each word scaled by one of 1e-150, 1e-120, ..., 1e150
+        W *= 10.0 ** rng.choice(np.arange(-150, 151, 30), size=(len(W), 1))
     if kind != "random":
         W[1::3] = W[0::3][: len(W[1::3])]
     return ngram_table(W, orders, rng, docs=10, tokens=20)
@@ -278,8 +365,10 @@ class TestWordProductSeeding:
         assert np.array_equal(got, reference_kmeanspp(X, K, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("orders", WORD_ORDERS)
-    @pytest.mark.parametrize("kind", ["duplicates", "fewer_distinct_than_k"])
+    @pytest.mark.parametrize("kind", ["duplicates", "fewer_distinct_than_k", "wide_scales"])
     def test_chosen_row_and_its_duplicates_get_zero_weight(self, orders, kind):
+        # at wide scales the near-zero test's prefilter, 1e-9 (max |x|^2 + |c|^2),
+        # passes most rows, and each row's own threshold must still hold exactly
         X, words = word_table(orders, kind)
         sq_dists_to = _distances_to(X, words)
         duplicated = 0
@@ -586,6 +675,23 @@ class TestWordScores:
         with np.errstate(all="raise"):
             labels = self.assert_rows_labels(X, words, C, [0, 1, 2])
         assert labels[:3].tolist() == [1, 1, 2]
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    def test_centroids_far_from_the_scale_of_their_words(self, scale):
+        # centroids of one norm come in pairs, the second turned from the first
+        # by an angle from 1e-6 to 1, so a row nearest to one of a pair has
+        # its gap to the other at every size around the float32 error; at 1e3
+        # the |c|^2 term carried in every word's score dwarfs the words, at
+        # 1e-3 the words dwarf it
+        rng = np.random.default_rng(39)
+        X, words = ngram_table(rng.normal(size=(40, 16)), (1, 2, 3), rng, docs=20, tokens=40)
+        first = np.linalg.qr(rng.normal(size=(16, 16)))[0]
+        angles = np.logspace(-6, 0, 8)[:, None]
+        C = 4.0 * scale * np.vstack([first[:8], np.cos(angles) * first[:8] + np.sin(angles) * first[8:]])
+        self.assert_rows_labels(X, words, C, [])
+        by_rows, by_words = _nearest(X, C), _nearest(X, C, words)
+        assert np.array_equal(by_words[1], by_rows[1])
+        assert all(0 < rechecked < len(X) for rechecked in (by_rows[2], by_words[2]))  # both steps run
 
     def test_tie_between_the_centroids_of_its_own_words(self):
         # (0, 1) and (1, 0) are exactly halfway between C[0] = w_1 and C[1] = w_0

@@ -295,6 +295,17 @@ class TestLoaders:
         self._write(tmp_path, "train/unsup/e.txt", "another review")
         assert load_imdb_dataset(tmp_path) == ds
 
+    def test_imdb_line_breaks_are_spaces(self, tmp_path):
+        for rel in ["train/neg/b.txt", "test/pos/c.txt", "test/neg/d.txt"]:
+            self._write(tmp_path, rel, "fine")
+        self._write(tmp_path, "train/pos/a.txt", "A fine film.<br /><br />I liked it<br/>a lot")
+        ds = load_imdb_dataset(tmp_path)
+        assert ds.documents[0].tokens == ("a", "fine", "film", ".", "i", "liked", "it", "a", "lot")
+        # the polarity layout has no markup and keeps the tokenizer's tokens
+        self._write(tmp_path, "pos/a.txt", "film.<br />I")
+        self._write(tmp_path, "neg/b.txt", "fine")
+        assert load_polarity_dataset(tmp_path).documents[0].tokens == tuple(tokenize("film.<br />I"))
+
     @pytest.mark.parametrize(
         "load, files",
         [
