@@ -35,8 +35,7 @@ dataset = Dataset(name="demo", documents=documents)
 train, test = documents[0::2], documents[1::2]
 y_train = np.array([d.label for d in train])
 y_test = np.array([d.label for d in test])
-dictionary = {w: i for i, w in enumerate(pos_words + neg_words + fillers)}
-index = NGramIndex(train + test, orders=(1,), dictionary=dictionary)
+index = NGramIndex(train + test, orders=(1,), dictionary=None)  # every token is a word
 vocab = build_vocab(train, index)
 counts_train = count_vectors(train, vocab)
 counts_test = count_vectors(test, vocab)

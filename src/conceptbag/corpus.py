@@ -6,7 +6,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -134,18 +134,19 @@ def _key_base(n_words: int, orders) -> int:
 def _token_ids(token_lists, dictionary) -> tuple[np.ndarray, np.ndarray, dict]:
     """Flat int32 word ids of the token lists, each list followed by a -1.
 
-    Words of ``dictionary`` are numbered in order of first occurrence, and
-    any other token gets -1. Returns the ids, the position of each list's
-    first token, and the words' ids.
+    Words of ``dictionary`` (every token when it is None) are numbered in
+    order of first occurrence, and any other token gets -1. Returns the ids,
+    the position of each list's first token, and the words' ids.
     """
-    def tokens():
-        return chain.from_iterable(chain(t, (None,)) for t in token_lists)
-
-    words = [t for t in dict.fromkeys(tokens()) if t is not None and t in dictionary]
-    word_ids = dict(zip(words, range(len(words))))
     spans = np.array([len(t) + 1 for t in token_lists], dtype=np.int64)
-    ids = np.fromiter(map(word_ids.get, tokens(), repeat(-1)), dtype=np.int32, count=spans.sum())
-    return ids, np.cumsum(spans) - spans, word_ids
+    tokens = chain.from_iterable(chain(t, (None,)) for t in token_lists)
+    # one pass gives every position the position of its token's first occurrence
+    first = {}
+    firsts = np.fromiter(map(first.setdefault, tokens, count()), dtype=np.int64, count=spans.sum())
+    words = [t for t in first if t is not None and (dictionary is None or t in dictionary)]
+    word_at = np.full(len(firsts), -1, dtype=np.int32)
+    word_at[[first[t] for t in words]] = np.arange(len(words))
+    return word_at[firsts], np.cumsum(spans) - spans, dict(zip(words, range(len(words))))
 
 
 def _windows(ids: np.ndarray, n: int, base: int) -> np.ndarray:
@@ -226,13 +227,14 @@ class NGramVocabulary:
 class NGramIndex:
     """Every n-gram window of a set of documents, as a number, at every token position.
 
-    Words of ``dictionary`` are numbered by first occurrence across
-    ``documents`` (``word_ids``). ``keys`` are the distinct window keys,
-    sorted, and ``ngram_ids[i, p]`` is the number in ``keys`` of the
-    ``orders[i]``-window at flat position p: id 0, key 0, when the window is
-    not an in-dictionary n-gram of one document. The index holds no
-    statistic: what is fitted on some of its documents reads nothing of the
-    others, and ``build_vocab`` and ``count_vectors`` select the ids of theirs.
+    Words of ``dictionary`` (every token when it is None) are numbered by
+    first occurrence across ``documents`` (``word_ids``). ``keys`` are the
+    distinct window keys, sorted, and ``ngram_ids[i, p]`` is the number in
+    ``keys`` of the ``orders[i]``-window at flat position p: id 0, key 0,
+    when the window is not an in-dictionary n-gram of one document. The
+    index holds no statistic: what is fitted on some of its documents reads
+    nothing of the others, and ``build_vocab`` and ``count_vectors`` select
+    the ids of theirs.
     """
 
     def __init__(self, documents: Iterable[Document], orders, dictionary):

@@ -54,6 +54,10 @@ class ExperimentReport:
     # empty outside concept modes
     inertia_trace: list[list[float]] = field(default_factory=list)
     rechecked: list[list[int]] = field(default_factory=list)
+    # per fold, the Newton steps, CG iterations and final gradient norm of the fold's SVM fit
+    newton_steps: list[int] = field(default_factory=list)
+    cg_iters: list[int] = field(default_factory=list)
+    grad_norm: list[float] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -206,14 +210,12 @@ def run_experiment(
         splits = kfold_split(labels, config.folds, config.seed)
 
     read = [docs[i] for i in np.unique(np.concatenate([np.concatenate(split) for split in splits]))]
-    # without word vectors (BOW/LSA) every word of the documents read is in the dictionary
+    # without word vectors (BOW/LSA) every token is a word
     index = _cached(
         {} if cache is None else cache, ("index", config.ngram_orders, tuple(d.id for d in read)),
-        clock, "vocab", lambda: NGramIndex(
-            read, config.ngram_orders, {t for d in read for t in d.tokens} if wv is None else wv.words
-        ),
+        clock, "vocab", lambda: NGramIndex(read, config.ngram_orders, None if wv is None else wv.words),
     )
-    per_fold, traces, rechecked = [], [], []
+    per_fold, traces, rechecked, newton_steps, cg_iters, grad_norm = [], [], [], [], [], []
     for train_idx, test_idx in splits:
         train_docs = [docs[i] for i in train_idx]
         test_docs = [docs[i] for i in test_idx]
@@ -227,6 +229,9 @@ def run_experiment(
             rechecked.append(list(kmeans.rechecked))
         with clock.stage("svm_train"):
             model = svm.svm_train(f_train, y_train, config.svm)
+        newton_steps.append(len(model.objective_trace) - 1)
+        cg_iters.append(model.cg_iters)
+        grad_norm.append(model.grad_norm)
         per_fold.append(accuracy(svm.svm_predict(model, f_test), y_test))
 
     clock.times["total"] = time.monotonic() - t_start
@@ -237,6 +242,9 @@ def run_experiment(
         config_echo=config,
         inertia_trace=traces,
         rechecked=rechecked,
+        newton_steps=newton_steps,
+        cg_iters=cg_iters,
+        grad_norm=grad_norm,
     )
 
 

@@ -75,16 +75,27 @@ def concept_features_freq(counts: sp.spmatrix, assignment: np.ndarray, K: int) -
 
 
 def bow_nb_features(counts: sp.spmatrix, r: np.ndarray) -> sp.csr_matrix:
-    """Presence-binarized counts scaled per column by r (the NBSVM featurizer)."""
+    """Presence-binarized counts scaled per column by r (the NBSVM featurizer).
+
+    Entry (i, j) is r_j wherever counts has a stored entry, except where r_j
+    is exactly 0, which is not stored. Each row's entries are stored in the
+    reverse of their order in ``counts``, the order a product with
+    ``diags(r)`` gives, so sums over a row, and the fits built on them, are
+    those of that product to the bit.
+    """
     counts = sp.csr_matrix(counts)
     if counts.shape[1] != len(r):
         raise LengthMismatch(
             f"counts have {counts.shape[1]} columns, r has {len(r)}"
         )
-    binary = counts.copy()
-    binary.data = np.ones_like(binary.data, dtype=np.float64)
-    out = binary @ sp.diags(r)
-    return sp.csr_matrix(out)
+    indptr = counts.indptr
+    # entry k of a row starting at a and ending before b moves to a + b - 1 - k
+    reverse = np.repeat(indptr[:-1] + indptr[1:] - 1, np.diff(indptr)) - np.arange(indptr[-1])
+    indices = counts.indices[reverse]
+    data = np.asarray(r, dtype=np.float64)[indices]
+    out = sp.csr_matrix((data, indices, indptr.copy()), shape=counts.shape)
+    out.eliminate_zeros()
+    return out
 
 
 def document_features(mode: str, counts: sp.spmatrix, r: np.ndarray, assignment=None, K=None):

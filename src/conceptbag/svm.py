@@ -94,6 +94,17 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     (Newton steps = len(trace) - 1), the total CG iterations and the
     gradient norm at the returned w. Fully deterministic. Labels must be
     +1 or -1; a single class is allowed.
+
+    A sparse X is solved in a narrower space (``_fold``): for each row i,
+    the columns whose one stored entry is in row i become one column with
+    value v_i = |x_i,S|, and columns with no stored entry are dropped. This
+    is exact: a w whose block on row i's columns S is u_i x_i,S / v_i has
+    the same scores and the same |w| as the folded weight u_i, and every
+    gradient and Hessian product lies in that subspace, so the objective,
+    the gradient norm and every Newton and CG iterate are those of the
+    unfolded problem up to rounding. The returned w has X's width; the
+    trace, CG count and gradient norm are the folded solver's. Dense X is
+    solved as it is.
     """
     y = np.asarray(labels, dtype=np.float64)
     X = _matrix(features)
@@ -103,9 +114,54 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     bad = y[np.abs(y) != 1.0]
     if len(bad):
         raise BadLabel(f"labels must be +1 or -1, got {bad[0]:g}")
+    if not sp.issparse(X):
+        return _newton(X, y, config)
+    folded, unfold = _fold(X)
+    model = _newton(folded, y, config)
+    model.w = unfold(model.w)
+    return model
+
+
+def _fold(X: sp.csr_matrix):
+    """X with each row's single-entry columns folded into one column, and the map back.
+
+    Returns (Z, unfold). Z holds X's columns with two or more stored
+    entries, in order, then one column per row i with v_i = |x_i,S| > 0,
+    where S is the set of columns whose only stored entry is in row i.
+    ``unfold(u)`` turns a weight vector of Z into one of X: a kept column's
+    weight as it is, w_j = x_ij u_i / v_i on S, and 0 on the columns with
+    no stored entry.
+    """
+    n, d = X.shape
+    per_col = np.bincount(X.indices, minlength=d)
+    kept, single = np.flatnonzero(per_col >= 2), np.flatnonzero(per_col == 1)
+    S = X[:, single]
+    # v_i is summed over values scaled by their largest magnitude, so values whose
+    # squares underflow still count
+    row_of = np.repeat(np.arange(n), np.diff(S.indptr))
+    peak = np.zeros(n)
+    np.maximum.at(peak, row_of, np.abs(S.data))
+    scaled = S.data / np.where(peak > 0.0, peak, 1.0)[row_of]
+    v = peak * np.sqrt(np.bincount(row_of, scaled * scaled, minlength=n))
+    rows = np.flatnonzero(v > 0.0)  # a row whose v_i is 0 gets no column
+    folded = sp.csr_matrix((v[rows], (rows, np.arange(len(rows)))), shape=(n, len(rows)))
+    Z = sp.hstack([X[:, kept], folded], format="csr")
+
+    def unfold(u):
+        w = np.zeros(d)
+        w[kept] = u[: len(kept)]
+        ratio = np.zeros(n)
+        ratio[rows] = u[len(kept) :] / v[rows]
+        w[single] = S.T @ ratio  # each column of S has one entry, so this is x_ij u_i / v_i
+        return w
+
+    return Z, unfold
+
+
+def _newton(X, y, config: SvmConfig) -> LinearModel:
+    """svm_train's solver on a checked, finite X (float64) and +-1 labels y."""
     d = X.shape[1]
     C = config.C
-
     w = np.zeros(d)
     scores = np.zeros(len(y))
     obj = _objective(w, y, scores, C)
@@ -120,7 +176,10 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
         XaT = Xa.T  # once per Newton step, not per CG iteration
 
         def hessvec(v):
-            return v + 2.0 * C * np.asarray(XaT @ (Xa @ v)).ravel()
+            hv = np.asarray(XaT @ (Xa @ v)).ravel()
+            hv *= 2.0 * C
+            hv += v
+            return hv
 
         step, iters = _cg(hessvec, -grad, max_iter=max(50, d), tol=CG_RELATIVE_TOLERANCE * gnorm)
         cg_iters += iters
@@ -151,20 +210,24 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
 def _cg(hessvec, b, max_iter, tol):
     """Conjugate gradients for the (positive definite) Newton system.
 
-    Returns the solution and the number of iterations taken.
+    Returns the solution and the number of iterations taken. x, r and p are
+    updated in place through one scratch vector, with the same bits as
+    ``x += alpha * p; r -= alpha * hp; p = r + beta * p``.
     """
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    scratch = np.empty_like(b)
     rs = r @ r
     iters = 0
     while iters < max_iter and np.sqrt(rs) >= tol:
         hp = hessvec(p)
         alpha = rs / (p @ hp)
-        x += alpha * p
-        r -= alpha * hp
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, hp, out=scratch)
         rs_new = r @ r
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
         iters += 1
     return x, iters

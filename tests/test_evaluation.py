@@ -367,7 +367,10 @@ class TestReportSerialization:
         ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
         rep = run_experiment(small_config(folds=2), ds, wv)
         parsed = json.loads(rep.to_json())
-        assert set(parsed) == {"accuracy", "per_fold", "stage_times", "config_echo", "inertia_trace", "rechecked"}
+        assert set(parsed) == {
+            "accuracy", "per_fold", "stage_times", "config_echo", "inertia_trace", "rechecked",
+            "newton_steps", "cg_iters", "grad_norm",
+        }
 
     def test_kmeans_diagnostics_per_fold(self):
         ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
@@ -381,6 +384,19 @@ class TestReportSerialization:
         assert [len(t) for t in rep.inertia_trace + rep.rechecked] == [cfg.kmeans.iterations] * 4
         bow = run_experiment(small_config(folds=2, feature_mode="bow_nb"), ds, wv)
         assert bow.inertia_trace == bow.rechecked == []
+
+    @pytest.mark.parametrize("mode", ["nb_max", "bow_nb"])
+    def test_svm_diagnostics_per_fold(self, mode):
+        ds, wv = make_synthetic_sentiment(seed=13, n_docs=40)
+        cfg = small_config(folds=2, feature_mode=mode)
+        rep = run_experiment(cfg, ds, wv)
+        assert [len(rep.newton_steps), len(rep.cg_iters), len(rep.grad_norm)] == [len(rep.per_fold)] * 3
+        assert all(steps >= 1 for steps in rep.newton_steps) and all(n >= 1 for n in rep.cg_iters)
+        # each fold converged before max_epochs ran out
+        assert all(steps < cfg.svm.max_epochs for steps in rep.newton_steps)
+        assert all(g < cfg.svm.tolerance for g in rep.grad_norm)
+        parsed = json.loads(rep.to_json())
+        assert (parsed["newton_steps"], parsed["cg_iters"]) == (rep.newton_steps, rep.cg_iters)
 
 
 class TestWriteReports:

@@ -162,6 +162,24 @@ class TestBowNbFeatures:
         with pytest.raises(LengthMismatch):
             bow_nb_features(sp.csr_matrix(np.zeros((2, 3))), r)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_arrays_as_product_with_diags(self, seed):
+        # the product with diags(r) is the oracle: the same entries, order and dtypes, and an
+        # exact zero in r stores nothing
+        rng = np.random.default_rng(seed)
+        counts = sp.random(30, 25, density=0.3, format="csr", random_state=seed)
+        counts.data = rng.integers(1, 4, size=counts.nnz).astype(np.int64)
+        r = rng.normal(size=25)
+        r[rng.choice(25, size=3, replace=False)] = 0.0
+        presence = counts.copy()
+        presence.data = np.ones_like(presence.data, dtype=np.float64)
+        want = sp.csr_matrix(presence @ sp.diags(r))
+        got = bow_nb_features(counts, r)
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
 
 class TestDocumentFeatures:
     def test_each_mode_matches_its_featurizer(self):

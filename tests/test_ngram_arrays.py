@@ -7,6 +7,7 @@ table bits, signed zeros included.
 """
 
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def reference_counts(documents, entries, orders):
         (np.array(data, dtype=np.int64), np.array(indices, dtype=np.int64), indptr),
         shape=(len(documents), len(entries)),
     )
+
+
+def reference_token_ids(token_lists, dictionary):
+    """_token_ids as two passes over the tokens: the words by first occurrence, then each id."""
+    def tokens():
+        return chain.from_iterable(chain(t, (None,)) for t in token_lists)
+
+    words = [t for t in dict.fromkeys(tokens()) if t is not None and t in dictionary]
+    word_ids = dict(zip(words, range(len(words))))
+    spans = np.array([len(t) + 1 for t in token_lists], dtype=np.int64)
+    ids = np.fromiter(map(word_ids.get, tokens(), repeat(-1)), dtype=np.int32, count=spans.sum())
+    return ids, np.cumsum(spans) - spans, word_ids
 
 
 def reference_table(entries, wv):
@@ -172,6 +185,21 @@ class TestAgainstPerWindowLoop:
             assert (got.value.word, got.value.position) == (exc.word, exc.position)
             return
         assert_same_bits(embed_all(vocab, wv), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(documents, dictionaries)
+    def test_token_ids(self, docs, dictionary):
+        # no dictionary numbers every token as the set of all tokens does
+        token_lists = [d.tokens for d in docs]
+        every = {t for tokens in token_lists for t in tokens}
+        for given_dictionary, oracle_dictionary in ((None, every), (dictionary, dictionary)):
+            ids, starts, word_ids = corpus._token_ids(token_lists, given_dictionary)
+            want_ids, want_starts, want_word_ids = reference_token_ids(token_lists, oracle_dictionary)
+            assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+            assert np.array_equal(starts, want_starts)
+            assert list(word_ids.items()) == list(want_word_ids.items())
+        index = NGramIndex(docs, {1, 2}, None)
+        assert list(index.word_ids.items()) == list(NGramIndex(docs, {1, 2}, every).word_ids.items())
 
     def test_negative_zero_rows_average_to_positive_zero(self):
         wv = WordVectors(words={"a": 0, "b": 1}, matrix=np.array([[-0.0, 1.0], [-0.0, -1.0]]))

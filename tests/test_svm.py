@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
+from conceptbag import svm
 from conceptbag.errors import BadConfig, BadLabel, DimensionMismatch, NonFiniteFeature
 from conceptbag.svm import (
     LinearModel,
@@ -145,6 +146,108 @@ class TestNewtonSolver:
         model = svm_train(np.zeros((2, 3)), np.array([1, -1]), SvmConfig(tolerance=0.0))
         assert np.array_equal(model.w, np.zeros(3))
         assert model.grad_norm == 0.0
+
+
+def reference_cg(hessvec, b, max_iter, tol):
+    """svm._cg with one expression per update, each into a new vector."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = r @ r
+    iters = 0
+    while iters < max_iter and np.sqrt(rs) >= tol:
+        hp = hessvec(p)
+        alpha = rs / (p @ hp)
+        x += alpha * p
+        r -= alpha * hp
+        rs_new = r @ r
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+        iters += 1
+    return x, iters
+
+
+def fold_case(name):
+    """A sparse matrix and labels for one shape of single-entry and empty columns."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    n = 30
+    # every column of `shared` has at least two entries; `single` has one entry per column,
+    # in rows 1..n-1 only, so row 0 has no single-entry column
+    shared = rng.normal(size=(n, 8)) * (rng.random((n, 8)) < 0.6)
+    shared[:2] = rng.normal(size=(2, 8))
+    single = np.zeros((n, 50))
+    single[rng.integers(1, n, size=50), np.arange(50)] = rng.normal(size=50)
+    X = {
+        "mixed": sp.random(n, 200, density=0.03, random_state=3, data_rvs=lambda k: rng.normal(size=k)).toarray(),
+        "all single": single,
+        "none": shared,
+        "empty column": np.hstack([shared[:, :4], np.zeros((n, 1)), shared[:, 4:]]),
+        "row without single": np.hstack([shared, single]),
+        "single class": np.hstack([shared, single]),
+        "tiny single entries": np.hstack([shared, 1e-200 * single]),
+    }[name]
+    y = np.ones(n) if name == "single class" else rng.choice([-1.0, 1.0], size=n)
+    return sp.csr_matrix(X), y
+
+
+class TestFold:
+    """A sparse fit solves the folded problem; it must match the unfolded dense fit."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "mixed", "all single", "none", "empty column", "row without single", "single class",
+            "tiny single entries",
+        ],
+    )
+    def test_matches_unfolded_dense_fit(self, name):
+        X, y = fold_case(name)
+        config = SvmConfig(C=1.0, tolerance=1e-10)
+        dense = svm_train(X.toarray(), y, config)
+        folded = svm_train(X, y, config)
+        assert folded.w.shape == dense.w.shape
+        assert np.abs(folded.w - dense.w).max() <= 1e-8 * np.abs(dense.w).max()
+        want = svm_objective(dense.w, X.toarray(), y, 1.0)
+        assert svm_objective(folded.w, X, y, 1.0) == pytest.approx(want, rel=1e-10, abs=0)
+        per_col = np.bincount(X.indices, minlength=X.shape[1])
+        assert np.all(folded.w[per_col == 0] == 0.0)
+        if name == "tiny single entries":
+            # weights near 1e-200 sit far below the tolerance above: each is checked on its own
+            # scale, and none is lost to a v_i whose square underflowed
+            np.testing.assert_allclose(folded.w[per_col == 1], dense.w[per_col == 1], rtol=1e-8)
+            assert np.all(folded.w[per_col == 1] != 0.0)
+
+    def test_fold_shapes(self):
+        X, _ = fold_case("none")
+        Z, _ = svm._fold(X)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(Z, name), getattr(X, name)), name
+        X, _ = fold_case("row without single")
+        Z, _ = svm._fold(X)
+        # the 8 shared columns, then one column for each row holding a single-entry column
+        assert Z.shape == (30, 8 + len(np.unique(X[:, 8:].nonzero()[0])))
+        assert Z[0, 8:].nnz == 0
+
+    @pytest.mark.parametrize("max_epochs", [1, 1000])
+    def test_grad_norm_is_the_full_gradient_norm(self, max_epochs):
+        X, y = fold_case("mixed")
+        model = svm_train(X, y, SvmConfig(C=1.0, max_epochs=max_epochs))
+        full = np.linalg.norm(svm_gradient(model.w, X, y, 1.0))
+        assert model.grad_norm == pytest.approx(full, rel=1e-6, abs=1e-12)
+
+
+class TestConjugateGradients:
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_in_place_updates_keep_the_bits(self, sparse, monkeypatch):
+        X, y = fold_case("mixed")
+        X = X if sparse else X.toarray()
+        config = SvmConfig(C=1.0, tolerance=1e-10)
+        got = svm_train(X, y, config)
+        monkeypatch.setattr(svm, "_cg", reference_cg)
+        want = svm_train(X, y, config)
+        assert np.array_equal(got.w.view(np.uint64), want.w.view(np.uint64))
+        assert got.objective_trace == want.objective_trace
+        assert got.cg_iters == want.cg_iters
 
 
 class TestConfig:
