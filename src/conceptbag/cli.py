@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clustering, features
-from .corpus import NGramIndex, build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset
+from .corpus import NGramIndex, build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset, tokenize
 from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns, word_rows
 from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
 from .evaluation import ExperimentConfig, run_experiment, write_reports
@@ -51,7 +51,7 @@ def cmd_train_embeddings(args) -> int:
         print(f"error: corpus file not found: {corpus_path}", file=sys.stderr)
         return 1
     with numbered_lines(corpus_path) as lines:
-        docs = [line.split() for line in lines]
+        docs = [tokenize(line) for line in lines]
     wv = train_sgns(docs, config)
     save_word_vectors(wv, args.out)
     print(f"wrote {len(wv)} vectors of dim {wv.dim} to {args.out}")
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-embeddings", help="train toy skip-gram vectors")
-    p.add_argument("--corpus", required=True, help="one whitespace-tokenized document per line")
+    p.add_argument("--corpus", required=True, help="one document per line, tokenized as run tokenizes reviews")
     p.add_argument("--out", required=True)
     p.add_argument("--dim", type=int)
     p.add_argument("--window", type=int)

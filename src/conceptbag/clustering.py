@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .embeddings import WordVectors, save_word_vectors
+from .embeddings import WordVectors, named_words, save_word_vectors, word_means
 from .errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 VARIANTS = ("lloyd", "minibatch")
@@ -42,9 +42,10 @@ class KMeansResult:
     inertia: float  # sq_dists.sum()
     inertia_trace: list[float] = field(default_factory=list)
     # per Lloyd pass before a centroid update, the rows that the float32
-    # screen left to float64 (empty for mini-batch); word-scored passes bound
-    # each row by its words' mean |w|^2, not |x|^2, so they may leave more,
-    # with the same labels
+    # screen left to float64 (empty for mini-batch); the passes of a fit whose
+    # ids name fewer words than X has rows score from words and bound each row
+    # by its words' mean |w|^2, not |x|^2, so they may leave more, with the
+    # same labels
     rechecked: list[int] = field(default_factory=list)
 
 
@@ -59,10 +60,14 @@ def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its two words): |x - c_k|^2 summed in float64 for every k, ties to the
     smallest index, about 75 us per row at K=300, m=100. So input beyond
     float32 range, which the screen leaves undecided, costs a direct pass.
-    ``sq_dists`` is |x - c_label|^2, summed directly in float64.
+    ``sq_dists`` is |x - c_label|^2, summed directly in float64. Centroids of
+    another width or none at all raise DimensionMismatch, and a NaN or
+    infinite point or centroid NonFiniteFeature.
     """
-    if C.ndim != 2 or X.shape[1] != C.shape[1]:
+    if C.ndim != 2 or X.shape[1] != C.shape[1] or len(C) == 0:
         raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids are {C.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(C).all()):
+        raise NonFiniteFeature("points or centroids contain NaN or inf")
     return _nearest(X, C)[:2]
 
 
@@ -105,11 +110,6 @@ def _direct_argmin(X, C) -> np.ndarray:
     return labels
 
 
-def _word_source(X, words):
-    """``words`` when scoring through them is cheaper than through X: W has fewer rows than X."""
-    return words if words is not None and len(words[0]) < X.shape[0] else None
-
-
 def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels that float32 arithmetic decides, and the undecided rows.
 
@@ -119,10 +119,10 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     (m + 1) x K matrix G = [-2 C^T; |c|^2], which scores a vector [w, 1] as
     |c_k|^2 - 2 w.c_k, from one of two sources:
     - rows: the block, rounded to float32, is [x, 1] G;
-    - words, when ``_word_source`` passes ``words`` = (W, ids): one V x K
-      product Q = [W, 1] G per call, and a row whose ids name words w_1 ...
-      w_n scores s_k = Q_1k / n + ... + Q_nk / n, gathered from Q / n,
-      which is computed once per call for each n.
+    - words, given ``words`` = (W, ids): one V x K product Q = [W, 1] G
+      per call, and a row whose ids name words w_1 ... w_n scores s_k =
+      Q_1k / n + ... + Q_nk / n, gathered from Q / n, which is computed
+      once per call for each n.
     The row source is the word source with each row its own word (n = 1,
     w_1 = x), so one bound serves both. With Wbar = (|w_1|^2 + ... +
     |w_n|^2) / n (|x|^2 when n = 1), a row keeps the argmin j of its scores
@@ -167,13 +167,13 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     where that passes half the largest float32 are not decided. So a
     word-scored pass gives the labels of a row-scored one, bit for bit, as
     long as each row of ids gives its row of X, which ``_check_points``
-    checks.
+    checks. A fit passes ``words`` only when W has fewer rows than X (see
+    ``_check_points``), as scoring from words costs more otherwise.
     """
     info = np.finfo(np.float32)
     rows_n, m = X.shape
     M = float(c_sq.max())
     u, t = float(info.eps) / 2, float(info.tiny)
-    words = _word_source(X, words)
     if words is None:
         row_sq = worst_sq = np.einsum("ij,ij->i", X, X)
         n = np.ones(rows_n, dtype=np.int64)
@@ -250,12 +250,12 @@ def _distances_to(X: np.ndarray, words=None):
     n-gram table and its word vectors). Then x.c is the mean over those rows
     of W c, so a call costs one product over W and a gather over ``ids`` in
     place of a product over X. Rows whose ids do not give X[t] would give
-    wrong distances; ``_check_points`` rejects them before a fit seeds. When ``_word_source`` declines
-    ``words`` (W has no fewer rows than X), X itself is the word matrix, one
-    word per row, and x.c is the product X c.
+    wrong distances; ``_check_points`` rejects them before a fit seeds. Without
+    ``words`` (a fit passes none when W has no fewer rows than X), X itself is
+    the word matrix, one word per row, and x.c is the product X c.
     """
     n = X.shape[0]
-    W, ids = _word_source(X, words) or (X, np.arange(n)[:, None])
+    W, ids = words or (X, np.arange(n)[:, None])
     ids = np.ascontiguousarray(ids.T)  # one row per word position, so each gather reads a contiguous row
     lengths = np.count_nonzero(ids >= 0, axis=0).astype(np.float64)
     wc = np.zeros(len(W) + 1)  # the -1 padding reads wc[-1], which stays 0
@@ -347,13 +347,24 @@ def assign(x: np.ndarray, C: np.ndarray) -> int:
     return int(nearest(x[None, :], C)[0][0])
 
 
-def _check_points(X, K: int, words=None) -> np.ndarray:
+def _check_points(X, K: int, words=None):
+    """X as float64, checked, and the words a fit works from: ``words`` cut to the rows its ids name, or None.
+
+    Each row of X must equal, bit for bit, the ``word_means`` of the rows of
+    W that its row of ids names, as in ``embed_all``; the first row that does
+    not, or whose ids lie outside [-1, len(W)) or name no word, raises
+    DimensionMismatch naming the caller's ids. The named words are kept only
+    when there are fewer of them than rows of X, so that a product over them
+    costs less than one over X.
+    """
     X = np.asarray(X, dtype=np.float64)
     if words is not None:
         W, ids = words
         if W.shape[1:] != X.shape[1:] or np.ndim(ids) != 2 or len(ids) != len(X):
             raise DimensionMismatch(f"{X.shape} points, but a {W.shape} word matrix and {np.shape(ids)} word rows")
-        bad = ((ids < -1) | (ids >= len(W))).any(axis=1) | (ids < 0).all(axis=1)
+        by_position = np.ascontiguousarray(ids.T)  # one row per word position: reductions run along rows
+        top = by_position.max(axis=0, initial=-1)  # a row of no ids has no word either
+        bad = (by_position.min(axis=0, initial=-1) < -1) | (top < 0) | (top >= len(W))
         if bad.any():
             t = int(np.argmax(bad))
             raise DimensionMismatch(
@@ -364,38 +375,19 @@ def _check_points(X, K: int, words=None) -> np.ndarray:
         raise TooFewPoints(f"{X.shape[0]} points for K={K}")
     if not np.isfinite(X).all():
         raise NonFiniteFeature("points contain NaN or inf")
-    if words is not None:
-        _check_word_means(X, *words)
-    return X
-
-
-def _check_word_means(X, W, ids) -> None:
-    """Raise DimensionMismatch, naming the first, if a row of X is not the mean of the words its ids name.
-
-    One projection per row: its coordinate sum x.1 against the mean over
-    its n words of w_i.1. With A = (|w_1|_1 + ... + |w_n|_1) / n, v = 2^-53
-    and t the smallest normal float64, any float64 mean (``embed_all``'s, or
-    a sum then a division) passes within B = 2 gamma64_{2m+3n} A + (m + n +
-    2) t, gamma64_k = k v / (1 - k v). Why, as in ``_screen``: x is 2 (n -
-    1) roundings from the exact mean x* componentwise, so |x.1 - x*.1| <=
-    gamma64_{2n-2} A, and summing x costs gamma64_m |x|_1 more; each w_i.1
-    is within gamma64_m |w_i|_1, and their mean costs gamma64_n A. The
-    factor 2 covers the rounding of A and B, and each rounding that
-    underflows costs at most t. A row whose sums overflow is not checked.
-    """
-    m, n = X.shape[1], np.count_nonzero(ids >= 0, axis=1)
-    sums = np.zeros((len(W) + 1, 2))  # w.1 and |w|_1; the -1 padding reads the last row, which stays 0
-    with np.errstate(all="ignore"):  # an overflowing row compares inf or nan, and passes
-        sums[:-1, 0], sums[:-1, 1] = W.sum(axis=1), np.abs(W).sum(axis=1)
-        total = sums[ids[:, 0]]
-        for j in range(1, ids.shape[1]):
-            total += sums[ids[:, j]]
-        mean, scale = (total / n[:, None]).T
-        k = (2 * m + 3 * n) * 2.0**-53
-        bad = np.abs(X @ np.ones(m) - mean) > 2.0 * k / (1.0 - k) * scale + (m + n + 2) * np.finfo(float).tiny
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise DimensionMismatch(f"word row {t}, {ids[t].tolist()}, does not average to row {t} of the points")
+    if words is None:
+        return X, None
+    used, renumbered = named_words(W, ids)
+    means = np.empty((min(_BLOCK_ROWS, len(X)), X.shape[1]))
+    with np.errstate(all="ignore"):  # a sum that overflows is inf, which no finite row equals
+        for lo in range(0, len(X), _BLOCK_ROWS):
+            rows = X[lo : lo + _BLOCK_ROWS]
+            block = word_means(used, renumbered[lo : lo + _BLOCK_ROWS], means[: len(rows)])
+            if (block != rows).any():
+                t = lo + int(np.argmax((block != rows).any(axis=1)))
+                raise DimensionMismatch(f"word row {t}, {ids[t].tolist()}, does not average to row {t} of the points")
+    used = used[:-1]
+    return X, ((used, renumbered) if len(used) < len(X) else None)
 
 
 def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
@@ -417,12 +409,13 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     Each update sets a centroid to the mean of its rows, as one sparse
     product: a K x N one-hot matrix, each cluster's rows in index order,
     times X, divided by the cluster sizes.
-    ``words`` (W, ids), if X is an n-gram table, speeds up k-means++ seeding
-    (see ``_distances_to``) and, when W has fewer rows than X, scores every
-    pass from its words (see ``_screen``), with the same labels, centroids
-    and inertia as without it.
+    ``words`` (W, ids), if X is an n-gram table, must give X's rows as
+    ``embed_all`` does (``_check_points``). When its ids name fewer rows of W
+    than X has rows, k-means++ seeding (see ``_distances_to``) and every pass
+    (see ``_screen``) work from those words, with the same labels, centroids
+    and inertia as without them; otherwise they work from X.
     """
-    X = _check_points(X, config.K, words)
+    X, words = _check_points(X, config.K, words)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
     trace, rechecked = [], []
@@ -475,7 +468,7 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
     ``words`` is as for ``kmeans_fit``: it serves seeding and the final
     pass, while each batch's pass scores its rows.
     """
-    X = _check_points(X, config.K, words)
+    X, words = _check_points(X, config.K, words)
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
@@ -483,7 +476,7 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
     for _ in range(config.iterations):
         # a batch of all n rows (batch_size capped at n) goes in row order
         batch = np.arange(n) if config.batch_size >= n else rng.choice(n, config.batch_size, replace=False)
-        batch_labels = nearest(X[batch], centers)[0]
+        batch_labels = _nearest(X[batch], centers)[0]
         for idx, k in zip(batch, batch_labels):
             counts[k] += 1
             centers[k] += (X[idx] - centers[k]) / counts[k]
@@ -496,10 +489,12 @@ def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
 
     ``words`` is (W, ids) when X is an n-gram table: row t of X is the mean
     of the rows of the word matrix W named in row t of ``ids`` (padded with
-    -1). k-means++ seeding is faster with it, and draws the same centres
-    unless a draw falls within rounding of a boundary (see ``_distances_to``);
-    Lloyd passes and the final mini-batch pass score rows from their words
-    when W has fewer rows than X, with the same labels (see ``_screen``).
+    -1), bit for bit as ``embed_all`` computes it, or DimensionMismatch is
+    raised. The fit keeps only the rows of W that the ids name, and works
+    from them when there are fewer of them than rows of X, decided once per
+    fit: k-means++ seeding then draws the same centres unless a draw falls
+    within rounding of a boundary (see ``_distances_to``), and Lloyd passes
+    and the final mini-batch pass give the same labels (see ``_screen``).
     """
     fit_variant = minibatch_kmeans_fit if config.variant == "minibatch" else kmeans_fit
     return fit_variant(X, config, words)

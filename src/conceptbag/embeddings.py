@@ -241,27 +241,53 @@ def word_rows(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
     return rows
 
 
+def named_words(W: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of W that ``ids`` names, in W's order, then a row of zeros; and ``ids`` renumbered to them.
+
+    ``ids`` holds row indices of W padded with -1; the -1 padding stays -1,
+    and so names the zero row last.
+    """
+    named = np.zeros(len(W) + 1, dtype=bool)
+    named[ids] = True  # the -1 padding marks the extra last entry
+    rows = np.flatnonzero(named[:-1])
+    renumber = np.full(len(W) + 1, -1)  # renumber[-1] keeps the padding -1
+    renumber[rows] = np.arange(len(rows))
+    used = np.zeros((len(rows) + 1, W.shape[1]))
+    used[:-1] = W[rows]
+    return used, renumber[ids]
+
+
+def word_means(W: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set row t of ``out`` to the mean of the W rows that row t of ``ids`` names, as embed_ngram does.
+
+    The -1 padding reads W's last row, a row of zeros (``named_words``). Each
+    row starts at 0.0, adds its words' vectors in order (a padding word's 0.0
+    leaves the sum unchanged) and is divided by its number of words; if every
+    such number is a power of two, its reciprocal is exact, and a product by
+    it gives the quotient's bits at a fraction of a division's cost.
+    """
+    np.take(W, ids[:, 0], axis=0, out=out, mode="wrap")  # "wrap" reads -1 as the last row, and does not buffer
+    out += 0.0  # the sum started at +0.0: a -0.0 becomes +0.0, and nothing else changes
+    for col in ids.T[1:]:
+        out += np.take(W, col, axis=0, mode="wrap")
+    lengths = sum(col >= 0 for col in ids.T)[:, None]  # column by column: a reduction along rows costs more
+    if (lengths & (lengths - 1)).any():
+        out /= lengths
+    else:
+        out *= 1.0 / lengths
+    return out
+
+
 def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
     """N x m table whose row t is embed_ngram(vocab.entries[t]), bit for bit.
 
-    Row t is the mean of the ``wv.matrix`` rows that ``word_rows`` names.
-    Each row starts at 0.0 and adds its words' vectors in order, then is
-    divided by the n-gram's length, as embed_ngram does. A shorter n-gram
-    adds 0.0 for its missing words, which leaves a sum started at +0.0
-    unchanged. Rows are gathered _EMBED_ROWS at a time into the table.
+    Row t is ``word_means`` of the ``wv.matrix`` rows that ``word_rows``
+    names, _EMBED_ROWS rows at a time.
     """
-    rows = word_rows(vocab, wv)
-    present = rows >= 0
-    table = np.zeros((len(vocab), wv.dim))
-    gathered = np.empty((_EMBED_ROWS, wv.dim), dtype=wv.matrix.dtype)
+    table = np.empty((len(vocab), wv.dim))  # first, so the temporaries freed later leave no holes below it
+    W, ids = named_words(wv.matrix, word_rows(vocab, wv))
     for lo in range(0, len(vocab), _EMBED_ROWS):
-        hi = min(lo + _EMBED_ROWS, len(vocab))
-        out = gathered[: hi - lo]
-        for j in range(rows.shape[1]):
-            np.take(wv.matrix, rows[lo:hi, j], axis=0, out=out, mode="clip")
-            out[~present[lo:hi, j]] = 0.0
-            table[lo:hi] += out
-    table /= np.count_nonzero(present, axis=1)[:, None]
+        word_means(W, ids[lo : lo + _EMBED_ROWS], table[lo : lo + _EMBED_ROWS])
     return table
 
 

@@ -111,6 +111,19 @@ class TestTrainEmbeddings:
             main(["train-embeddings", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt")])
         assert caught.value.args[0] == [["a", "b", "c", "d"], ["e", "f"], [], ["g"]]
 
+    def test_lines_tokenized_as_run_tokenizes_reviews(self, tmp_path, monkeypatch):
+        # raw text trains the vectors that run looks up: lowercase words, punctuation
+        # apart, "n't" split off; a line of tokens already gives itself back
+        def capture(docs, config):
+            raise Captured(docs)
+
+        monkeypatch.setattr(cli, "train_sgns", capture)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("Good film. Didn't\ngood film . did n't\n", encoding="utf-8")
+        with pytest.raises(Captured) as caught:
+            main(["train-embeddings", "--corpus", str(corpus), "--out", str(tmp_path / "v.txt")])
+        assert caught.value.args[0] == [["good", "film", ".", "did", "n't"]] * 2
+
     @pytest.mark.parametrize(
         "flag, value", [("--lr", "nan"), ("--dim", "0"), ("--seed", "-1")]
     )

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conceptbag import clustering
 from conceptbag.clustering import (
     _DRAW_BLOCK,
     KMeansConfig,
-    _check_word_means,
+    _check_points,
     _distances_to,
     _draw,
     _fix_empty_clusters,
@@ -16,6 +17,7 @@ from conceptbag.clustering import (
     _kmeanspp_init,
     _nearest,
     _screen,
+    _word_scores as word_scores,
     assign,
     fit,
     inertia,
@@ -421,7 +423,7 @@ class TestWordProductSeeding:
         ids = ids.copy()
         ids[t, 1] = -1  # its first word alone
         with pytest.raises(DimensionMismatch, match=rf"word row {t}, \[{ids[t, 0]}, -1\], does not average"):
-            _check_word_means(X, W, ids)
+            _check_points(X, 1, (W, ids))
 
     @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0, 1e150, 1e300])
     @pytest.mark.parametrize("build", ["embed_all", "masked_mean"])
@@ -434,7 +436,44 @@ class TestWordProductSeeding:
             present = ids >= 0
             X = np.where(present[..., None], W[ids], 0.0).sum(axis=1) / present.sum(axis=1)[:, None]
         with np.errstate(all="raise"):
-            _check_word_means(X, W, ids)
+            _check_points(X, 1, (W, ids))
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    def test_row_with_two_coordinates_swapped_named(self, variant):
+        # the swap keeps the row's coordinate sum and norm, so only an exact
+        # comparison with its words' mean finds it
+        X, words = word_table((1, 2), "random")
+        t = 11
+        X = X.copy()
+        X[t, [0, 1]] = X[t, [1, 0]]
+        assert X[t, 0] != X[t, 1]
+        with pytest.raises(DimensionMismatch, match=rf"word row {t}, \[.*\], does not average to row {t} "):
+            fit(X, KMeansConfig(K=3, variant=variant), words=words)
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    @pytest.mark.parametrize("where", ["appended", "interleaved"])
+    def test_unused_words_change_no_bit(self, variant, where, monkeypatch):
+        # a vector file holds many words no n-gram names; with at least as many of
+        # them as rows, the fit still scores from the named words alone
+        X, (W, ids) = word_table((1, 2), "random")
+        named = np.unique(ids[ids >= 0])
+        renumber = np.full(len(W), -1)
+        renumber[named] = np.arange(len(named))
+        alone = (W[named], np.where(ids >= 0, renumber[ids], -1))
+        rng = np.random.default_rng(43)
+        padded = rng.normal(size=(len(named) + len(X), W.shape[1]))
+        slots = np.arange(len(named)) if where == "appended" else np.sort(rng.permutation(len(padded))[: len(named)])
+        padded[slots] = W[named]
+        cfg = KMeansConfig(K=10, iterations=3, variant=variant, batch_size=64, seed=4)
+        scored = []
+        monkeypatch.setattr(clustering, "_word_scores", lambda *a: scored.append(a[0].shape) or word_scores(*a))
+        got = fit(X, cfg, words=(padded, np.where(ids >= 0, slots[alone[1]], -1)))
+        assert scored and all(shape == (len(named), W.shape[1]) for shape in scored)
+        want = fit(X, cfg, words=alone)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.sq_dists.tobytes() == want.sq_dists.tobytes()
+        assert (got.inertia, got.inertia_trace, got.rechecked) == (want.inertia, want.inertia_trace, want.rechecked)
 
 
 def reference_nearest(X, C):
@@ -830,6 +869,33 @@ class TestAssignAndInertia:
             nearest(np.zeros((3, 2)), C)
         with pytest.raises(DimensionMismatch, match="centroids are"):
             assign(np.zeros(2), C)
+
+    NEAREST_ENTRIES = {
+        "nearest": nearest,
+        "assign": lambda X, C: assign(X[0], C),
+        "inertia": inertia,
+    }
+
+    @pytest.mark.parametrize("entry", NEAREST_ENTRIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_rejected(self, entry, bad):
+        # a NaN point's scores are all NaN, and argmin would give it centroid 0
+        X = np.array([[bad, 5.0], [1.0, 2.0]])
+        with pytest.raises(NonFiniteFeature):
+            self.NEAREST_ENTRIES[entry](X, np.array([[0.0, 5.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("entry", NEAREST_ENTRIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_centroid_rejected(self, entry, bad):
+        # a NaN centroid would take every label, with NaN distances
+        C = np.array([[0.0, 5.0], [bad, 2.0]])
+        with pytest.raises(NonFiniteFeature):
+            self.NEAREST_ENTRIES[entry](np.array([[1.0, 2.0], [0.0, 4.0]]), C)
+
+    @pytest.mark.parametrize("entry", NEAREST_ENTRIES)
+    def test_no_centroids_rejected(self, entry):
+        with pytest.raises(DimensionMismatch, match="centroids are"):
+            self.NEAREST_ENTRIES[entry](np.array([[1.0, 2.0]]), np.zeros((0, 2)))
 
     def test_scale_consistent(self):
         rng = np.random.default_rng(8)
