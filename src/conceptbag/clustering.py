@@ -362,9 +362,7 @@ def _check_points(X, K: int, words=None):
         W, ids = words
         if W.shape[1:] != X.shape[1:] or np.ndim(ids) != 2 or len(ids) != len(X):
             raise DimensionMismatch(f"{X.shape} points, but a {W.shape} word matrix and {np.shape(ids)} word rows")
-        by_position = np.ascontiguousarray(ids.T)  # one row per word position: reductions run along rows
-        top = by_position.max(axis=0, initial=-1)  # a row of no ids has no word either
-        bad = (by_position.min(axis=0, initial=-1) < -1) | (top < 0) | (top >= len(W))
+        bad = ((ids < -1) | (ids >= len(W))).any(axis=1) | (ids < 0).all(axis=1)
         if bad.any():
             t = int(np.argmax(bad))
             raise DimensionMismatch(

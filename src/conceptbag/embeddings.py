@@ -262,19 +262,13 @@ def word_means(W: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     The -1 padding reads W's last row, a row of zeros (``named_words``). Each
     row starts at 0.0, adds its words' vectors in order (a padding word's 0.0
-    leaves the sum unchanged) and is divided by its number of words; if every
-    such number is a power of two, its reciprocal is exact, and a product by
-    it gives the quotient's bits at a fraction of a division's cost.
+    leaves the sum unchanged) and is divided by its number of words.
     """
     np.take(W, ids[:, 0], axis=0, out=out, mode="wrap")  # "wrap" reads -1 as the last row, and does not buffer
     out += 0.0  # the sum started at +0.0: a -0.0 becomes +0.0, and nothing else changes
     for col in ids.T[1:]:
         out += np.take(W, col, axis=0, mode="wrap")
-    lengths = sum(col >= 0 for col in ids.T)[:, None]  # column by column: a reduction along rows costs more
-    if (lengths & (lengths - 1)).any():
-        out /= lengths
-    else:
-        out *= 1.0 / lengths
+    out /= sum((col >= 0 for col in ids.T), 0.0)[:, None]  # float counts, column by column: both cost less
     return out
 
 
