@@ -80,7 +80,7 @@ def cmd_cluster(args) -> int:
     train, wv = _dataset_split(args)
     vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
     table = embed_all(vocab, wv)
-    result = clustering.fit(table, config, words=(wv.matrix, word_rows(vocab, wv)))
+    result = clustering.fit(table, config, words=word_rows(vocab, wv))
     clustering.save_centroids(result.centroids, args.out)
     print(
         f"clustered {len(vocab)} n-grams into K={config.K} "

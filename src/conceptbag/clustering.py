@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .embeddings import WordVectors, named_words, save_word_vectors, word_means
+from .embeddings import WordVectors, save_word_vectors, word_means
 from .errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 VARIANTS = ("lloyd", "minibatch")
@@ -43,9 +43,9 @@ class KMeansResult:
     inertia_trace: list[float] = field(default_factory=list)
     # per Lloyd pass before a centroid update, the rows that the float32
     # screen left to float64 (empty for mini-batch); the passes of a fit whose
-    # ids name fewer words than X has rows score from words and bound each row
-    # by its words' mean |w|^2, not |x|^2, so they may leave more, with the
-    # same labels
+    # word matrix has fewer rows than X score from words and bound each row by
+    # its words' mean |w|^2, not |x|^2, so they may leave more, with the same
+    # labels
     rechecked: list[int] = field(default_factory=list)
 
 
@@ -60,12 +60,14 @@ def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its two words): |x - c_k|^2 summed in float64 for every k, ties to the
     smallest index, about 75 us per row at K=300, m=100. So input beyond
     float32 range, which the screen leaves undecided, costs a direct pass.
-    ``sq_dists`` is |x - c_label|^2, summed directly in float64. Centroids of
-    another width or none at all raise DimensionMismatch, and a NaN or
-    infinite point or centroid NonFiniteFeature.
+    ``sq_dists`` is |x - c_label|^2, summed directly in float64. X is read as
+    a float64 array; points that are not a matrix, centroids of another width
+    or none at all raise DimensionMismatch, and a NaN or infinite point or
+    centroid NonFiniteFeature.
     """
-    if C.ndim != 2 or X.shape[1] != C.shape[1] or len(C) == 0:
-        raise DimensionMismatch(f"points have dim {X.shape[1]}, centroids are {C.shape}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or C.ndim != 2 or X.shape[1] != C.shape[1] or len(C) == 0:
+        raise DimensionMismatch(f"points have shape {X.shape}, centroids are {C.shape}")
     if not (np.isfinite(X).all() and np.isfinite(C).all()):
         raise NonFiniteFeature("points or centroids contain NaN or inf")
     return _nearest(X, C)[:2]
@@ -348,16 +350,18 @@ def assign(x: np.ndarray, C: np.ndarray) -> int:
 
 
 def _check_points(X, K: int, words=None):
-    """X as float64, checked, and the words a fit works from: ``words`` cut to the rows its ids name, or None.
+    """X as float64, checked, and the words a fit works from: ``words``, or None.
 
-    Each row of X must equal, bit for bit, the ``word_means`` of the rows of
-    W that its row of ids names, as in ``embed_all``; the first row that does
-    not, or whose ids lie outside [-1, len(W)) or name no word, raises
-    DimensionMismatch naming the caller's ids. The named words are kept only
-    when there are fewer of them than rows of X, so that a product over them
-    costs less than one over X.
+    X must be a matrix. Each row of X must equal, bit for bit, the
+    ``word_means`` of the rows of W that its row of ids names, as in
+    ``embed_all``; the first row that does not, or whose ids lie outside
+    [-1, len(W)) or name no word, raises DimensionMismatch naming the
+    caller's ids. The words are kept only when W has fewer rows than X, so
+    that a product over W costs less than one over X.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"points have shape {X.shape}; expected a matrix, one point per row")
     if words is not None:
         W, ids = words
         if W.shape[1:] != X.shape[1:] or np.ndim(ids) != 2 or len(ids) != len(X):
@@ -375,17 +379,15 @@ def _check_points(X, K: int, words=None):
         raise NonFiniteFeature("points contain NaN or inf")
     if words is None:
         return X, None
-    used, renumbered = named_words(W, ids)
     means = np.empty((min(_BLOCK_ROWS, len(X)), X.shape[1]))
     with np.errstate(all="ignore"):  # a sum that overflows is inf, which no finite row equals
         for lo in range(0, len(X), _BLOCK_ROWS):
             rows = X[lo : lo + _BLOCK_ROWS]
-            block = word_means(used, renumbered[lo : lo + _BLOCK_ROWS], means[: len(rows)])
+            block = word_means(W, ids[lo : lo + _BLOCK_ROWS], means[: len(rows)])
             if (block != rows).any():
                 t = lo + int(np.argmax((block != rows).any(axis=1)))
                 raise DimensionMismatch(f"word row {t}, {ids[t].tolist()}, does not average to row {t} of the points")
-    used = used[:-1]
-    return X, ((used, renumbered) if len(used) < len(X) else None)
+    return X, (words if len(W) < len(X) else None)
 
 
 def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
@@ -408,10 +410,10 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     product: a K x N one-hot matrix, each cluster's rows in index order,
     times X, divided by the cluster sizes.
     ``words`` (W, ids), if X is an n-gram table, must give X's rows as
-    ``embed_all`` does (``_check_points``). When its ids name fewer rows of W
-    than X has rows, k-means++ seeding (see ``_distances_to``) and every pass
-    (see ``_screen``) work from those words, with the same labels, centroids
-    and inertia as without them; otherwise they work from X.
+    ``embed_all`` does (``_check_points``). When W has fewer rows than X,
+    k-means++ seeding (see ``_distances_to``) and every pass (see
+    ``_screen``) work from W, with the same labels, centroids and inertia as
+    without it; otherwise, as for a whole vector file, they work from X.
     """
     X, words = _check_points(X, config.K, words)
     rng = np.random.default_rng(config.seed)
@@ -485,14 +487,15 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
 def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     """Cluster the rows of X with ``config.variant``.
 
-    ``words`` is (W, ids) when X is an n-gram table: row t of X is the mean
-    of the rows of the word matrix W named in row t of ``ids`` (padded with
-    -1), bit for bit as ``embed_all`` computes it, or DimensionMismatch is
-    raised. The fit keeps only the rows of W that the ids name, and works
-    from them when there are fewer of them than rows of X, decided once per
-    fit: k-means++ seeding then draws the same centres unless a draw falls
-    within rounding of a boundary (see ``_distances_to``), and Lloyd passes
-    and the final mini-batch pass give the same labels (see ``_screen``).
+    ``words`` is (W, ids) when X is an n-gram table, as ``embeddings.word_rows``
+    gives it: row t of X is the mean of the rows of the word matrix W named
+    in row t of ``ids`` (padded with -1), bit for bit as ``embed_all``
+    computes it, or DimensionMismatch is raised. The fit works from W when it
+    has fewer rows than X, decided once per fit: k-means++ seeding then draws
+    the same centres unless a draw falls within rounding of a boundary (see
+    ``_distances_to``), and Lloyd passes and the final mini-batch pass give
+    the same labels (see ``_screen``). A caller who passes a whole vector
+    file as W gets row scoring: the labels are correct, only speed differs.
     """
     fit_variant = minibatch_kmeans_fit if config.variant == "minibatch" else kmeans_fit
     return fit_variant(X, config, words)

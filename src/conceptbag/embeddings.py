@@ -221,53 +221,42 @@ def embed_ngram(ngram: NGram, wv: WordVectors) -> np.ndarray:
     return total / len(ngram)
 
 
-def word_rows(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
-    """len(vocab) x max(orders) rows of ``wv.matrix``: row t names entries[t]'s words, padded with -1.
+def word_rows(vocab: NGramVocabulary, wv: WordVectors) -> tuple[np.ndarray, np.ndarray]:
+    """(W, ids): the vectors of ``vocab``'s words in the order it numbers them, and its ``word_id_matrix``.
 
-    Raises UnknownWord for the first n-gram, in column order, with a word
-    that ``wv`` lacks, naming the word and its position.
+    Row t of ids names entries[t]'s words as rows of W, padded with -1. A
+    word of the vocabulary's index that ``wv`` lacks gets a row of zeros
+    when no n-gram names it; otherwise UnknownWord is raised for the first
+    n-gram, in column order, that names such a word, naming the word and
+    its position.
     """
     ids = vocab.word_id_matrix()
-    to_row = np.fromiter(
-        map(wv.words.get, vocab.word_ids, repeat(-1)), dtype=np.int64, count=len(vocab.word_ids)
-    )
-    present = ids >= 0
-    rows = np.where(present, to_row[ids], -1)
-    missing = present & (rows < 0)
+    rows = np.fromiter(map(wv.words.get, vocab.word_ids, repeat(-1)), dtype=np.int64, count=len(vocab.word_ids))
+    missing = (ids >= 0) & (rows[ids] < 0)
     if missing.any():
         t = int(np.argmax(missing.any(axis=1)))
         pos = int(np.argmax(missing[t]))
         raise UnknownWord(vocab.entries[t][pos], position=pos)
-    return rows
-
-
-def named_words(W: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of W that ``ids`` names, in W's order, then a row of zeros; and ``ids`` renumbered to them.
-
-    ``ids`` holds row indices of W padded with -1; the -1 padding stays -1,
-    and so names the zero row last.
-    """
-    named = np.zeros(len(W) + 1, dtype=bool)
-    named[ids] = True  # the -1 padding marks the extra last entry
-    rows = np.flatnonzero(named[:-1])
-    renumber = np.full(len(W) + 1, -1)  # renumber[-1] keeps the padding -1
-    renumber[rows] = np.arange(len(rows))
-    used = np.zeros((len(rows) + 1, W.shape[1]))
-    used[:-1] = W[rows]
-    return used, renumber[ids]
+    W = np.zeros((len(rows), wv.dim))
+    known = rows >= 0
+    W[known] = wv.matrix[rows[known]]
+    return W, ids
 
 
 def word_means(W: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Set row t of ``out`` to the mean of the W rows that row t of ``ids`` names, as embed_ngram does.
 
-    The -1 padding reads W's last row, a row of zeros (``named_words``). Each
-    row starts at 0.0, adds its words' vectors in order (a padding word's 0.0
-    leaves the sum unchanged) and is divided by its number of words.
+    The -1 padding names no word. Each row starts at 0.0, adds its words'
+    vectors in order (a padding word adds 0.0, which leaves the sum
+    unchanged) and is divided by its number of words.
     """
-    np.take(W, ids[:, 0], axis=0, out=out, mode="wrap")  # "wrap" reads -1 as the last row, and does not buffer
+    np.take(W, ids[:, 0], axis=0, out=out, mode="wrap")  # "wrap" does not buffer, unlike "raise"
+    out[ids[:, 0] < 0] = 0.0
     out += 0.0  # the sum started at +0.0: a -0.0 becomes +0.0, and nothing else changes
     for col in ids.T[1:]:
-        out += np.take(W, col, axis=0, mode="wrap")
+        word = np.take(W, col, axis=0, mode="wrap")
+        word[col < 0] = 0.0
+        out += word
     out /= sum((col >= 0 for col in ids.T), 0.0)[:, None]  # float counts, column by column: both cost less
     return out
 
@@ -275,11 +264,11 @@ def word_means(W: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
 def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
     """N x m table whose row t is embed_ngram(vocab.entries[t]), bit for bit.
 
-    Row t is ``word_means`` of the ``wv.matrix`` rows that ``word_rows``
-    names, _EMBED_ROWS rows at a time.
+    Row t is ``word_means`` of the rows that ``word_rows`` names,
+    _EMBED_ROWS rows at a time.
     """
     table = np.empty((len(vocab), wv.dim))  # first, so the temporaries freed later leave no holes below it
-    W, ids = named_words(wv.matrix, word_rows(vocab, wv))
+    W, ids = word_rows(vocab, wv)
     for lo in range(0, len(vocab), _EMBED_ROWS):
         word_means(W, ids[lo : lo + _EMBED_ROWS], table[lo : lo + _EMBED_ROWS])
     return table

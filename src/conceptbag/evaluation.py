@@ -144,7 +144,7 @@ def _fold_features(
     cache = {} if cache is None else cache
     fit_key = (config.ngram_orders, index.document_ids, tuple(d.id for d in train_docs))
     vocab = _cached(cache, ("vocab", fit_key), clock, "vocab", lambda: build_vocab(train_docs, index))
-    split_key = (fit_key, tuple(d.id for d in train_docs), tuple(d.id for d in test_docs))
+    split_key = (fit_key, tuple(d.id for d in test_docs))
     counts_train, counts_test = _cached(
         cache, ("counts", split_key), clock, "counts",
         lambda: (count_vectors(train_docs, vocab), count_vectors(test_docs, vocab)),
@@ -166,9 +166,7 @@ def _fold_features(
             with clock.stage("ngram_repr"):
                 table = embed_all(vocab, wv)
             with clock.stage("kmeans"):
-                cache[kmeans_key] = clustering.fit(
-                    table, config.kmeans, words=(wv.matrix, word_rows(vocab, wv))
-                )
+                cache[kmeans_key] = clustering.fit(table, config.kmeans, words=word_rows(vocab, wv))
         kmeans = cache[kmeans_key]
     assignment = None if kmeans is None else kmeans.labels
     with clock.stage("doc_repr"):
@@ -195,7 +193,7 @@ def run_experiment(
     too, so runs with the same orders build it once.
     """
     if config.feature_mode in features.CONCEPT_MODES and wv is None:
-        raise ValueError("word vectors are required for concept feature modes")
+        raise BadConfig(f"word vectors are required for concept feature mode {config.feature_mode!r}")
 
     clock = _StageClock()
     t_start = time.monotonic()

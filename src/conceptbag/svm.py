@@ -108,6 +108,8 @@ def svm_train(features, labels, config: SvmConfig = SvmConfig()) -> LinearModel:
     """
     y = np.asarray(labels, dtype=np.float64)
     X = _matrix(features)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"features have shape {X.shape}; expected a matrix, one row per label")
     _check_finite(X)
     if X.shape[0] != len(y):
         raise DimensionMismatch(f"{X.shape[0]} rows vs {len(y)} labels")

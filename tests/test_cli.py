@@ -394,7 +394,7 @@ class TestHeldOutChain:
         train = [dataset.documents[i] for i in dataset.train_ids]
         vocab = build_vocab(train, NGramIndex(train, (1, 2), wv.words))
         assert len(vocab) > len(wv)  # seeding goes through word products
-        result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=(wv.matrix, word_rows(vocab, wv)))
+        result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=word_rows(vocab, wv))
         save_centroids(result.centroids, tmp_path / "fit.txt")
         assert cents.read_bytes() == (tmp_path / "fit.txt").read_bytes()
 

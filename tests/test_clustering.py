@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conceptbag import clustering
 from conceptbag.clustering import (
     _DRAW_BLOCK,
     KMeansConfig,
@@ -17,7 +16,6 @@ from conceptbag.clustering import (
     _kmeanspp_init,
     _nearest,
     _screen,
-    _word_scores as word_scores,
     assign,
     fit,
     inertia,
@@ -323,7 +321,7 @@ WORD_ORDERS = [(1,), (1, 2), (1, 3), (1, 2, 3)]
 
 
 def word_table(orders, kind):
-    """An n-gram table from ``embed_all`` and its (word matrix, ``word_rows``).
+    """An n-gram table from ``embed_all`` and its ``word_rows`` (W, ids).
 
     Word vectors are long, so |x|^2 - 2 x.c + |c|^2 rounds away from 0 for a
     row and its duplicate, and point every way, so that value is far from 0
@@ -344,12 +342,12 @@ def word_table(orders, kind):
 
 
 def ngram_table(W, orders, rng, docs, tokens):
-    """``embed_all``'s table of the n-grams of random documents over the words of W, and (W, ``word_rows``)."""
+    """``embed_all``'s table of the n-grams of random documents over the words of W, and its ``word_rows``."""
     names = [f"w{i}" for i in range(len(W))]
     wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=W)
     documents = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=tokens))) for i in range(docs)]
     vocab = build_vocab(documents, NGramIndex(documents, orders, wv.words))
-    return embed_all(vocab, wv), (W, word_rows(vocab, wv))
+    return embed_all(vocab, wv), word_rows(vocab, wv)
 
 
 class TestWordProductSeeding:
@@ -449,31 +447,6 @@ class TestWordProductSeeding:
         assert X[t, 0] != X[t, 1]
         with pytest.raises(DimensionMismatch, match=rf"word row {t}, \[.*\], does not average to row {t} "):
             fit(X, KMeansConfig(K=3, variant=variant), words=words)
-
-    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
-    @pytest.mark.parametrize("where", ["appended", "interleaved"])
-    def test_unused_words_change_no_bit(self, variant, where, monkeypatch):
-        # a vector file holds many words no n-gram names; with at least as many of
-        # them as rows, the fit still scores from the named words alone
-        X, (W, ids) = word_table((1, 2), "random")
-        named = np.unique(ids[ids >= 0])
-        renumber = np.full(len(W), -1)
-        renumber[named] = np.arange(len(named))
-        alone = (W[named], np.where(ids >= 0, renumber[ids], -1))
-        rng = np.random.default_rng(43)
-        padded = rng.normal(size=(len(named) + len(X), W.shape[1]))
-        slots = np.arange(len(named)) if where == "appended" else np.sort(rng.permutation(len(padded))[: len(named)])
-        padded[slots] = W[named]
-        cfg = KMeansConfig(K=10, iterations=3, variant=variant, batch_size=64, seed=4)
-        scored = []
-        monkeypatch.setattr(clustering, "_word_scores", lambda *a: scored.append(a[0].shape) or word_scores(*a))
-        got = fit(X, cfg, words=(padded, np.where(ids >= 0, slots[alone[1]], -1)))
-        assert scored and all(shape == (len(named), W.shape[1]) for shape in scored)
-        want = fit(X, cfg, words=alone)
-        assert np.array_equal(got.labels, want.labels)
-        assert got.centroids.tobytes() == want.centroids.tobytes()
-        assert got.sq_dists.tobytes() == want.sq_dists.tobytes()
-        assert (got.inertia, got.inertia_trace, got.rechecked) == (want.inertia, want.inertia_trace, want.rechecked)
 
 
 def reference_nearest(X, C):
@@ -821,6 +794,12 @@ class TestFit:
         direct = minibatch_kmeans_fit(X, cfg)
         assert np.array_equal(direct.centroids, expected.centroids)
 
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    @pytest.mark.parametrize("X", [np.arange(10.0), np.zeros((4, 3, 2)), [[[1.0]]]], ids=["1-d", "3-d", "nested-3-d"])
+    def test_points_must_be_a_matrix(self, variant, X):
+        with pytest.raises(DimensionMismatch, match="points have shape"):
+            fit(X, KMeansConfig(K=2, variant=variant))
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="minibach"):
             KMeansConfig(variant="minibach")
@@ -861,6 +840,17 @@ class TestAssignAndInertia:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             assign(np.zeros(3), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("X", [np.zeros(2), [1.0, 2.0], [[[1.0, 2.0]]]], ids=["1-d", "list", "nested-3-d"])
+    @pytest.mark.parametrize("entry", ["nearest", "inertia"])
+    def test_points_must_be_a_matrix(self, entry, X):
+        with pytest.raises(DimensionMismatch, match="points have shape"):
+            self.NEAREST_ENTRIES[entry](X, np.zeros((2, 2)))
+
+    def test_nested_list_points_read_as_an_array(self):
+        C = np.array([[0.0, 0.0], [4.0, 4.0]])
+        labels, sq_dists = nearest([[1.0, 0.0], [3.0, 4.0]], C)
+        assert labels.tolist() == [0, 1] and sq_dists.tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("C", [np.zeros(2), np.zeros((1, 3, 2)), np.zeros((2, 3))],
                              ids=["1-d", "3-d", "another-width"])

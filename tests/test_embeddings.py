@@ -11,6 +11,7 @@ from reference_sgns_loss import sgns_loss_and_grad
 from reference_vectors import reference_load_word_vectors
 
 from conceptbag import embeddings
+from conceptbag.corpus import Document, NGramIndex, NGramVocabulary, build_vocab
 from conceptbag.embeddings import (
     SgnsConfig,
     WordVectors,
@@ -20,6 +21,7 @@ from conceptbag.embeddings import (
     load_word_vectors,
     save_word_vectors,
     train_sgns,
+    word_means,
     word_rows,
 )
 from conceptbag.errors import BadConfig, DimensionMismatch, EmptyCorpus, MalformedLine, UnknownWord
@@ -279,12 +281,58 @@ class TestEmbedAll:
         table = embed_all(vocab_of([], {1}), wv)
         assert table.shape == (0, 2)
 
-    def test_word_rows_name_the_vector_rows(self):
-        wv = make_wv({"x": [0.0, 0.0], "b": [3.0, 4.0], "a": [1.0, 2.0]})
+    def test_word_rows_name_the_index_words(self):
+        # the index numbers "a" then "b"; the vector file's "x" and its order play no part
+        wv = make_wv({"x": [5.0, 6.0], "b": [3.0, 4.0], "a": [1.0, 2.0]})
         vocab = vocab_of([("a",), ("a", "b"), ("b", "a")], {1, 2})
-        assert word_rows(vocab, wv).tolist() == [[2, -1], [2, 1], [1, 2]]
-        with pytest.raises(UnknownWord, match="'b'"):
+        W, ids = word_rows(vocab, wv)
+        assert W.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ids.tolist() == [[0, -1], [0, 1], [1, 0]]
+        assert ids.tobytes() == vocab.word_id_matrix().tobytes()
+        with pytest.raises(UnknownWord, match="'b'") as exc:
             word_rows(vocab, make_wv({"a": [1.0, 2.0]}))
+        assert exc.value.position == 1
+
+    def test_word_means_skip_the_padding_wherever_it_lies(self):
+        # the sum starts at +0.0, as embed_ngram's does, so a -0.0 coordinate reads +0.0
+        W = np.array([[1.0, -0.0], [3.0, 4.0], [5.0, 6.0]])
+        out = word_means(W, np.array([[1, -1], [-1, 1], [0, 2], [-1, 0]]), np.empty((4, 2)))
+        assert out.tolist() == [[3.0, 4.0], [3.0, 4.0], [3.0, 3.0], [1.0, 0.0]]
+        assert not np.signbit(out).any()
+
+    def test_word_rows_leave_an_unnamed_word_without_a_vector_at_zero(self):
+        # "b" is a word of the index, but not of the vocabulary's n-grams
+        full = vocab_of([("a",), ("b",)], {1})
+        vocab = NGramVocabulary(full.index, full.ids[[list(full.entries).index(("a",))]])
+        W, ids = word_rows(vocab, make_wv({"a": [1.0, 2.0]}))
+        assert W.tolist() == [[1.0, 2.0], [0.0, 0.0]]
+        assert ids.tolist() == [[0]]
+
+    @pytest.mark.parametrize("where", ["appended", "interleaved", "permuted"])
+    def test_unused_words_change_no_bit(self, where):
+        # a vector file holds many words no n-gram names, in any order; word_rows
+        # gives the index's words alone, in its order, so the fit never sees the rest
+        rng = np.random.default_rng(43)
+        names = [f"w{i}" for i in range(30)]
+        documents = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=20))) for i in range(10)]
+        wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=rng.normal(size=(30, 8)))
+        unused = [f"unused{i}" for i in range(20_000)]
+        order = names + unused
+        if where == "interleaved":
+            order = [*unused[:10_000], *names[:15], *unused[10_000:], *names[15:]]
+        elif where == "permuted":
+            order = [order[i] for i in rng.permutation(len(order))]
+        extra = dict(zip(unused, rng.normal(size=(len(unused), 8))))
+        big = WordVectors(
+            words={w: i for i, w in enumerate(order)},
+            matrix=np.array([wv.vector(w) if w in wv else extra[w] for w in order]),
+        )
+
+        def rows_of(vectors):
+            return word_rows(build_vocab(documents, NGramIndex(documents, (1, 2), vectors.words)), vectors)
+
+        (W, ids), (want_W, want_ids) = rows_of(big), rows_of(wv)
+        assert W.tobytes() == want_W.tobytes() and ids.tobytes() == want_ids.tobytes()
 
 
 class TestSgns:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conceptbag import clustering, features
 from conceptbag.clustering import KMeansConfig
 from conceptbag.corpus import Dataset, Document, NGramIndex
-from conceptbag.errors import BadConfig, LengthMismatch, SingleClass, TooFewDocuments, TooFewPoints
+from conceptbag.embeddings import WordVectors
+from conceptbag.errors import BadConfig, ConceptBagError, LengthMismatch, SingleClass, TooFewDocuments, TooFewPoints
 from conceptbag.evaluation import (
     FEATURE_MODES,
     STAGES,
@@ -162,6 +164,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_config(), ds)
 
+    @pytest.mark.parametrize("mode", features.CONCEPT_MODES)
+    def test_concept_mode_without_vectors_is_a_library_error(self, mode):
+        ds, _ = make_synthetic_sentiment(seed=4)
+        with pytest.raises(ConceptBagError, match=f"word vectors are required for concept feature mode '{mode}'"):
+            run_experiment(small_config(feature_mode=mode), ds)
+
     def test_deterministic_except_wall_clock(self):
         ds, wv = make_synthetic_sentiment(seed=5)
         cfg = small_config()
@@ -287,9 +295,28 @@ class TestRunExperiment:
             run_experiment(config, ds, wv, cache=cache)
         assert {key[0] for key in cache} == {"index", "vocab", "counts", "kmeans"}
 
-    def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch):
-        from conceptbag import clustering
+    def test_fit_scores_the_index_words_alone(self, monkeypatch):
+        # the vector file holds far more words than the table has rows, and only a
+        # test document holds "oddword": the fit scores the index's words, no others
+        ds, wv = make_synthetic_sentiment(seed=14, n_docs=60)
+        train = ds.documents[:50]
+        test = ds.documents[50:] + [Document(id="odd", label=1, tokens=("oddword",) * 5)]
+        extra = [f"unused{i}" for i in range(5000)] + ["oddword"]
+        big = WordVectors(
+            words={**wv.words, **{w: len(wv) + i for i, w in enumerate(extra)}},
+            matrix=np.vstack([wv.matrix, np.random.default_rng(14).normal(size=(len(extra), wv.dim))]),
+        )
+        scored = []
+        word_scores = clustering._word_scores
+        monkeypatch.setattr(clustering, "_word_scores", lambda W, *a: scored.append(W.shape) or word_scores(W, *a))
+        cfg = small_config(ngram_orders=(1, 2))
+        index = NGramIndex(train + test, cfg.ngram_orders, big.words)
+        y = np.array([d.label for d in train])
+        assert _fold_features(train, test, y, cfg, big, _StageClock(), index)[2] is not None
+        assert len(index.word_ids) == len(wv) + 1
+        assert scored and set(scored) == {(len(index.word_ids), wv.dim)}
 
+    def test_clustering_fitted_once_per_set_of_documents(self, monkeypatch):
         calls = []
         real_fit = clustering.fit
 

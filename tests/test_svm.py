@@ -67,6 +67,11 @@ class TestTrain:
         with pytest.raises(NonFiniteFeature):
             svm_train(np.array([[np.nan]]), np.array([1]), SvmConfig())
 
+    @pytest.mark.parametrize("X", [np.ones(4), np.ones((4, 2, 1))], ids=["1-d", "3-d"])
+    def test_dense_features_must_be_a_matrix(self, X):
+        with pytest.raises(DimensionMismatch, match="features have shape"):
+            svm_train(X, np.array([1, -1, 1, -1]), SvmConfig())
+
     def test_labels_outside_plus_minus_one_rejected(self):
         X = np.array([[1.0], [-1.0]])
         with pytest.raises(BadLabel, match="got 0"):
