@@ -42,7 +42,7 @@ print(f"{len(vocab)} n-grams embedded in {wv.dim} dimensions")
 result = kmeans_fit(table, KMeansConfig(K=3, iterations=10, seed=0))
 for k in range(3):
     members = np.flatnonzero(result.labels == k)
-    dists = ((table[members] - result.centroids[k]) ** 2).sum(axis=1)
+    dists = ((table.X[members] - result.centroids[k]) ** 2).sum(axis=1)
     nearest = members[np.argsort(dists)[:6]]
     grams = [" ".join(vocab.entries[t]) for t in nearest]
     print(f"cluster {k}: " + " | ".join(grams))

@@ -26,6 +26,7 @@ from .corpus import (
     tokenize,
 )
 from .embeddings import (
+    NGramTable,
     SgnsConfig,
     WordVectors,
     embed_all,

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import clustering, features
 from .corpus import NGramIndex, build_vocab, check_orders, load_imdb_dataset, load_polarity_dataset, tokenize
-from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns, word_rows
+from .embeddings import SgnsConfig, embed_all, load_word_vectors, save_word_vectors, train_sgns
 from .errors import BadConfig, BadOrders, ConceptBagError, check_int, config_from, numbered_lines
 from .evaluation import ExperimentConfig, run_experiment, write_reports
 
@@ -80,7 +80,7 @@ def cmd_cluster(args) -> int:
     train, wv = _dataset_split(args)
     vocab = build_vocab(train, NGramIndex(train, args.orders, wv.words))
     table = embed_all(vocab, wv)
-    result = clustering.fit(table, config, words=word_rows(vocab, wv))
+    result = clustering.fit(table, config)
     clustering.save_centroids(result.centroids, args.out)
     print(
         f"clustered {len(vocab)} n-grams into K={config.K} "

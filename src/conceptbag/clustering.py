@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .embeddings import WordVectors, save_word_vectors, word_means
+from .embeddings import NGramTable, WordVectors, save_word_vectors
 from .errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints, check_int
 
 VARIANTS = ("lloyd", "minibatch")
@@ -60,12 +60,12 @@ def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its two words): |x - c_k|^2 summed in float64 for every k, ties to the
     smallest index, about 75 us per row at K=300, m=100. So input beyond
     float32 range, which the screen leaves undecided, costs a direct pass.
-    ``sq_dists`` is |x - c_label|^2, summed directly in float64. X is read as
-    a float64 array; points that are not a matrix, centroids of another width
-    or none at all raise DimensionMismatch, and a NaN or infinite point or
-    centroid NonFiniteFeature.
+    ``sq_dists`` is |x - c_label|^2, summed directly in float64. X and C are
+    read as float64 arrays; points that are not a matrix, centroids of
+    another width or none at all raise DimensionMismatch, and a NaN or
+    infinite point or centroid NonFiniteFeature.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X, C = np.asarray(X, dtype=np.float64), np.asarray(C, dtype=np.float64)
     if X.ndim != 2 or C.ndim != 2 or X.shape[1] != C.shape[1] or len(C) == 0:
         raise DimensionMismatch(f"points have shape {X.shape}, centroids are {C.shape}")
     if not (np.isfinite(X).all() and np.isfinite(C).all()):
@@ -147,7 +147,7 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     term, and none for n = 1, so at most 2 (n - 1): the mean errs from
     |c_k|^2 - 2 x*.c_k, x* the exact mean of the words, by at most
     gamma_{m+2n+1} (Wbar + 2 |c_k|^2). The stored row x is the float64 mean
-    of its words (``embed_all``), 2 (n - 1) roundings from x*, so 2 |(x -
+    of its words (``NGramTable``), 2 (n - 1) roundings from x*, so 2 |(x -
     x*).c_k| <= gamma64_{2n-2} (Wbar + |c_k|^2). Each rounding that
     underflows, to a subnormal or flushed to zero, costs at most t more: m
     + 3 per word, after folding the t |w|_1 terms into u |w|^2 + m t^2 / u,
@@ -168,9 +168,10 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     overflows: partial sums stay below n (max_i |w_i|^2 + 2 M), so rows
     where that passes half the largest float32 are not decided. So a
     word-scored pass gives the labels of a row-scored one, bit for bit, as
-    long as each row of ids gives its row of X, which ``_check_points``
-    checks. A fit passes ``words`` only when W has fewer rows than X (see
-    ``_check_points``), as scoring from words costs more otherwise.
+    long as each row of ids gives its row of X, which an ``NGramTable``'s
+    construction guarantees. A fit passes ``words``, a table's (W, ids), only
+    when W has fewer rows than X (see ``_check_points``), as scoring from
+    words costs more otherwise.
     """
     info = np.finfo(np.float32)
     rows_n, m = X.shape
@@ -247,14 +248,13 @@ def _distances_to(X: np.ndarray, words=None):
     exactly 0. The rows tested against that are those at most 1e-9 (max
     |x|^2 + |c|^2), which holds them all, as rounding is monotone.
 
-    ``words``, if given, is (W, ids): row t of X is the mean of the rows of W
-    that row t of the N x width int array ``ids`` names, padded with -1 (an
-    n-gram table and its word vectors). Then x.c is the mean over those rows
-    of W c, so a call costs one product over W and a gather over ``ids`` in
-    place of a product over X. Rows whose ids do not give X[t] would give
-    wrong distances; ``_check_points`` rejects them before a fit seeds. Without
-    ``words`` (a fit passes none when W has no fewer rows than X), X itself is
-    the word matrix, one word per row, and x.c is the product X c.
+    ``words``, if given, is an ``NGramTable``'s (W, ids), whose construction
+    makes row t of X the mean of the rows of W that row t of the N x width
+    int array ``ids`` names, padded with -1. Then x.c is the mean over those
+    rows of W c, so a call costs one product over W and a gather over
+    ``ids`` in place of a product over X. Without ``words`` (a fit passes
+    none when W has no fewer rows than X), X itself is the word matrix, one
+    word per row, and x.c is the product X c.
     """
     n = X.shape[0]
     W, ids = words or (X, np.arange(n)[:, None])
@@ -343,54 +343,33 @@ def inertia(X: np.ndarray, C: np.ndarray) -> float:
 
 def assign(x: np.ndarray, C: np.ndarray) -> int:
     """Index of the row of C nearest to the single vector x; ties go to the smallest index."""
-    x = np.asarray(x, dtype=np.float64)
+    x, C = np.asarray(x, dtype=np.float64), np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or x.shape != (C.shape[1],):
         raise DimensionMismatch(f"query has shape {x.shape}, centroids are {C.shape}")
     return int(nearest(x[None, :], C)[0][0])
 
 
-def _check_points(X, K: int, words=None):
-    """X as float64, checked, and the words a fit works from: ``words``, or None.
+def _check_points(points, K: int):
+    """The points as a float64 matrix, checked, and the words a fit works from: a table's (W, ids), or None.
 
-    X must be a matrix. Each row of X must equal, bit for bit, the
-    ``word_means`` of the rows of W that its row of ids names, as in
-    ``embed_all``; the first row that does not, or whose ids lie outside
-    [-1, len(W)) or name no word, raises DimensionMismatch naming the
-    caller's ids. The words are kept only when W has fewer rows than X, so
-    that a product over W costs less than one over X.
+    An ``NGramTable``'s matrix is its X, whose rows its construction makes
+    its words' means; its words are kept only when W has fewer rows than X,
+    so that a product over W costs less than one over X.
     """
-    X = np.asarray(X, dtype=np.float64)
+    if isinstance(points, NGramTable):
+        X, words = points.X, ((points.W, points.ids) if len(points.W) < len(points.X) else None)
+    else:
+        X, words = np.asarray(points, dtype=np.float64), None
     if X.ndim != 2:
         raise DimensionMismatch(f"points have shape {X.shape}; expected a matrix, one point per row")
-    if words is not None:
-        W, ids = words
-        if W.shape[1:] != X.shape[1:] or np.ndim(ids) != 2 or len(ids) != len(X):
-            raise DimensionMismatch(f"{X.shape} points, but a {W.shape} word matrix and {np.shape(ids)} word rows")
-        bad = ((ids < -1) | (ids >= len(W))).any(axis=1) | (ids < 0).all(axis=1)
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise DimensionMismatch(
-                f"word row {t} is {ids[t].tolist()}: ids must name rows of the {len(W)}-row word matrix "
-                "(or be -1 padding), at least one per row"
-            )
     if X.shape[0] < K:
         raise TooFewPoints(f"{X.shape[0]} points for K={K}")
     if not np.isfinite(X).all():
         raise NonFiniteFeature("points contain NaN or inf")
-    if words is None:
-        return X, None
-    means = np.empty((min(_BLOCK_ROWS, len(X)), X.shape[1]))
-    with np.errstate(all="ignore"):  # a sum that overflows is inf, which no finite row equals
-        for lo in range(0, len(X), _BLOCK_ROWS):
-            rows = X[lo : lo + _BLOCK_ROWS]
-            block = word_means(W, ids[lo : lo + _BLOCK_ROWS], means[: len(rows)])
-            if (block != rows).any():
-                t = lo + int(np.argmax((block != rows).any(axis=1)))
-                raise DimensionMismatch(f"word row {t}, {ids[t].tolist()}, does not average to row {t} of the points")
-    return X, (words if len(W) < len(X) else None)
+    return X, words
 
 
-def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
+def kmeans_fit(points, config: KMeansConfig) -> KMeansResult:
     """Lloyd's algorithm for a fixed number of iterations.
 
     Before each centroid update, empty clusters are re-seeded at the point
@@ -409,13 +388,16 @@ def kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
     Each update sets a centroid to the mean of its rows, as one sparse
     product: a K x N one-hot matrix, each cluster's rows in index order,
     times X, divided by the cluster sizes.
-    ``words`` (W, ids), if X is an n-gram table, must give X's rows as
-    ``embed_all`` does (``_check_points``). When W has fewer rows than X,
-    k-means++ seeding (see ``_distances_to``) and every pass (see
-    ``_screen``) work from W, with the same labels, centroids and inertia as
-    without it; otherwise, as for a whole vector file, they work from X.
+    ``points`` is a matrix X, or an ``NGramTable``, whose X the fit
+    clusters. A table's construction makes each row the mean of its words,
+    bit for bit as ``embed_all`` computes it, so when its W has fewer rows
+    than X, decided once per fit, k-means++ seeding draws the same centres
+    unless a draw falls within rounding of a boundary (see
+    ``_distances_to``), and every pass gives the same labels (see
+    ``_screen``). A table whose W is a whole vector file gets row scoring:
+    the labels are correct, only speed differs.
     """
-    X, words = _check_points(X, config.K, words)
+    X, words = _check_points(points, config.K)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
     trace, rechecked = [], []
@@ -459,16 +441,16 @@ def _fix_empty_clusters(X, centers, labels, K):
     return labels
 
 
-def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
+def minibatch_kmeans_fit(points, config: KMeansConfig) -> KMeansResult:
     """Mini-batch K-means with per-centroid learning rates.
 
     Each iteration samples min(batch_size, N) points; a point assigned to
     centroid k moves it by (x - c) / n_k where n_k counts all points ever
     assigned to k. Labels come from one full assignment pass at the end.
-    ``words`` is as for ``kmeans_fit``: it serves seeding and the final
-    pass, while each batch's pass scores its rows.
+    ``points`` is as for ``kmeans_fit``: a table's words serve seeding and
+    the final pass, while each batch's pass scores its rows.
     """
-    X, words = _check_points(X, config.K, words)
+    X, words = _check_points(points, config.K)
     n = X.shape[0]
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
@@ -484,23 +466,16 @@ def minibatch_kmeans_fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMe
     return KMeansResult(centers, labels, sq_dists, float(sq_dists.sum()))
 
 
-def fit(X: np.ndarray, config: KMeansConfig, words=None) -> KMeansResult:
-    """Cluster the rows of X with ``config.variant``.
+def fit(points, config: KMeansConfig) -> KMeansResult:
+    """Cluster ``points``, a matrix or an ``NGramTable``, with ``config.variant``.
 
-    ``words`` is (W, ids) when X is an n-gram table, as ``embeddings.word_rows``
-    gives it: row t of X is the mean of the rows of the word matrix W named
-    in row t of ``ids`` (padded with -1), bit for bit as ``embed_all``
-    computes it, or DimensionMismatch is raised. The fit works from W when it
-    has fewer rows than X, decided once per fit: k-means++ seeding then draws
-    the same centres unless a draw falls within rounding of a boundary (see
-    ``_distances_to``), and Lloyd passes and the final mini-batch pass give
-    the same labels (see ``_screen``). A caller who passes a whole vector
-    file as W gets row scoring: the labels are correct, only speed differs.
+    A table's construction guarantees that each row is its words' mean, so
+    both variants may work from its W (see ``kmeans_fit``).
     """
     fit_variant = minibatch_kmeans_fit if config.variant == "minibatch" else kmeans_fit
-    return fit_variant(X, config, words)
+    return fit_variant(points, config)
 
 
 def save_centroids(C: np.ndarray, path) -> None:
     """Write the K x m centroids C as word vectors named c0 ... c<K-1> (``save_word_vectors``)."""
-    save_word_vectors(WordVectors({f"c{k}": k for k in range(len(C))}, C), path)
+    save_word_vectors(WordVectors({f"c{k}": k for k in range(len(C))}, np.asarray(C, dtype=np.float64)), path)

@@ -18,7 +18,7 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 _LOAD_CHUNK_ROWS = 256  # lines load_word_vectors hands numpy's text parser at a time; bounds its buffers
-_EMBED_ROWS = 256  # rows embed_all gathers at a time; bounds its buffer, not its result
+_EMBED_ROWS = 256  # rows an NGramTable averages at a time; bounds word_means' buffer, not the table
 _SGNS_BLOCK_PAIRS = 16  # (center, context) pairs train_sgns updates from one snapshot
 _SGNS_CHUNK_TOKENS = 256  # center tokens whose pairs train_sgns holds at a time
 
@@ -211,7 +211,9 @@ def save_word_vectors(wv: WordVectors, path) -> None:
 
 
 def embed_ngram(ngram: NGram, wv: WordVectors) -> np.ndarray:
-    """Mean of the word vectors of ``ngram``, component-wise."""
+    """Mean of the word vectors of ``ngram``, component-wise; an n-gram of no words raises DimensionMismatch."""
+    if not ngram:
+        raise DimensionMismatch("an n-gram of no words has no mean vector")
     total = np.zeros(wv.dim)
     for pos, word in enumerate(ngram):
         idx = wv.words.get(word)
@@ -261,17 +263,38 @@ def word_means(W: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> np.ndarray:
-    """N x m table whose row t is embed_ngram(vocab.entries[t]), bit for bit.
+class NGramTable:
+    """N-gram vectors X whose row t is the mean of the rows of the word matrix W that row t of ``ids`` names.
 
-    Row t is ``word_means`` of the rows that ``word_rows`` names,
-    _EMBED_ROWS rows at a time.
+    ``ids`` is N x width ints, padded with -1. X is computed by ``word_means``,
+    _EMBED_ROWS rows at a time. W and ids are kept as given (a view is copied)
+    and all three are made read-only, so no write breaks X. An id outside [-1,
+    len(W)), or a row that names no word, raises DimensionMismatch naming it.
     """
-    table = np.empty((len(vocab), wv.dim))  # first, so the temporaries freed later leave no holes below it
-    W, ids = word_rows(vocab, wv)
-    for lo in range(0, len(vocab), _EMBED_ROWS):
-        word_means(W, ids[lo : lo + _EMBED_ROWS], table[lo : lo + _EMBED_ROWS])
-    return table
+
+    def __init__(self, W: np.ndarray, ids: np.ndarray):
+        W, ids = (a if a.base is None else a.copy() for a in (np.asarray(W, dtype=np.float64), np.asarray(ids)))
+        if W.ndim != 2 or ids.ndim != 2 or ids.dtype.kind not in "iu":
+            raise DimensionMismatch(f"a {W.shape} word matrix and {ids.shape} {ids.dtype} word rows")
+        bad = ((ids < -1) | (ids >= len(W))).any(axis=1) | (ids < 0).all(axis=1)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise DimensionMismatch(f"word row {t} is {ids[t].tolist()}: ids must name rows of the {len(W)}-row "
+                                    "word matrix (or be -1 padding), at least one per row")
+        self.W, self.ids, self.X = W, ids, np.empty((len(ids), W.shape[1]))
+        for lo in range(0, len(ids), _EMBED_ROWS):
+            word_means(W, ids[lo : lo + _EMBED_ROWS], self.X[lo : lo + _EMBED_ROWS])
+        for array in (W, ids, self.X):
+            array.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.X.shape
+
+
+def embed_all(vocab: NGramVocabulary, wv: WordVectors) -> NGramTable:
+    """The table over ``word_rows(vocab, wv)``: row t of its X is embed_ngram(vocab.entries[t]), bit for bit."""
+    return NGramTable(*word_rows(vocab, wv))
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 from . import clustering, features, lsa, svm
 from .clustering import KMeansConfig
 from .corpus import Dataset, NGramIndex, build_vocab, check_orders, count_vectors
-from .embeddings import WordVectors, embed_all, word_rows
+from .embeddings import WordVectors, embed_all
 from .errors import BadConfig, ConceptBagError, LengthMismatch, TooFewDocuments, check_int
 from .svm import SvmConfig
 
@@ -166,7 +166,7 @@ def _fold_features(
             with clock.stage("ngram_repr"):
                 table = embed_all(vocab, wv)
             with clock.stage("kmeans"):
-                cache[kmeans_key] = clustering.fit(table, config.kmeans, words=word_rows(vocab, wv))
+                cache[kmeans_key] = clustering.fit(table, config.kmeans)
         kmeans = cache[kmeans_key]
     assignment = None if kmeans is None else kmeans.labels
     with clock.stage("doc_repr"):

@@ -12,7 +12,7 @@ from conceptbag import cli, clustering, evaluation
 from conceptbag.cli import main
 from conceptbag.clustering import KMeansConfig, save_centroids
 from conceptbag.corpus import NGramIndex, build_vocab, load_imdb_dataset, load_polarity_dataset
-from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors, word_rows
+from conceptbag.embeddings import SgnsConfig, embed_all, load_word_vectors
 
 POS_WORDS = ["good", "great", "nice", "superb"]
 NEG_WORDS = ["bad", "awful", "poor", "dull"]
@@ -287,7 +287,7 @@ class TestCluster:
         printed = capsys.readouterr().out.splitlines()[1:]
         wv, dataset = load_word_vectors(vectors_path), load_polarity_dataset(polarity_root)
         vocab = build_vocab(dataset.documents, NGramIndex(dataset.documents, (1, 2), wv.words))
-        assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), load_word_vectors(out).matrix)
+        assignment, sq_dists = clustering.nearest(embed_all(vocab, wv).X, load_word_vectors(out).matrix)
         want = []
         for k in range(4):
             members = np.flatnonzero(assignment == k)
@@ -394,7 +394,7 @@ class TestHeldOutChain:
         train = [dataset.documents[i] for i in dataset.train_ids]
         vocab = build_vocab(train, NGramIndex(train, (1, 2), wv.words))
         assert len(vocab) > len(wv)  # seeding goes through word products
-        result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4), words=word_rows(vocab, wv))
+        result = clustering.fit(embed_all(vocab, wv), KMeansConfig(K=4))
         save_centroids(result.centroids, tmp_path / "fit.txt")
         assert cents.read_bytes() == (tmp_path / "fit.txt").read_bytes()
 
@@ -530,9 +530,9 @@ class TestRun:
         ran = []
         original = clustering.kmeans_fit
 
-        def recording(X, config, words=None):
+        def recording(points, config):
             ran.append(config.K)
-            return original(X, config, words)
+            return original(points, config)
 
         monkeypatch.setattr(clustering, "kmeans_fit", recording)
         experiment = {

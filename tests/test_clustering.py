@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conceptbag.clustering import (
     _DRAW_BLOCK,
     KMeansConfig,
-    _check_points,
     _distances_to,
     _draw,
     _fix_empty_clusters,
@@ -25,7 +24,7 @@ from conceptbag.clustering import (
     save_centroids,
 )
 from conceptbag.corpus import Document, NGramIndex, build_vocab
-from conceptbag.embeddings import WordVectors, embed_all, load_word_vectors, word_rows
+from conceptbag.embeddings import WordVectors, embed_all, load_word_vectors
 from conceptbag.errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
@@ -321,7 +320,7 @@ WORD_ORDERS = [(1,), (1, 2), (1, 3), (1, 2, 3)]
 
 
 def word_table(orders, kind):
-    """An n-gram table from ``embed_all`` and its ``word_rows`` (W, ids).
+    """An ``NGramTable`` from ``embed_all``.
 
     Word vectors are long, so |x|^2 - 2 x.c + |c|^2 rounds away from 0 for a
     row and its duplicate, and point every way, so that value is far from 0
@@ -342,12 +341,12 @@ def word_table(orders, kind):
 
 
 def ngram_table(W, orders, rng, docs, tokens):
-    """``embed_all``'s table of the n-grams of random documents over the words of W, and its ``word_rows``."""
+    """``embed_all``'s table of the n-grams of random documents over the words of W."""
     names = [f"w{i}" for i in range(len(W))]
     wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=W)
     documents = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=tokens))) for i in range(docs)]
     vocab = build_vocab(documents, NGramIndex(documents, orders, wv.words))
-    return embed_all(vocab, wv), word_rows(vocab, wv)
+    return embed_all(vocab, wv)
 
 
 class TestWordProductSeeding:
@@ -357,11 +356,11 @@ class TestWordProductSeeding:
     @pytest.mark.parametrize("kind", ["random", "duplicates", "fewer_distinct_than_k"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference(self, orders, kind, seed):
-        X, words = word_table(orders, kind)
-        K = min(12, len(X))
+        table = word_table(orders, kind)
+        X, K = table.X, min(12, table.shape[0])
         if kind == "fewer_distinct_than_k":
             assert len(np.unique(X, axis=0)) < K  # the total reaches 0: uniform draws
-        got = _kmeanspp_init(X, K, np.random.default_rng(seed), words)
+        got = _kmeanspp_init(X, K, np.random.default_rng(seed), (table.W, table.ids))
         assert np.array_equal(got, reference_kmeanspp(X, K, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("orders", WORD_ORDERS)
@@ -369,8 +368,9 @@ class TestWordProductSeeding:
     def test_chosen_row_and_its_duplicates_get_zero_weight(self, orders, kind):
         # at wide scales the near-zero test's prefilter, 1e-9 (max |x|^2 + |c|^2),
         # passes most rows, and each row's own threshold must still hold exactly
-        X, words = word_table(orders, kind)
-        sq_dists_to = _distances_to(X, words)
+        table = word_table(orders, kind)
+        X = table.X
+        sq_dists_to = _distances_to(X, (table.W, table.ids))
         duplicated = 0
         for t in range(len(X)):
             same = (X == X[t]).all(axis=1)
@@ -383,70 +383,16 @@ class TestWordProductSeeding:
 
     @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
     def test_fit_with_word_rows_equals_fit_without(self, variant):
-        X, words = word_table((1, 2), "random")
+        # a table scores from its words, as it has more rows than words: the fit of
+        # its rows alone gives the same bits
+        table = word_table((1, 2), "random")
+        assert table.shape[0] > len(table.W)
         cfg = KMeansConfig(K=10, iterations=3, variant=variant, batch_size=64, seed=4)
-        got, want = fit(X, cfg, words=words), fit(X, cfg)
-        assert np.array_equal(got.centroids, want.centroids)
+        got, want = fit(table, cfg), fit(table.X, cfg)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
         assert np.array_equal(got.labels, want.labels)
-        assert got.inertia == want.inertia
-
-    def test_word_rows_of_another_shape_rejected(self):
-        X, (W, ids) = word_table((1, 2), "random")
-        for words in ((W, ids[1:]), (W[:, 1:], ids), (W, ids[:, 0])):
-            with pytest.raises(DimensionMismatch):
-                kmeans_fit(X, KMeansConfig(K=3), words=words)
-
-    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
-    @pytest.mark.parametrize("bad", ["past_the_end", "below_padding", "no_word"])
-    def test_word_ids_out_of_range_rejected(self, variant, bad):
-        # an id of len(W) would read the zero padding, one of -2 another
-        # word, and a row of padding has no mean: each would mislabel rows
-        X, (W, ids) = word_table((1, 2), "random")
-        ids = ids.copy()
-        ids[7] = {"past_the_end": [3, len(W)], "below_padding": [-2, 3], "no_word": [-1, -1]}[bad]
-        with pytest.raises(DimensionMismatch, match="word row 7 is"):
-            fit(X, KMeansConfig(K=3, variant=variant), words=(W, ids))
-
-    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
-    def test_word_rows_of_other_points_rejected(self, variant):
-        # ids rolled by one row name valid words, each row another row's: scored
-        # from its words, every pass would mislabel rows without an error
-        X, (W, ids) = word_table((1, 2), "random")
-        with pytest.raises(DimensionMismatch, match=r"word row 0, \[.*\], does not average to row 0"):
-            fit(X, KMeansConfig(K=3, variant=variant), words=(W, np.roll(ids, 1, axis=0)))
-
-    def test_row_whose_ids_drop_a_word_named(self):
-        X, (W, ids) = word_table((1, 2), "random")
-        t = int(np.argmax((ids[:, 1] >= 0) & (ids[:, 0] != ids[:, 1])))  # a bigram of two words
-        ids = ids.copy()
-        ids[t, 1] = -1  # its first word alone
-        with pytest.raises(DimensionMismatch, match=rf"word row {t}, \[{ids[t, 0]}, -1\], does not average"):
-            _check_points(X, 1, (W, ids))
-
-    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0, 1e150, 1e300])
-    @pytest.mark.parametrize("build", ["embed_all", "masked_mean"])
-    def test_tables_of_word_means_accepted(self, scale, build):
-        # embed_all's table and one built by summing W[ids] at once, then dividing,
-        # from subnormal words to words whose coordinate sums near the float64 limit
-        rng = np.random.default_rng(5)
-        X, (W, ids) = ngram_table(rng.normal(size=(40, 16)) * scale, (1, 2, 3), rng, docs=8, tokens=30)
-        if build == "masked_mean":
-            present = ids >= 0
-            X = np.where(present[..., None], W[ids], 0.0).sum(axis=1) / present.sum(axis=1)[:, None]
-        with np.errstate(all="raise"):
-            _check_points(X, 1, (W, ids))
-
-    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
-    def test_row_with_two_coordinates_swapped_named(self, variant):
-        # the swap keeps the row's coordinate sum and norm, so only an exact
-        # comparison with its words' mean finds it
-        X, words = word_table((1, 2), "random")
-        t = 11
-        X = X.copy()
-        X[t, [0, 1]] = X[t, [1, 0]]
-        assert X[t, 0] != X[t, 1]
-        with pytest.raises(DimensionMismatch, match=rf"word row {t}, \[.*\], does not average to row {t} "):
-            fit(X, KMeansConfig(K=3, variant=variant), words=words)
+        assert got.sq_dists.tobytes() == want.sq_dists.tobytes()
+        assert (got.inertia, got.inertia_trace) == (want.inertia, want.inertia_trace)
 
 
 def reference_nearest(X, C):
@@ -547,12 +493,13 @@ class TestScreenedLloyd:
     """
 
     def assert_matches_reference(self, X, cfg, source):
-        words = None
+        points = X
         if source == "words":
-            X, words = ngram_table(X, (1, 2, 3), np.random.default_rng(35), docs=40, tokens=60)
-            assert len(X) > len(words[0])  # so passes score rows from their words
+            points = ngram_table(X, (1, 2, 3), np.random.default_rng(35), docs=40, tokens=60)
+            X = points.X
+            assert len(X) > len(points.W)  # so passes score rows from their words
             cfg = replace(cfg, init="random_points")  # seeding is not in play
-        res = kmeans_fit(X, cfg, words=words)
+        res = kmeans_fit(points, cfg)
         labels, centers, total, trace = reference_kmeans(X, cfg)
         assert np.array_equal(res.labels, labels)
         assert np.array_equal(res.centroids, centers)
@@ -561,7 +508,7 @@ class TestScreenedLloyd:
         tol = 1e-12 * np.einsum("ij,ij->", X, X)
         np.testing.assert_allclose(res.inertia, total, rtol=1e-12, atol=tol)
         np.testing.assert_allclose(res.inertia_trace, trace, rtol=1e-12, atol=tol)
-        if words is not None:
+        if source == "words":
             by_rows = kmeans_fit(X, cfg)
             assert res.inertia == by_rows.inertia
             assert res.inertia_trace == by_rows.inertia_trace
@@ -696,7 +643,8 @@ class TestWordScores:
         # the |c|^2 term carried in every word's score dwarfs the words, at
         # 1e-3 the words dwarf it
         rng = np.random.default_rng(39)
-        X, words = ngram_table(rng.normal(size=(40, 16)), (1, 2, 3), rng, docs=20, tokens=40)
+        table = ngram_table(rng.normal(size=(40, 16)), (1, 2, 3), rng, docs=20, tokens=40)
+        X, words = table.X, (table.W, table.ids)
         first = np.linalg.qr(rng.normal(size=(16, 16)))[0]
         angles = np.logspace(-6, 0, 8)[:, None]
         C = 4.0 * scale * np.vstack([first[:8], np.cos(angles) * first[:8] + np.sin(angles) * first[8:]])
@@ -765,13 +713,11 @@ class TestMiniBatch:
         assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
 
     def test_final_pass_from_word_scores_labels_every_row_nearest(self):
-        X, words = word_table((1, 2), "random")
-        assert len(X) > len(words[0])  # the final pass scores rows from their words
-        res = minibatch_kmeans_fit(
-            X, KMeansConfig(K=10, iterations=5, variant="minibatch", batch_size=64, seed=3), words
-        )
-        assert np.array_equal(res.labels, nearest(X, res.centroids)[0])
-        assert res.inertia == inertia(X, res.centroids)
+        table = word_table((1, 2), "random")
+        assert table.shape[0] > len(table.W)  # the final pass scores rows from their words
+        res = minibatch_kmeans_fit(table, KMeansConfig(K=10, iterations=5, variant="minibatch", batch_size=64, seed=3))
+        assert np.array_equal(res.labels, nearest(table.X, res.centroids)[0])
+        assert res.inertia == inertia(table.X, res.centroids)
 
 
 class TestFit:
@@ -865,6 +811,17 @@ class TestAssignAndInertia:
         "assign": lambda X, C: assign(X[0], C),
         "inertia": inertia,
     }
+
+    @pytest.mark.parametrize("entry", [*NEAREST_ENTRIES, "save_centroids"])
+    def test_nested_list_centroids_read_as_an_array(self, entry, tmp_path):
+        C = [[0.0, 0.0], [4.0, 4.0]]
+        if entry == "save_centroids":
+            save_centroids(C, tmp_path / "c.txt")
+            assert load_word_vectors(tmp_path / "c.txt").matrix.tolist() == C
+            return
+        X = np.array([[1.0, 0.0], [3.0, 4.0]])
+        got, want = (self.NEAREST_ENTRIES[entry](X, centroids) for centroids in (C, np.array(C)))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("entry", NEAREST_ENTRIES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -13,6 +13,7 @@ from reference_vectors import reference_load_word_vectors
 from conceptbag import embeddings
 from conceptbag.corpus import Document, NGramIndex, NGramVocabulary, build_vocab
 from conceptbag.embeddings import (
+    NGramTable,
     SgnsConfig,
     WordVectors,
     _sgns_coefficients,
@@ -256,6 +257,11 @@ class TestEmbedNgram:
             embed_ngram(("a", "zzz"), wv)
         assert exc.value.word == "zzz" and exc.value.position == 1
 
+    def test_no_words_rejected(self):
+        # 0 / 0 would give a NaN row with only a warning
+        with pytest.raises(DimensionMismatch, match="no words"):
+            embed_ngram((), make_wv({"a": [1.0, 2.0]}))
+
     def test_repeated_word_equals_word(self):
         wv = make_wv({"w": [0.3, -0.7, 2.0]})
         assert np.allclose(embed_ngram(("w", "w"), wv), wv.vector("w"))
@@ -274,7 +280,7 @@ class TestEmbedAll:
         vocab = vocab_of([("a",), ("a", "b"), ("b", "a")], {1, 2})
         table = embed_all(vocab, wv)
         for t, gram in enumerate(vocab.entries):
-            assert np.array_equal(table[t], embed_ngram(gram, wv))
+            assert np.array_equal(table.X[t], embed_ngram(gram, wv))
 
     def test_empty_vocab(self):
         wv = make_wv({"a": [1.0, 2.0]})
@@ -333,6 +339,64 @@ class TestEmbedAll:
 
         (W, ids), (want_W, want_ids) = rows_of(big), rows_of(wv)
         assert W.tobytes() == want_W.tobytes() and ids.tobytes() == want_ids.tobytes()
+
+
+class TestNGramTable:
+    """A table's rows are its words' means; the constructor and read-only arrays keep them so."""
+
+    @staticmethod
+    def words_and_ids():
+        W = np.random.default_rng(44).normal(size=(6, 3))
+        ids = np.array([[0, -1], [0, 1], [1, 0], [2, 3], [4, -1], [5, 5], [3, 2], [1, 4], [2, -1]])
+        return W, ids
+
+    @pytest.mark.parametrize("bad", ["past_the_end", "below_padding", "no_word"])
+    def test_word_ids_out_of_range_rejected(self, bad):
+        # an id of len(W) would read the zero padding, one of -2 another
+        # word, and a row of padding has no mean: each would mislabel rows
+        W, ids = self.words_and_ids()
+        ids[7] = {"past_the_end": [3, len(W)], "below_padding": [-2, 3], "no_word": [-1, -1]}[bad]
+        with pytest.raises(DimensionMismatch, match="word row 7 is"):
+            NGramTable(W, ids)
+
+    def test_word_rows_of_another_shape_rejected(self):
+        W, ids = self.words_and_ids()
+        for args in ((W, ids[:, 0]), (W, ids[None]), (W[0], ids), (W, ids.astype(np.float64))):
+            with pytest.raises(DimensionMismatch, match="word matrix"):
+                NGramTable(*args)
+
+    def test_arrays_are_read_only(self):
+        # a row with two coordinates swapped keeps its sum and norm, and a fit
+        # that scores it from its words would mislabel it: no array of a table
+        # takes that write, the caller's own arrays included, and a view is
+        # copied, so a write through its base changes no bit of the table
+        W, ids = self.words_and_ids()
+        table = NGramTable(W, ids)
+        for array in (table.X, table.W, table.ids, W, ids):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1, [0, 1]] = array[1, [1, 0]]
+        base = np.vstack([W, W])
+        table = NGramTable(base[: len(W)], ids)
+        X = table.X.copy()
+        base[:] = 0.0
+        assert table.X.tobytes() == X.tobytes() and table.W.tobytes() == W.tobytes()
+        assert table.shape == X.shape
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0, 1e150, 1e300])
+    def test_rows_are_word_means_at_every_scale(self, scale):
+        # from subnormal words to words whose coordinate sums near the float64
+        # limit, embed_all's rows are the sums of W[ids] taken at once, then
+        # divided, bit for bit; nothing overflows (a subnormal mean rounds, so underflow is expected)
+        rng = np.random.default_rng(5)
+        names = [f"w{i}" for i in range(40)]
+        wv = WordVectors(words={w: i for i, w in enumerate(names)}, matrix=rng.normal(size=(40, 16)) * scale)
+        documents = [Document(id=str(i), label=1, tokens=tuple(rng.choice(names, size=30))) for i in range(8)]
+        vocab = build_vocab(documents, NGramIndex(documents, (1, 2, 3), wv.words))
+        with np.errstate(all="raise", under="ignore"):
+            table = embed_all(vocab, wv)
+        present = table.ids >= 0
+        want = np.where(present[..., None], table.W[table.ids], 0.0).sum(axis=1) / present.sum(axis=1)[:, None]
+        assert table.X.tobytes() == want.tobytes()
 
 
 class TestSgns:

@@ -320,9 +320,9 @@ class TestRunExperiment:
         calls = []
         real_fit = clustering.fit
 
-        def counting_fit(X, config, words=None):
-            calls.append(len(X))
-            return real_fit(X, config, words)
+        def counting_fit(points, config):
+            calls.append(points.shape[0])
+            return real_fit(points, config)
 
         monkeypatch.setattr(clustering, "fit", counting_fit)
         ds, wv = make_synthetic_sentiment(seed=12, n_docs=60)

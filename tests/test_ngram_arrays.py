@@ -184,7 +184,7 @@ class TestAgainstPerWindowLoop:
                 embed_all(vocab, wv)
             assert (got.value.word, got.value.position) == (exc.word, exc.position)
             return
-        assert_same_bits(embed_all(vocab, wv), want)
+        assert_same_bits(embed_all(vocab, wv).X, want)
 
     @settings(max_examples=200, deadline=None)
     @given(documents, dictionaries)
@@ -205,7 +205,7 @@ class TestAgainstPerWindowLoop:
         wv = WordVectors(words={"a": 0, "b": 1}, matrix=np.array([[-0.0, 1.0], [-0.0, -1.0]]))
         docs = [Document(id="d0", label=1, tokens=("a", "b"))]
         vocab = build_vocab(docs, NGramIndex(docs, {1, 2}, {"a", "b"}))
-        table = embed_all(vocab, wv)
+        table = embed_all(vocab, wv).X
         assert not np.signbit(table[:, 0]).any()
         assert_same_bits(table, reference_table(vocab.entries, wv))
 
