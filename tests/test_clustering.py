@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conceptbag.clustering import (
     _DRAW_BLOCK,
     KMeansConfig,
+    _check_points,
     _distances_to,
     _draw,
     _fix_empty_clusters,
@@ -24,7 +25,7 @@ from conceptbag.clustering import (
     save_centroids,
 )
 from conceptbag.corpus import Document, NGramIndex, build_vocab
-from conceptbag.embeddings import WordVectors, embed_all, load_word_vectors
+from conceptbag.embeddings import NGramTable, WordVectors, embed_all, load_word_vectors
 from conceptbag.errors import BadConfig, DimensionMismatch, NonFiniteFeature, TooFewPoints
 
 
@@ -393,6 +394,57 @@ class TestWordProductSeeding:
         assert np.array_equal(got.labels, want.labels)
         assert got.sq_dists.tobytes() == want.sq_dists.tobytes()
         assert (got.inertia, got.inertia_trace) == (want.inertia, want.inertia_trace)
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    @pytest.mark.parametrize("bad", ["past_the_end", "below_padding", "no_word"])
+    def test_word_ids_out_of_range_rejected(self, variant, bad):
+        # an id of len(W) would read the zero padding, one of -2 another word,
+        # and a row of padding has no mean: each would mislabel rows, so no
+        # table, and no fit of either variant, is made from such ids
+        table = word_table((1, 2), "random")
+        ids = table.ids.copy()
+        ids[7] = {"past_the_end": [3, len(table.W)], "below_padding": [-2, 3], "no_word": [-1, -1]}[bad]
+        with pytest.raises(DimensionMismatch, match="word row 7 is"):
+            fit(NGramTable(table.W, ids), KMeansConfig(K=3, variant=variant))
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1.0, 1e150, 1e300])
+    @pytest.mark.parametrize("build", ["embed_all", "masked_mean"])
+    def test_tables_of_word_means_accepted(self, scale, build):
+        # embed_all's table, and a matrix built by summing W[ids] at once, then
+        # dividing, from subnormal words to words whose coordinate sums near the
+        # float64 limit: the two are the same bits, nothing overflows in the
+        # building (a subnormal mean rounds, so underflow is expected), and a
+        # fit takes either with every floating-point error raised
+        rng = np.random.default_rng(5)
+        with np.errstate(all="raise", under="ignore"):
+            table = ngram_table(rng.normal(size=(40, 16)) * scale, (1, 2, 3), rng, docs=8, tokens=30)
+            present = table.ids >= 0
+            mean = np.where(present[..., None], table.W[table.ids], 0.0).sum(axis=1) / present.sum(axis=1)[:, None]
+        assert table.X.tobytes() == mean.tobytes()
+        with np.errstate(all="raise"):
+            X, words = _check_points(table if build == "embed_all" else mean, 1)
+        assert X.tobytes() == table.X.tobytes()
+        assert (words is None) == (build == "masked_mean")  # more n-grams than words: a table scores from its words
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    def test_row_with_two_coordinates_swapped_named(self, variant):
+        # the swap keeps the row's coordinate sum and norm, and a fit that scored
+        # it from its words would mislabel it: a table refuses the write, and a
+        # matrix holding the swapped row is scored from its own coordinates
+        table = word_table((1, 2), "random")
+        t = 11
+        with pytest.raises(ValueError, match="read-only"):
+            table.X[t, [0, 1]] = table.X[t, [1, 0]]
+        X = table.X.copy()
+        X[t, [0, 1]] = X[t, [1, 0]]
+        assert X[t, 0] != X[t, 1]
+        res = fit(X, KMeansConfig(K=3, variant=variant, batch_size=64, seed=2))
+        labels, sq_dists = nearest(X, res.centroids)
+        assert np.array_equal(res.labels, labels)
+        assert res.sq_dists.tobytes() == sq_dists.tobytes()
+        c = res.centroids[res.labels[t]]
+        np.testing.assert_allclose(res.sq_dists[t], ((X[t] - c) ** 2).sum(), rtol=1e-12)
+        assert not np.isclose(res.sq_dists[t], ((table.X[t] - c) ** 2).sum(), rtol=1e-6)  # not its words' row
 
 
 def reference_nearest(X, C):
