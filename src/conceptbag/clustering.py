@@ -49,7 +49,7 @@ class KMeansResult:
     rechecked: list[int] = field(default_factory=list)
 
 
-def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest(X, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid index and squared distance for every row of X, given the K x m centroids C.
 
     The one nearest-centroid routine, for Lloyd and mini-batch passes, ``assign``,
@@ -60,11 +60,13 @@ def nearest(X: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its two words): |x - c_k|^2 summed in float64 for every k, ties to the
     smallest index, about 75 us per row at K=300, m=100. So input beyond
     float32 range, which the screen leaves undecided, costs a direct pass.
-    ``sq_dists`` is |x - c_label|^2, summed directly in float64. X and C are
-    read as float64 arrays; points that are not a matrix, centroids of
+    ``sq_dists`` is |x - c_label|^2, summed directly in float64. X is a
+    matrix or an ``NGramTable``, whose X is read, as the fits read it. X and
+    C are read as float64 arrays; points that are not a matrix, centroids of
     another width or none at all raise DimensionMismatch, and a NaN or
     infinite point or centroid NonFiniteFeature.
     """
+    X = X.X if isinstance(X, NGramTable) else X
     X, C = np.asarray(X, dtype=np.float64), np.asarray(C, dtype=np.float64)
     if X.ndim != 2 or C.ndim != 2 or X.shape[1] != C.shape[1] or len(C) == 0:
         raise DimensionMismatch(f"points have shape {X.shape}, centroids are {C.shape}")
@@ -336,8 +338,8 @@ def _init_centers(X: np.ndarray, config: KMeansConfig, rng, words=None) -> np.nd
     return X[idx].copy()
 
 
-def inertia(X: np.ndarray, C: np.ndarray) -> float:
-    """Sum of squared distances from each row of X to its nearest row of C."""
+def inertia(X, C: np.ndarray) -> float:
+    """Sum of squared distances from each row of X (a matrix or an ``NGramTable``) to its nearest row of C."""
     return float(nearest(X, C)[1].sum())
 
 
@@ -477,5 +479,12 @@ def fit(points, config: KMeansConfig) -> KMeansResult:
 
 
 def save_centroids(C: np.ndarray, path) -> None:
-    """Write the K x m centroids C as word vectors named c0 ... c<K-1> (``save_word_vectors``)."""
-    save_word_vectors(WordVectors({f"c{k}": k for k in range(len(C))}, np.asarray(C, dtype=np.float64)), path)
+    """Write the K x m centroids C as word vectors named c0 ... c<K-1> (``save_word_vectors``).
+
+    C that is not a matrix of at least one row and one column raises
+    DimensionMismatch before ``path`` is opened.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    if C.ndim != 2 or 0 in C.shape:
+        raise DimensionMismatch(f"centroids are {C.shape}; expected a K x m matrix with K, m >= 1")
+    save_word_vectors(WordVectors({f"c{k}": k for k in range(len(C))}, C), path)

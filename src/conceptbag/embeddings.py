@@ -332,6 +332,34 @@ def _sgns_coefficients(scores: np.ndarray) -> np.ndarray:
     return coef
 
 
+def _noise_table(cdf: np.ndarray) -> np.ndarray:
+    """A bucket table over [0, 1) that ``_noise_draws`` reads in place of a search of ``cdf``.
+
+    ``cdf`` is non-decreasing. Bucket j is [j/nb, (j+1)/nb), for nb a power
+    of two: 2^max(16, ceil(log2 8V)) for a V-entry cdf, at most 2^20, which
+    bounds the table at 8 MiB. Entry j is the number of cdf values <= j/nb,
+    which is searchsorted(cdf, u, side="right") for every u in the bucket
+    when no cdf value lies in (j/nb, (j+1)/nb]; otherwise it is -1. A V-entry
+    cdf gives at most V such buckets, so at most V/nb of uniform draws are
+    searched.
+    """
+    nb = 1 << min(20, max(16, (8 * len(cdf) - 1).bit_length()))
+    lo = cdf.searchsorted(np.arange(nb + 1) / nb, side="right")
+    return np.where(lo[1:] == lo[:-1], lo[:-1], -1)
+
+
+def _noise_draws(table: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") for uniforms u in [0, 1), through ``_noise_table(cdf)``.
+
+    u * nb is exact (nb is a power of two) and below nb, so its integer part
+    is u's bucket; a bucket marked -1 falls back to the search.
+    """
+    negs = table[(u * len(table)).astype(np.intp)]
+    searched = np.flatnonzero(negs < 0)
+    negs[searched] = cdf.searchsorted(u[searched], side="right")
+    return negs
+
+
 def _sgns_chunks(doc_ids, keep_prob, cdf, config: SgnsConfig, rng):
     """Training pairs, one row [center, context, negative_1..k] each, a chunk at a time.
 
@@ -343,6 +371,7 @@ def _sgns_chunks(doc_ids, keep_prob, cdf, config: SgnsConfig, rng):
     """
     offsets = np.r_[-config.window : 0, 1 : config.window + 1]
     k = config.negatives
+    table = _noise_table(cdf)
     parts, tokens = [], 0
     for _ in range(config.epochs):
         for ids in doc_ids:
@@ -354,7 +383,7 @@ def _sgns_chunks(doc_ids, keep_prob, cdf, config: SgnsConfig, rng):
                 ctx = pos[:, None] + offsets
                 valid = (ctx >= 0) & (ctx < len(ids))
                 rows, cols = np.nonzero(valid)
-                negs = cdf.searchsorted(rng.random(len(rows) * k), side="right")
+                negs = _noise_draws(table, cdf, rng.random(len(rows) * k))
                 parts.append(np.column_stack((ids[pos[rows]], ids[ctx[rows, cols]], negs.reshape(-1, k))))
                 tokens += len(pos)
                 if tokens >= _SGNS_CHUNK_TOKENS:
@@ -404,7 +433,12 @@ def train_sgns(documents: Iterable[Sequence[str]], config: SgnsConfig) -> WordVe
     in the same order as a per-pair trainer reads them (per document: the
     subsampling uniforms, then the negatives), give the same
     (center, context, negatives) pairs in the same order: center-major, then
-    by context position.
+    by context position. A negative is the index that a binary search of the
+    noise distribution's cdf gives its uniform u (``Generator.choice``'s
+    draw), read in O(1) from a bucket table built once per call (the
+    unigram table of word2vec, Mikolov et al. 2013, made exact): u's bucket
+    gives the index unless a cdf value lies inside the bucket, and then u is
+    searched (``_noise_table``).
 
     Pairs are trained _SGNS_BLOCK_PAIRS at a time, consecutive in that order
     and across document boundaries. Every pair of a block reads the vectors
@@ -448,7 +482,7 @@ def train_sgns(documents: Iterable[Sequence[str]], config: SgnsConfig) -> WordVe
 
     noise = counts**0.75
     noise /= noise.sum()
-    # the table Generator.choice(p=noise) builds on every call; drawing each
+    # the cdf Generator.choice(p=noise) builds on every call; drawing each
     # document's negatives from it at once reads the same uniforms from rng
     cdf = noise.cumsum()
     cdf /= cdf[-1]
@@ -465,8 +499,8 @@ def train_sgns(documents: Iterable[Sequence[str]], config: SgnsConfig) -> WordVe
             out_rows, out_starts, out_index = _block_scatter(targets, B)
             for b, lo in enumerate(range(0, len(pairs), B)):
                 hi = min(lo + B, len(pairs))
-                c = vec_in[centers[lo:hi]]
-                out = vec_out[targets[lo:hi]]
+                c = vec_in.take(centers[lo:hi], axis=0)
+                out = vec_out.take(targets[lo:hi], axis=0)
                 g = lr * _sgns_coefficients(np.matmul(out, c[:, :, None])[:, :, 0])
                 grad_c = np.matmul(g[:, None, :], out)[:, 0]
                 u = out_rows[out_starts[b] : out_starts[b + 1]]

@@ -287,7 +287,7 @@ class TestCluster:
         printed = capsys.readouterr().out.splitlines()[1:]
         wv, dataset = load_word_vectors(vectors_path), load_polarity_dataset(polarity_root)
         vocab = build_vocab(dataset.documents, NGramIndex(dataset.documents, (1, 2), wv.words))
-        assignment, sq_dists = clustering.nearest(embed_all(vocab, wv).X, load_word_vectors(out).matrix)
+        assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), load_word_vectors(out).matrix)
         want = []
         for k in range(4):
             members = np.flatnonzero(assignment == k)

@@ -896,6 +896,16 @@ class TestAssignAndInertia:
         with pytest.raises(DimensionMismatch, match="centroids are"):
             self.NEAREST_ENTRIES[entry](np.array([[1.0, 2.0]]), np.zeros((0, 2)))
 
+    def test_table_reads_its_X(self):
+        rng = np.random.default_rng(12)
+        ids = rng.integers(0, 6, size=(40, 2))
+        ids[::3, 1] = -1  # unigrams among the bigrams
+        table = NGramTable(rng.normal(size=(6, 3)), ids)
+        C = rng.normal(size=(4, 3))
+        got, want = nearest(table, C), nearest(table.X, C)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert inertia(table, C) == inertia(table.X, C)
+
     def test_scale_consistent(self):
         rng = np.random.default_rng(8)
         C = rng.normal(size=(10, 4))
@@ -928,6 +938,14 @@ class TestSerialization:
             p = tmp_path / "c.txt"
             save_centroids(matrix, p)
             assert load_word_vectors(p).matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("C", [np.zeros(3), np.zeros((2, 3, 2)), np.zeros((0, 3))],
+                             ids=["1-d", "3-d", "no-rows"])
+    def test_not_a_matrix_rejected_before_the_file_opens(self, tmp_path, C):
+        p = tmp_path / "c.txt"
+        with pytest.raises(DimensionMismatch, match="centroids are"):
+            save_centroids(C, p)
+        assert not p.exists()
 
     def test_text_export(self, tmp_path):
         # a centroid file is a word-vector file: a "K m" header and rows c0 ... c<K-1>

@@ -16,6 +16,8 @@ from conceptbag.embeddings import (
     NGramTable,
     SgnsConfig,
     WordVectors,
+    _noise_draws,
+    _noise_table,
     _sgns_coefficients,
     embed_all,
     embed_ngram,
@@ -472,6 +474,43 @@ def reference_sgns(documents, config, block):
         np.subtract.at(vec_out, targets.ravel(), step.reshape(-1, m))
         np.subtract.at(vec_in, centers, config.learning_rate * grad_c)
     return WordVectors(words=word_to_id, matrix=vec_in)
+
+
+def noise_cdf(counts):
+    """train_sgns's noise cdf over words of the given counts."""
+    noise = np.asarray(counts, dtype=np.float64) ** 0.75
+    noise /= noise.sum()
+    cdf = noise.cumsum()
+    return cdf / cdf[-1]
+
+
+class TestNoiseTable:
+    @pytest.mark.parametrize(
+        "cdf, buckets",
+        [
+            (noise_cdf([7]), 2**16),
+            (noise_cdf([3, 1]), 2**16),
+            (noise_cdf(np.random.default_rng(5).zipf(1.5, 600)), 2**16),
+            (noise_cdf(np.random.default_rng(6).zipf(1.3, 70_000)), 2**20),
+            # repeated values, some on bucket edges
+            (np.array([0.25, 0.25, 0.25, 0.5, 0.5, 0.7, 0.7, 1.0, 1.0]), 2**16),
+        ],
+        ids=["1", "2", "600", "70k", "repeats"],
+    )
+    def test_draws_are_the_search(self, cdf, buckets):
+        table = _noise_table(cdf)
+        assert len(table) == buckets
+        edges = np.arange(buckets) / buckets
+        u = np.concatenate([
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+            edges, np.nextafter(edges, 0.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.random.default_rng(len(cdf)).random(10**5),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got, want = _noise_draws(table, cdf, u), cdf.searchsorted(u, side="right")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestBlockTrainer:
