@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import NGram, NGramVocabulary
+from .corpus import NGram, NGramVocabulary, _token_ids
 from .errors import (
     DimensionMismatch, EmptyCorpus, MalformedLine, SgnsDiverged, UnknownWord, check_finite, check_int,
     numbered_lines,
@@ -455,11 +455,9 @@ def train_sgns(documents: Iterable[Sequence[str]], config: SgnsConfig) -> WordVe
     Training that diverges raises SgnsDiverged: its scores grow until exp
     overflows, which the floating-point overflow flag reports.
     """
-    # one pass numbers the types in order of first use, then ids are remapped
-    types: dict = {}
-    doc_ids = [np.fromiter((types.setdefault(t, len(types)) for t in d), dtype=np.int32) for d in documents]
-    uses = np.bincount(np.concatenate([np.zeros(0, dtype=np.int32), *doc_ids]), minlength=len(types))
-    freq = dict(zip(types, uses.tolist()))
+    # the types in order of first use, each document's ids closed by a -1
+    ids, starts, types = _token_ids(list(documents), None)
+    freq = dict(zip(types, np.bincount(ids[ids >= 0], minlength=len(types)).tolist()))
     kept = [w for w, c in freq.items() if c >= config.min_count]
     if not kept:
         raise EmptyCorpus(
@@ -469,11 +467,12 @@ def train_sgns(documents: Iterable[Sequence[str]], config: SgnsConfig) -> WordVe
     word_to_id = {w: i for i, w in enumerate(kept)}
     counts = np.array([freq[w] for w in kept], dtype=np.float64)
     total = counts.sum()
-    to_kept = np.full(len(types), -1, dtype=np.int32)
+    to_kept = np.full(len(types) + 1, -1, dtype=np.int32)  # the trailing -1 maps -1 to itself
     to_kept[[types[w] for w in kept]] = np.arange(len(kept))
-    for i, ids in enumerate(doc_ids):
-        ids = to_kept[ids]
-        doc_ids[i] = ids[ids >= 0]
+    ids = to_kept[ids]
+    kept_ids = ids >= 0
+    # a document's kept ids end where its closing -1 is
+    doc_ids = np.split(ids[kept_ids], np.cumsum(kept_ids)[starts[1:] - 1])
 
     rng = np.random.default_rng(config.seed)
     m = config.dim

@@ -88,15 +88,9 @@ def kfold_split(labels, folds: int, seed: int):
     for cls in np.unique(labels):
         members = np.flatnonzero(labels == cls)
         rng.shuffle(members)
-        for j, idx in enumerate(members):
-            fold_of[idx] = (j + offset) % folds
+        fold_of[members] = (np.arange(len(members)) + offset) % folds
         offset += len(members)
-    splits = []
-    for f in range(folds):
-        test = np.flatnonzero(fold_of == f)
-        train = np.flatnonzero(fold_of != f)
-        splits.append((train, test))
-    return splits
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
 
 
 class _StageClock:

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import LengthMismatch, SingleClass
+from .errors import DimensionMismatch, LengthMismatch, SingleClass
 
 CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
 MODES = CONCEPT_MODES + ("bow_nb",)
@@ -28,6 +28,24 @@ def log_count_ratio(counts: sp.spmatrix, labels) -> np.ndarray:
     return np.log(p / p.sum()) - np.log(q / q.sum())
 
 
+def _concept_cells(counts: sp.spmatrix, assignment, K: int, r=None):
+    """CSR counts, the assignment as an array, and each stored entry's cell ``row * K + concept``."""
+    counts = sp.csr_matrix(counts)
+    n = counts.shape[1]
+    assignment = np.asarray(assignment)
+    if len(assignment) != n or (r is not None and len(r) != n):
+        r_len = "" if r is None else f", r {len(r)}"
+        raise LengthMismatch(f"counts have {n} columns, assignment {len(assignment)}{r_len}")
+    # any label but an integer in [0, K) would file its n-gram in another document's cells
+    whole = assignment.dtype.kind in "iu"
+    bad = np.flatnonzero((assignment < 0) | (assignment >= K)) if whole else np.arange(n)
+    if K < 1 or len(bad):
+        at = f": n-gram {bad[0]} has the {assignment.dtype} label {assignment[bad[0]]}" if len(bad) else ""
+        raise DimensionMismatch(f"concept labels must be integers in [0, {K}){at}")
+    rows = np.repeat(np.arange(counts.shape[0], dtype=np.int64) * K, np.diff(counts.indptr))
+    return counts, assignment, rows + assignment[counts.indices].astype(np.int64)
+
+
 def concept_features_nb(
     counts: sp.spmatrix, assignment: np.ndarray, r: np.ndarray, K: int
 ) -> np.ndarray:
@@ -37,41 +55,21 @@ def concept_features_nb(
     present in document i, 0 when none is present. Ties on |r_t| break toward
     the smallest n-gram index.
     """
-    counts = sp.csr_matrix(counts)
-    n = counts.shape[1]
-    assignment = np.asarray(assignment)
-    if len(assignment) != n or len(r) != n:
-        raise LengthMismatch(
-            f"counts have {n} columns, assignment {len(assignment)}, r {len(r)}"
-        )
-    coo = counts.tocoo()
-    docs, grams = coo.row, coo.col
-    clusters = assignment[grams]
-    # sort by (doc, cluster, |r| desc, gram asc); first entry of each group wins
-    order = np.lexsort((grams, -np.abs(r[grams]), clusters, docs))
-    docs, grams, clusters = docs[order], grams[order], clusters[order]
-    out = np.zeros((counts.shape[0], K))
-    if len(docs):
-        group_start = np.ones(len(docs), dtype=bool)
-        group_start[1:] = (docs[1:] != docs[:-1]) | (clusters[1:] != clusters[:-1])
-        sel = np.flatnonzero(group_start)
-        out[docs[sel], clusters[sel]] = r[grams[sel]]
-    return out
+    counts, assignment, cells = _concept_cells(counts, assignment, K, r)
+    r = np.asarray(r, dtype=np.float64)
+    order = np.lexsort((-np.abs(r), assignment))  # stable: by (cluster, |r| descending, index)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    best = np.full(counts.shape[0] * K, len(order))  # an empty cell reads the trailing 0
+    np.minimum.at(best, cells, rank[counts.indices])
+    return np.append(r[order], 0.0)[best].reshape(counts.shape[0], K)
 
 
 def concept_features_freq(counts: sp.spmatrix, assignment: np.ndarray, K: int) -> np.ndarray:
     """Entry (i, k) sums the document's occurrence counts over cluster k."""
-    counts = sp.csr_matrix(counts)
-    assignment = np.asarray(assignment)
-    if len(assignment) != counts.shape[1]:
-        raise LengthMismatch(
-            f"counts have {counts.shape[1]} columns, assignment {len(assignment)}"
-        )
-    onehot = sp.csr_matrix(
-        (np.ones(len(assignment)), (np.arange(len(assignment)), assignment)),
-        shape=(len(assignment), K),
-    )
-    return np.asarray((counts @ onehot).todense(), dtype=np.float64)
+    counts, _, cells = _concept_cells(counts, assignment, K)
+    sums = np.bincount(cells, counts.data, minlength=counts.shape[0] * K)  # int64 if nothing is stored
+    return sums.astype(np.float64, copy=False).reshape(counts.shape[0], K)
 
 
 def bow_nb_features(counts: sp.spmatrix, r: np.ndarray) -> sp.csr_matrix:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conceptbag.errors import LengthMismatch, SingleClass
+from conceptbag.errors import DimensionMismatch, LengthMismatch, SingleClass
 from conceptbag.features import (
     bow_nb_features,
     concept_features_freq,
@@ -11,6 +11,7 @@ from conceptbag.features import (
     document_features,
     log_count_ratio,
 )
+from reference_concept_features import reference_concept_features_freq, reference_concept_features_nb
 
 # hand evaluation of the smoothed ratio: pos [2,0], neg [0,1]
 # p=[3,1], q=[1,2], r=[ln(0.75/(1/3)), ln(0.25/(2/3))]
@@ -135,6 +136,79 @@ class TestConceptFeaturesFreq:
         counts = sp.csr_matrix(rng.integers(0, 3, size=(5, 7)))
         out = concept_features_freq(counts, np.arange(7), K=7)
         assert np.array_equal(out, counts.toarray())
+
+
+BAD_ASSIGNMENTS = [
+    pytest.param(np.array([0, 1, -1]), 3, id="negative"),
+    pytest.param(np.array([0, 1, 3]), 3, id="K"),
+    pytest.param(np.array([0.0, 1.0, 2.7]), 3, id="fraction"),
+    pytest.param(np.array([0, 0, 0]), 0, id="no-concepts"),
+]
+CONCEPT_FEATURES = {
+    "nb_max": lambda counts, assignment, K: concept_features_nb(counts, assignment, np.array([0.5, -1.0, 2.0]), K),
+    "frequency": concept_features_freq,
+}
+
+
+@pytest.mark.parametrize("mode", CONCEPT_FEATURES)
+@pytest.mark.parametrize("assignment, K", BAD_ASSIGNMENTS)
+def test_bad_assignment_raises(mode, assignment, K):
+    # a label outside [0, K) would file its n-gram under another document's cells
+    counts = sp.csr_matrix(np.array([[1, 0, 2], [0, 3, 1]]))
+    with pytest.raises(DimensionMismatch, match=r"\[0, %d\)" % K):
+        CONCEPT_FEATURES[mode](counts, assignment, K)
+
+
+@st.composite
+def concept_problems(draw):
+    """CSR counts with stored zeros and empty rows, an assignment, ties and signed zeros in r, and K."""
+    L, n, K = draw(st.integers(0, 6)), draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    stored = np.array(draw(st.lists(st.booleans(), min_size=L * n, max_size=L * n)), dtype=bool).reshape(L, n)
+    counts_from = [0, 1, 2, 3] if draw(st.booleans()) else [0.0, 0.1, 0.2, 0.3, -1.0, 1e16, -1e16]
+    nnz = int(stored.sum())
+    data = draw(st.lists(st.sampled_from(counts_from), min_size=nnz, max_size=nnz))
+    cols = np.nonzero(stored)[1]
+    indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
+    counts = sp.csr_matrix((np.array(data, dtype=type(counts_from[0])), cols, indptr), shape=(L, n))
+    assignment = np.array(draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n)), dtype=np.int64)
+    r_from = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -0.25]
+    r = np.array(draw(st.lists(st.sampled_from(r_from), min_size=n, max_size=n)), dtype=np.float64)
+    return counts, assignment, r, K
+
+
+def assert_same_array(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_reference(counts, assignment, r, K):
+    assert_same_array(concept_features_nb(counts, assignment, r, K), reference_concept_features_nb(counts, assignment, r, K))
+    assert_same_array(concept_features_freq(counts, assignment, K), reference_concept_features_freq(counts, assignment, K))
+
+
+@settings(max_examples=300, deadline=None)
+@given(concept_problems())
+def test_concept_features_match_reference(problem):
+    assert_matches_reference(*problem)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_concept_features_match_reference_on_larger_counts(seed):
+    # many entries per (document, concept) cell, so a sum in another order gives other bits
+    rng = np.random.default_rng(seed)
+    counts = sp.random(30, 60, density=0.4, format="csr", random_state=seed)
+    counts.data = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7, 1e16, -1e16], size=counts.nnz)
+    r = rng.choice([0.0, -0.0, 0.5, -0.5, 1.25], size=60)
+    assert_matches_reference(counts, rng.integers(0, 6, size=60), r, 7)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (0, 4), (3, 0)])
+def test_concept_features_without_stored_entries(shape):
+    # np.bincount over no entries returns int64; the features stay float64 zeros
+    counts = sp.csr_matrix(shape, dtype=np.int64)
+    assignment = np.zeros(shape[1], dtype=np.int64)
+    r = np.ones(shape[1])
+    assert_matches_reference(counts, assignment, r, 2)
 
 
 class TestBowNbFeatures:
