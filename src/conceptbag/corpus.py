@@ -248,11 +248,28 @@ class NGramIndex:
         self.keys = np.zeros(min(len(ids), 1), dtype=np.int64)
         self.ngram_ids = np.empty((len(self.orders), len(ids)), dtype=np.int32)
         for row, n in zip(self.ngram_ids, self.orders):
-            distinct, inverse = np.unique(_windows(ids, n, base), return_inverse=True)
-            row[:] = np.where(inverse > 0, inverse + (len(self.keys) - 1), 0)
+            if n == 1:
+                # exact without a sort: a unigram's key is its word id + 1 (0 at a -1), every
+                # numbered word occurs and every document ends in a -1, so the distinct keys are
+                # 0 ... len(word_ids) and each key is its own id (order 1 comes first: no shift)
+                np.add(ids, 1, out=row)
+                distinct = np.arange(len(self.word_ids) + 1, dtype=np.int64)
+            else:
+                distinct, inverse = np.unique(_windows(ids, n, base), return_inverse=True)
+                row[:] = np.where(inverse > 0, inverse + (len(self.keys) - 1), 0)
             self.keys = np.concatenate([self.keys, distinct[1:]])
         self.document_ids = tuple(d.id for d in documents)
-        self._starts = {(d.id, d.tokens): start for d, start in zip(documents, starts.tolist())}
+        # by id, then tokens: two indexed documents may share an id
+        self._starts = {}
+        for d, start in zip(documents, starts.tolist()):
+            self._starts.setdefault(d.id, []).append((d.tokens, start))
+
+    def _start(self, doc: Document) -> int:
+        """Flat position of ``doc``'s first token; UnknownDocument unless the index holds it."""
+        for tokens, start in self._starts.get(doc.id, ()):
+            if tokens is doc.tokens or tokens == doc.tokens:
+                return start
+        raise UnknownDocument(f"document {doc.id!r} is not one the n-gram index was built over")
 
     def select(self, documents: Sequence[Document]) -> tuple[np.ndarray, np.ndarray]:
         """The n-gram ids of ``documents``' windows of each order, and each one's document.
@@ -262,12 +279,7 @@ class NGramIndex:
         Raises UnknownDocument for a document the index does not hold, an
         indexed id with other tokens included.
         """
-        starts = np.empty(len(documents), dtype=np.int64)
-        for i, doc in enumerate(documents):
-            start = self._starts.get((doc.id, doc.tokens))
-            if start is None:
-                raise UnknownDocument(f"document {doc.id!r} is not one the n-gram index was built over")
-            starts[i] = start
+        starts = np.fromiter(map(self._start, documents), dtype=np.int64, count=len(documents))
         lengths = np.array([len(d.tokens) for d in documents], dtype=np.int64)
         n_orders = len(self.orders)
         # one run of positions per (document, order), at that order's row of ngram_ids

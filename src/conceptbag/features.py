@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, LengthMismatch, SingleClass
+from .errors import BadConfig, DimensionMismatch, LengthMismatch, SingleClass
 
 CONCEPT_MODES = ("nb_max", "frequency")  # need an n-gram -> concept assignment
 MODES = CONCEPT_MODES + ("bow_nb",)
@@ -97,11 +97,16 @@ def bow_nb_features(counts: sp.spmatrix, r: np.ndarray) -> sp.csr_matrix:
 
 
 def document_features(mode: str, counts: sp.spmatrix, r: np.ndarray, assignment=None, K=None):
-    """Document rows of feature ``mode``; CONCEPT_MODES also need ``assignment`` and ``K``."""
+    """Document rows of feature ``mode``; CONCEPT_MODES also need ``assignment`` and ``K``.
+
+    Raises BadConfig for an unknown mode, or a concept mode without both.
+    """
+    if mode in CONCEPT_MODES and (assignment is None or K is None):
+        raise BadConfig(f"feature mode {mode!r} needs an n-gram assignment and K")
     if mode == "nb_max":
         return concept_features_nb(counts, assignment, r, K)
     if mode == "frequency":
         return concept_features_freq(counts, assignment, K)
     if mode == "bow_nb":
         return bow_nb_features(counts, r)
-    raise ValueError(f"unknown feature mode {mode!r}; expected one of {MODES}")
+    raise BadConfig(f"unknown feature mode {mode!r}; expected one of {MODES}")

@@ -244,6 +244,21 @@ class TestNGramIndex:
         with pytest.raises(UnknownDocument, match=repr(unknown.id)):
             count_vectors(self.docs[:1] + [unknown], vocab)
 
+    def test_shared_id_selects_by_tokens(self):
+        # an index may hold two documents with one id: each selects its own positions,
+        # a tokens tuple equal to one of theirs selects that one's, and a third raises
+        first, second = doc(["c", "a", "b"], id="y"), doc(["b"], id="y")
+        index = NGramIndex(self.docs[:1] + [first, second], {1, 2}, {"a", "b", "c"})
+        for d, start in ((first, 5), (second, 9)):
+            own = index.ngram_ids[:, start : start + len(d.tokens)].ravel()
+            equal = doc(list(d.tokens), id="y")
+            assert equal.tokens is not d.tokens
+            for selected in (d, equal):
+                ids, doc_of = index.select([selected])
+                assert np.array_equal(ids, own) and not doc_of.any()
+        with pytest.raises(UnknownDocument, match=repr("y")):
+            index.select([doc(["a", "b"], id="y")])
+
     def test_iterable_documents(self):
         # build_vocab and the index read their documents more than once
         index = NGramIndex(iter(self.docs), {1, 2}, {"a", "b", "c"})

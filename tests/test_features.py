@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conceptbag.errors import DimensionMismatch, LengthMismatch, SingleClass
+from conceptbag.errors import BadConfig, DimensionMismatch, LengthMismatch, SingleClass
 from conceptbag.features import (
     bow_nb_features,
     concept_features_freq,
@@ -271,3 +271,12 @@ class TestDocumentFeatures:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="nbmax"):
             document_features("nbmax", TOY_COUNTS, log_count_ratio(TOY_COUNTS, TOY_LABELS))
+        with pytest.raises(BadConfig, match="nbmax"):
+            document_features("nbmax", None, None)
+
+    @pytest.mark.parametrize("mode", ["nb_max", "frequency"])
+    @pytest.mark.parametrize("assignment, K", [(None, None), (np.array([0, 1]), None), (None, 2)])
+    def test_concept_mode_without_assignment_or_k_named_before_work(self, mode, assignment, K):
+        # counts and r of None fail any work, so the check comes first
+        with pytest.raises(BadConfig, match=f"{mode!r} needs an n-gram assignment and K"):
+            document_features(mode, None, None, assignment, K)

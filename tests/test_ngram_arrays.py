@@ -12,7 +12,7 @@ from itertools import chain, repeat
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conceptbag import corpus
 from conceptbag.corpus import (
@@ -72,6 +72,19 @@ def reference_token_ids(token_lists, dictionary):
     spans = np.array([len(t) + 1 for t in token_lists], dtype=np.int64)
     ids = np.fromiter(map(word_ids.get, tokens(), repeat(-1)), dtype=np.int32, count=spans.sum())
     return ids, np.cumsum(spans) - spans, word_ids
+
+
+def reference_index(documents, orders, dictionary):
+    """NGramIndex's keys and ids as one _windows + np.unique pass per order, unigrams included."""
+    ids, _, word_ids = corpus._token_ids([d.tokens for d in documents], dictionary)
+    base = corpus._key_base(len(word_ids), orders)
+    keys = np.zeros(min(len(ids), 1), dtype=np.int64)
+    ngram_ids = np.empty((len(orders), len(ids)), dtype=np.int32)
+    for row, n in zip(ngram_ids, sorted(orders)):
+        distinct, inverse = np.unique(corpus._windows(ids, n, base), return_inverse=True)
+        row[:] = np.where(inverse > 0, inverse + (len(keys) - 1), 0)
+        keys = np.concatenate([keys, distinct[1:]])
+    return keys, ngram_ids
 
 
 def reference_table(entries, wv):
@@ -200,6 +213,20 @@ class TestAgainstPerWindowLoop:
             assert list(word_ids.items()) == list(want_word_ids.items())
         index = NGramIndex(docs, {1, 2}, None)
         assert list(index.word_ids.items()) == list(NGramIndex(docs, {1, 2}, every).word_ids.items())
+
+    @pytest.mark.parametrize("ords", [{1}, {2}, {1, 2}, {1, 3}, {1, 2, 3}], ids=str)
+    @settings(max_examples=100, deadline=None)
+    @given(docs=documents, dictionary=dictionaries)
+    @example(docs=[], dictionary=set(WORDS))
+    @example(docs=[Document(id="d0", label=1, tokens=())], dictionary=set(WORDS))
+    def test_index_keys_and_ids(self, ords, docs, dictionary):
+        # unigram ids are numbered without a sort; every order must still be the sort's
+        for given_dictionary in (None, dictionary, set()):
+            index = NGramIndex(docs, ords, given_dictionary)
+            want_keys, want_ids = reference_index(docs, ords, given_dictionary)
+            for got, want in ((index.keys, want_keys), (index.ngram_ids, want_ids)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
 
     def test_negative_zero_rows_average_to_positive_zero(self):
         wv = WordVectors(words={"a": 0, "b": 1}, matrix=np.array([[-0.0, 1.0], [-0.0, -1.0]]))
