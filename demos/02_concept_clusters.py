@@ -43,6 +43,6 @@ result = kmeans_fit(table, KMeansConfig(K=3, iterations=10, seed=0))
 for k in range(3):
     members = np.flatnonzero(result.labels == k)
     dists = ((table.X[members] - result.centroids[k]) ** 2).sum(axis=1)
-    nearest = members[np.argsort(dists)[:6]]
+    nearest = members[np.argsort(dists, kind="stable")[:6]]  # ties (a b and b a) in column order
     grams = [" ".join(vocab.entries[t]) for t in nearest]
     print(f"cluster {k}: " + " | ".join(grams))

@@ -91,7 +91,7 @@ def cmd_cluster(args) -> int:
         if not len(members):
             print(f"cluster {k}: (empty)")
             continue
-        closest = members[np.argsort(result.sq_dists[members])[: args.top]]
+        closest = members[np.argsort(result.sq_dists[members], kind="stable")[: args.top]]  # ties in column order
         grams = [" ".join(vocab.entries[t]) for t in closest]
         print(f"cluster {k}: " + " | ".join(grams))
     return 0

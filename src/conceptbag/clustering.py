@@ -41,11 +41,12 @@ class KMeansResult:
     sq_dists: np.ndarray  # |x - c_label|^2 per row, from the final assignment pass
     inertia: float  # sq_dists.sum()
     inertia_trace: list[float] = field(default_factory=list)
-    # per Lloyd pass before a centroid update, the rows that the float32
-    # screen left to float64 (empty for mini-batch); the passes of a fit whose
-    # word matrix has fewer rows than X score from words and bound each row by
-    # its words' mean |w|^2, not |x|^2, so they may leave more, with the same
-    # labels
+    # per Lloyd pass before a centroid update, the rows of X that the float32
+    # screen left to float64 (empty for mini-batch), each counted, also a
+    # reversed bigram the screen scores as its twin (see ``_screen``); the
+    # passes of a fit whose word matrix has fewer rows than X score from words
+    # and bound each row by its words' mean |w|^2, not |x|^2, so they may
+    # leave more, with the same labels
     rechecked: list[int] = field(default_factory=list)
 
 
@@ -72,27 +73,46 @@ def nearest(X, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"points have shape {X.shape}, centroids are {C.shape}")
     if not (np.isfinite(X).all() and np.isfinite(C).all()):
         raise NonFiniteFeature("points or centroids contain NaN or inf")
-    return _nearest(X, C)[:2]
+    return _scorer(X, len(C))(C)[:2]
 
 
-def _nearest(X, C, words=None) -> tuple[np.ndarray, np.ndarray, int]:
-    """``nearest``'s labels and squared distances, and the number of rows float32 left undecided.
+def _scorer(X, K, words=None):
+    """The function C -> (labels, sq_dists, rechecked) of one ``nearest`` pass over X, set up once.
 
-    ``words`` (W, ids), if X is an n-gram table, lets ``_screen`` score the
-    rows from their words; the labels are the same bits either way.
+    Every nearest-centroid pass goes through a scorer: ``nearest`` builds one
+    and calls it once, each mini-batch pass builds one for its batch, and a
+    fit builds one for its points, which serves every Lloyd pass and the
+    final pass. C is a K x m float64 matrix. ``words`` (W, ids), if X is an
+    n-gram table, lets ``_screen`` score the rows from their words; the
+    labels are the same bits either way. The screen may score fewer rows
+    than X has (see ``_screen``); each row it merged takes the label of the
+    row it scored, and the direct step decides an undecided scored row once,
+    as merged rows are the same bits of X. ``rechecked`` counts rows of X
+    that float32 left undecided, a scored row once for every row it stands
+    for. ``sq_dists`` is |x - c_label|^2, summed directly in float64 over
+    every row of X. The scorer holds no copy of X's rows.
     """
-    c_sq = np.einsum("ij,ij->i", C, C)
-    labels, undecided = _screen(X, C, c_sq, words)
-    labels[undecided] = _direct_argmin(X[undecided], C)
-    sq_dists = np.empty(X.shape[0])
-    diff = np.empty((min(_BLOCK_ROWS, X.shape[0]), X.shape[1]))
-    for lo in range(0, X.shape[0], _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, X.shape[0])
-        block = diff[: hi - lo]
-        np.take(C, labels[lo:hi], axis=0, out=block, mode="wrap")  # labels lie in [0, K); "raise" would buffer
-        np.subtract(X[lo:hi], block, out=block)
-        np.einsum("ij,ij->i", block, block, out=sq_dists[lo:hi])
-    return labels, sq_dists, len(undecided)
+    screen, scored, inverse = _screen(X, K, words)
+    weights = None if inverse is None else np.bincount(inverse, minlength=len(scored))
+
+    def nearest_of(C):
+        labels, undecided = screen(C)
+        labels[undecided] = _direct_argmin(X[scored[undecided]], C)
+        if inverse is None:
+            rechecked = len(undecided)
+        else:
+            rechecked, labels = int(weights[undecided].sum()), labels[inverse]
+        sq_dists = np.empty(X.shape[0])
+        diff = np.empty((min(_BLOCK_ROWS, X.shape[0]), X.shape[1]))  # per pass, as the screen's buffers are held
+        for lo in range(0, X.shape[0], _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, X.shape[0])
+            block = diff[: hi - lo]
+            np.take(C, labels[lo:hi], axis=0, out=block, mode="wrap")  # labels lie in [0, K); "raise" would buffer
+            np.subtract(X[lo:hi], block, out=block)
+            np.einsum("ij,ij->i", block, block, out=sq_dists[lo:hi])
+        return labels, sq_dists, rechecked
+
+    return nearest_of
 
 
 def _direct_argmin(X, C) -> np.ndarray:
@@ -114,19 +134,24 @@ def _direct_argmin(X, C) -> np.ndarray:
     return labels
 
 
-def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels that float32 arithmetic decides, and the undecided rows.
+def _screen(X, K, words=None):
+    """The float32 screen of X's rows against K centroids, set up once: (screen, scored, inverse).
 
-    Each row gets float32 scores s_k for the exact S_k = D_k - |x|^2 =
-    |c_k|^2 - 2 x.c_k (D_k the exact squared distance), in blocks of
+    ``screen(C)`` gives the nearest-centroid labels that float32 arithmetic
+    decides for the rows X[scored], and the positions among them of the
+    rows it leaves undecided. Row t of X is scored row inverse[t], or row t
+    itself when ``inverse`` is None.
+
+    Each scored row gets float32 scores s_k for the exact S_k = D_k - |x|^2
+    = |c_k|^2 - 2 x.c_k (D_k the exact squared distance), in blocks of
     ``_BLOCK_ROWS`` rows. Scores come from one float32 product with the
     (m + 1) x K matrix G = [-2 C^T; |c|^2], which scores a vector [w, 1] as
     |c_k|^2 - 2 w.c_k, from one of two sources:
     - rows: the block, rounded to float32, is [x, 1] G;
     - words, given ``words`` = (W, ids): one V x K product Q = [W, 1] G
-      per call, and a row whose ids name words w_1 ... w_n scores s_k =
+      per pass, and a row whose ids name words w_1 ... w_n scores s_k =
       Q_1k / n + ... + Q_nk / n, gathered from Q / n, which is computed
-      once per call for each n.
+      once per pass for each n.
     The row source is the word source with each row its own word (n = 1,
     w_1 = x), so one bound serves both. With Wbar = (|w_1|^2 + ... +
     |w_n|^2) / n (|x|^2 when n = 1), a row keeps the argmin j of its scores
@@ -174,71 +199,133 @@ def _screen(X, C, c_sq, words=None) -> tuple[np.ndarray, np.ndarray]:
     construction guarantees. A fit passes ``words``, a table's (W, ids), only
     when W has fewer rows than X (see ``_check_points``), as scoring from
     words costs more otherwise.
+
+    Merged rows share the bound because every input of it is the same bits
+    for them. Rows whose ids name the same two words, in either order (a b
+    and b a), are scored once, as the first of them, and the others take
+    its label. IEEE addition is commutative: ``word_means`` adds the same
+    two vectors to 0.0, so their X rows are the same bits, as is their
+    score Q_ak / 2 + Q_bk / 2, and Wbar, max |w_i|^2 and n are a sum, a
+    maximum and a count of the same values. An a a row is kept apart from
+    a: their X rows agree, but n = 2 gives it another B, so the float32
+    step may decide one and not the other. Rows of three words are not
+    merged, as (w_a + w_b) + w_c and (w_b + w_c) + w_a may differ in the
+    last bit.
+
+    Everything the screen reads that does not depend on C is set up here,
+    once: each scored row's Wbar and max |w_i|^2, the gamma and t terms of
+    B for each word count n, the words' offsets into the stacked Q, Q / 2,
+    ..., W as float32, and the Q, G and score buffers, which each pass
+    overwrites. Only the buffer for a block's further words is made per
+    pass, so that it and the distance pass's float64 block (``_scorer``)
+    are never held at once. A row of n words gathers n rows of that stack
+    and none for its -1 padding: a zero row added there would only turn a
+    -0.0 score into +0.0, which no comparison of scores tells apart.
     """
     info = np.finfo(np.float32)
     rows_n, m = X.shape
-    M = float(c_sq.max())
     u, t = float(info.eps) / 2, float(info.tiny)
     if words is None:
         row_sq = worst_sq = np.einsum("ij,ij->i", X, X)
-        n = np.ones(rows_n, dtype=np.int64)
+        scored, inverse, groups = np.arange(rows_n), None, [(0, rows_n, 1, None)] if rows_n else []
     else:
         W, ids = words
-        ids = np.ascontiguousarray(ids.T)  # one row per word position: reductions run along rows
-        w_sq = np.zeros(len(W) + 1)  # the -1 padding reads w_sq[-1], which stays 0
+        V, width = len(W), ids.shape[1]
+        by_position = np.ascontiguousarray(ids.T)  # one row per word position: reductions run along rows
+        w_sq = np.zeros(V + 1)  # the -1 padding reads w_sq[-1], which stays 0
         np.einsum("ij,ij->i", W, W, out=w_sq[:-1])
-        sq = w_sq[ids]
-        n = np.count_nonzero(ids >= 0, axis=0)
+        sq = w_sq[by_position]
+        n = np.count_nonzero(by_position >= 0, axis=0)
         row_sq, worst_sq = sq.sum(axis=0) / n, sq.max(axis=0)
-    k = (m + 2 * n + 4) * u
-    k64 = (2 * m + 4 * n + 1) * 2.0**-53
-    fits = n * (worst_sq + 2.0 * M) < 0.5 * float(info.max)
-    labels = np.zeros(rows_n, dtype=np.int64)
-    if not fits.any() or k.max() >= 0.5:
-        return labels, np.arange(rows_n)
-    limit = 2.0 * (k / (1.0 - k) + k64 / (1.0 - k64)) * (row_sq + 2.0 * M) + 8.0 * (m + n + 2) * t
-    G = np.empty((m + 1, len(C)), dtype=np.float32)
-    G[:m], G[m] = -2.0 * C.T, c_sq
+        scored, inverse, groups = _word_groups(ids, n, V)
+        row_sq, worst_sq = row_sq[scored], worst_sq[scored]
+        ws = np.ones((V, m + 1), dtype=np.float32)  # [w, 1] for each word
+        with np.errstate(over="ignore"):  # a word beyond float32 range leaves its rows undecided
+            ws[:, :-1] = W
+        Q = np.empty((width * V, K), dtype=np.float32)  # Q, Q / 2, ..., Q / width, stacked
+    bounds = []  # per group: the factor of Wbar + 2 M in B, B's underflow term, and whether B is usable
+    for _, _, n, _ in groups:
+        k, k64 = (m + 2 * n + 4) * u, (2 * m + 4 * n + 1) * 2.0**-53
+        bounds.append((2.0 * (k / (1.0 - k) + k64 / (1.0 - k64)), 8.0 * (m + n + 2) * t, k < 0.5))
+    usable = all(ok for _, _, ok in bounds)
+    half_max = 0.5 * float(info.max)
+    G = np.empty((m + 1, K), dtype=np.float32)
     block_rows = min(_BLOCK_ROWS, rows_n)
-    s_buf = np.empty((block_rows, len(C)), dtype=np.float32)
-    decided = np.zeros(rows_n, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
-        if words is None:
-            xs = np.ones((block_rows, m + 1), dtype=np.float32)  # [x, 1] for each row of a block
+    block_index = np.arange(block_rows)
+    s_buf = np.empty((block_rows, K), dtype=np.float32)
+    if words is None:
+        xs = np.ones((block_rows, m + 1), dtype=np.float32)  # [x, 1] for each row of a block
+    decided, fits = np.empty(len(scored), dtype=bool), np.empty(len(scored), dtype=bool)
+
+    def screen(C):
+        c_sq = np.einsum("ij,ij->i", C, C)
+        M = float(c_sq.max())
+        for start, stop, n, _ in groups:
+            np.less(n * (worst_sq[start:stop] + 2.0 * M), half_max, out=fits[start:stop])
+        labels = np.zeros(len(scored), dtype=np.int64)
+        if not (usable and fits.any()):
+            return labels, np.arange(len(scored))
+        G[:m], G[m] = -2.0 * C.T, c_sq
+        with np.errstate(over="ignore", invalid="ignore"):  # rows that may overflow stay undecided
+            if words is not None:
+                np.matmul(ws, G, out=Q[:V])
+                for j in range(2, width + 1):
+                    np.divide(Q[:V], j, out=Q[(j - 1) * V : j * V])
+                gathered = np.empty_like(s_buf)
+            for (start, stop, _, offsets), (coef, floor, _) in zip(groups, bounds):
+                for lo in range(start, stop, _BLOCK_ROWS):
+                    hi = min(lo + _BLOCK_ROWS, stop)
+                    s = s_buf[: hi - lo]
+                    if offsets is None:
+                        xs[: hi - lo, :m] = X[lo:hi]
+                        np.matmul(xs[: hi - lo], G, out=s)
+                    else:
+                        # every offset is in range; "wrap", unlike "raise", does not buffer
+                        words_at = offsets[:, lo - start : hi - start]
+                        np.take(Q, words_at[0], axis=0, out=s, mode="wrap")
+                        for word in words_at[1:]:
+                            s += np.take(Q, word, axis=0, out=gathered[: hi - lo], mode="wrap")
+                    rows = block_index[: hi - lo]
+                    best = s.argmin(axis=1)
+                    s_best = s[rows, best]
+                    s[rows, best] = np.inf
+                    limit = coef * (row_sq[lo:hi] + 2.0 * M) + floor
+                    decided[lo:hi] = s[rows, s.argmin(axis=1)] - s_best > limit
+                    labels[lo:hi] = best
+        return labels, np.flatnonzero(~(decided & fits))
+
+    return screen, scored, inverse
+
+
+def _word_groups(ids, n, V):
+    """The rows a word-scored screen scores, grouped by word count: (scored, inverse, groups).
+
+    Scored row p is row scored[p] of the table, and row t is scored as
+    scored row inverse[t]. Each group is (start, stop, n, offsets): scored
+    rows start ... stop - 1 name n words each, and the n x (stop - start)
+    array offsets names their words, in their order in ids, as rows of the
+    stacked Q, Q / 2, ...: word w of an n-word row is row (n - 1) V + w.
+    Rows of two words, the same two in either order, are one scored row,
+    the first of them (see ``_screen``); every other row is its own.
+    """
+    named = np.take_along_axis(ids, np.argsort(ids < 0, axis=1, kind="stable"), axis=1)  # words, then padding
+    inverse = np.empty(len(ids), dtype=np.intp)
+    scored, groups, start = [np.empty(0, dtype=np.intp)], [], 0
+    for j in range(1, ids.shape[1] + 1):
+        rows = np.flatnonzero(n == j)
+        if j == 2:
+            a, b = named[rows, 0], named[rows, 1]
+            pair = np.minimum(a, b) * V + np.maximum(a, b)
+            _, first, merged = np.unique(pair, return_index=True, return_inverse=True)  # first: each pair's first row
+            inverse[rows] = start + merged
+            rows = rows[first]
         else:
-            Q = _word_scores(W, G, len(ids))
-            ids = np.where(ids >= 0, ids + (n - 1) * len(W), -1)  # a word of an n-gram reads Q / n
-            gathered = np.empty_like(s_buf)
-        for lo in range(0, rows_n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, rows_n)
-            s = s_buf[: hi - lo]
-            if words is None:
-                xs[: hi - lo, :m] = X[lo:hi]
-                np.matmul(xs[: hi - lo], G, out=s)
-            else:
-                # "wrap" reads the -1 padding as the last row, and unlike "raise" does not buffer
-                np.take(Q, ids[0, lo:hi], axis=0, out=s, mode="wrap")
-                for row in ids[1:]:
-                    s += np.take(Q, row[lo:hi], axis=0, out=gathered[: hi - lo], mode="wrap")
-            rows = np.arange(hi - lo)
-            best = s.argmin(axis=1)
-            s_best = s[rows, best]
-            s[rows, best] = np.inf
-            decided[lo:hi] = s[rows, s.argmin(axis=1)] - s_best > limit[lo:hi]
-            labels[lo:hi] = best
-    return labels, np.flatnonzero(~(decided & fits))
-
-
-def _word_scores(W, G, width):
-    """Q, Q / 2, ..., Q / width for the float32 word scores Q = [W, 1] G, stacked, then a zero row."""
-    V = W.shape[0]
-    ws = np.ones((V, G.shape[0]), dtype=np.float32)
-    ws[:, :-1] = W
-    Q = np.zeros((width * V + 1, G.shape[1]), dtype=np.float32)  # the -1 padding reads the zero row
-    np.matmul(ws, G, out=Q[:V])
-    for j in range(2, width + 1):
-        np.divide(Q[:V], j, out=Q[(j - 1) * V : j * V])
-    return Q
+            inverse[rows] = start + np.arange(len(rows))
+        if len(rows):
+            scored.append(rows)
+            groups.append((start, start + len(rows), j, np.ascontiguousarray(named[rows, :j].T) + (j - 1) * V))
+            start += len(rows)
+    return np.concatenate(scored), inverse, groups
 
 
 def _distances_to(X: np.ndarray, words=None):
@@ -380,11 +467,12 @@ def kmeans_fit(points, config: KMeansConfig) -> KMeansResult:
     raises TooFewPoints: coinciding centroids tie there, and the smallest
     index takes the rows. Deterministic for a given config.seed.
 
-    Every assignment pass, the last included, is one ``nearest`` pass:
-    float32 under a proven error bound, float64 for the rows float32 cannot
-    order, and each row's own direct distances for exact ties.
-    ``rechecked`` holds, for the pass before each centroid update, the
-    number of rows that float32 left to float64. Each iteration's trace
+    Every assignment pass, the last included, is one ``nearest`` pass, from
+    one scorer set up for the fit (``_scorer``): float32 under a proven
+    error bound, float64 for the rows float32 cannot order, and each row's
+    own direct distances for exact ties. ``rechecked`` holds, for the pass
+    before each centroid update, the number of rows of X that float32 left
+    to float64, each counted, merged or not. Each iteration's trace
     value is the inertia (the sum of ``nearest``'s ``sq_dists``) of the pass
     that follows its centroid update, so the last one is the final inertia.
     Each update sets a centroid to the mean of its rows, as one sparse
@@ -402,8 +490,9 @@ def kmeans_fit(points, config: KMeansConfig) -> KMeansResult:
     X, words = _check_points(points, config.K)
     rng = np.random.default_rng(config.seed)
     centers = _init_centers(X, config, rng, words)
+    nearest_of = _scorer(X, config.K, words)
     trace, rechecked = [], []
-    labels, sq_dists, n_rechecked = _nearest(X, centers, words)
+    labels, sq_dists, n_rechecked = nearest_of(centers)
     for _ in range(config.iterations):
         rechecked.append(n_rechecked)
         labels = _fix_empty_clusters(X, centers, labels, config.K)
@@ -414,7 +503,7 @@ def kmeans_fit(points, config: KMeansConfig) -> KMeansResult:
         sizes = np.diff(members.indptr)
         filled = sizes > 0
         centers[filled] = (members @ X)[filled] / sizes[filled, None]
-        labels, sq_dists, n_rechecked = _nearest(X, centers, words)
+        labels, sq_dists, n_rechecked = nearest_of(centers)
         trace.append(float(sq_dists.sum()))
     total = float(sq_dists.sum())
     if np.bincount(labels, minlength=config.K).min() == 0:
@@ -429,12 +518,16 @@ def _fix_empty_clusters(X, centers, labels, K):
 
     A repair changes only the repaired row's label and the empty cluster's
     centroid, which then sits on that row, so one distance pass serves every
-    repair: the repaired row's distance becomes 0.
+    repair: the repaired row's distance becomes 0. The pass runs in blocks
+    of ``_BLOCK_ROWS`` rows, so it holds no N x m temporary.
     """
     empty = np.flatnonzero(np.bincount(labels, minlength=K) == 0)
     if len(empty) == 0:
         return labels
-    dists = ((X - centers[labels]) ** 2).sum(axis=1)
+    dists = np.empty(len(X))
+    for lo in range(0, len(X), _BLOCK_ROWS):  # a row's sum is the same bits in a block as in the whole
+        block = slice(lo, lo + _BLOCK_ROWS)
+        dists[block] = ((X[block] - centers[labels[block]]) ** 2).sum(axis=1)
     for k in empty:
         worst = int(np.argmax(dists))
         centers[k] = X[worst]
@@ -460,11 +553,11 @@ def minibatch_kmeans_fit(points, config: KMeansConfig) -> KMeansResult:
     for _ in range(config.iterations):
         # a batch of all n rows (batch_size capped at n) goes in row order
         batch = np.arange(n) if config.batch_size >= n else rng.choice(n, config.batch_size, replace=False)
-        batch_labels = _nearest(X[batch], centers)[0]
+        batch_labels = _scorer(X[batch], config.K)(centers)[0]
         for idx, k in zip(batch, batch_labels):
             counts[k] += 1
             centers[k] += (X[idx] - centers[k]) / counts[k]
-    labels, sq_dists, _ = _nearest(X, centers, words)
+    labels, sq_dists, _ = _scorer(X, config.K, words)(centers)
     return KMeansResult(centers, labels, sq_dists, float(sq_dists.sum()))
 
 

@@ -292,9 +292,28 @@ class TestCluster:
         for k in range(4):
             members = np.flatnonzero(assignment == k)
             assert len(members)
-            closest = members[np.argsort(sq_dists[members])[:3]]
+            closest = members[np.argsort(sq_dists[members], kind="stable")[:3]]
             want.append(f"cluster {k}: " + " | ".join(" ".join(vocab.entries[t]) for t in closest))
         assert printed == want
+
+    def test_tied_members_print_in_column_order(self, tmp_path, polarity_root, vectors_path, capsys):
+        # "a b" and "b a" are one point, so their squared distances tie exactly; the
+        # printed order is nearest first, ties in column order, whatever sort numpy dispatches
+        out = tmp_path / "c.txt"
+        rc = main(["cluster", *dataset_flags(polarity_root, vectors_path), "--orders", "1,2",
+                   "--K", "3", "--top", "1000", "--out", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        wv, dataset = load_word_vectors(vectors_path), load_polarity_dataset(polarity_root)
+        vocab = build_vocab(dataset.documents, NGramIndex(dataset.documents, (1, 2), wv.words))
+        assignment, sq_dists = clustering.nearest(embed_all(vocab, wv), load_word_vectors(out).matrix)
+        tied = 0
+        for k, line in enumerate(printed):
+            members = np.flatnonzero(assignment == k)
+            in_order = members[np.lexsort((members, sq_dists[members]))]
+            assert line == f"cluster {k}: " + " | ".join(" ".join(vocab.entries[t]) for t in in_order)
+            tied += len(members) - len(np.unique(sq_dists[members]))
+        assert tied > 0
 
     @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
     def test_runs_no_assignment_pass_after_the_fit(
@@ -302,7 +321,7 @@ class TestCluster:
     ):
         # the printed members come from the fit's own final pass
         fitted, after = [], []
-        real_fit, real_nearest, real_own = clustering.fit, clustering.nearest, clustering._nearest
+        real_fit, real_nearest, real_scorer = clustering.fit, clustering.nearest, clustering._scorer
 
         def fit(*args, **kwargs):
             result = real_fit(*args, **kwargs)
@@ -314,7 +333,7 @@ class TestCluster:
 
         monkeypatch.setattr(clustering, "fit", fit)
         monkeypatch.setattr(clustering, "nearest", counted(real_nearest))
-        monkeypatch.setattr(clustering, "_nearest", counted(real_own))
+        monkeypatch.setattr(clustering, "_scorer", counted(real_scorer))
         rc = main(
             ["cluster", *dataset_flags(polarity_root, vectors_path), "--orders", "1,2",
              "--K", "4", "--variant", variant, "--batch-size", "8", "--out", str(tmp_path / "c.txt")]

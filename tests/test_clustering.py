@@ -1,10 +1,12 @@
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_nearest import reference_screened_nearest
 
+from conceptbag import clustering
 from conceptbag.clustering import (
     _DRAW_BLOCK,
     KMeansConfig,
@@ -14,7 +16,7 @@ from conceptbag.clustering import (
     _fix_empty_clusters,
     _init_centers,
     _kmeanspp_init,
-    _nearest,
+    _scorer,
     _screen,
     assign,
     fit,
@@ -592,7 +594,7 @@ class TestScreenedLloyd:
         C = np.vstack([[1.0, 0, 0, 0, 0], [-1.0, 0, 0, 0, 0], rng.normal(5.0, size=(4, 5))])
         X = np.vstack([[[-1e-10, 0.3, 0, 0, 0], [1e-10, -0.2, 0, 0, 0]], C + 0.01,
                        rng.normal(size=(20, 5))])
-        labels, _, rechecked = _nearest(X, C)
+        labels, _, rechecked = _scorer(X, len(C))(C)
         assert np.array_equal(labels, reference_nearest(X, C)[0])
         assert labels[:2].tolist() == [1, 0]
         assert rechecked == 2
@@ -618,7 +620,7 @@ class TestScreenedLloyd:
         C = np.array([[3e18] * 4, [0.0] * 4, [-1e18] * 4])
         X = np.array([[5e19, 5e19, -5e19, -5e19], [-1e25] * 4, [0.1] * 4])
         with np.errstate(all="raise"):
-            labels, _, rechecked = _nearest(X, C)
+            labels, _, rechecked = _scorer(X, len(C))(C)
         assert labels.tolist() == reference_nearest(X, C)[0].tolist() == [1, 2, 1]
         assert rechecked == 2
 
@@ -647,14 +649,22 @@ def word_score_table(special, rng, ngrams=((0, 1, -1), (1, 0, -1))):
     return X, (W, ids)
 
 
+def screened_out(X, C, words=None):
+    """The rows of X that ``_screen`` leaves to float64, each merged row with the row it is scored as."""
+    screen, scored, inverse = _screen(X, len(C), words)
+    left = np.zeros(len(scored), dtype=bool)
+    left[screen(C)[1]] = True
+    return np.flatnonzero(left if inverse is None else left[inverse])
+
+
 class TestWordScores:
     """Rows that only word scores can get wrong are left to float64, and keep the row-scored labels."""
 
     def assert_rows_labels(self, X, words, C, undecided_rows):
-        labels, _, rechecked = _nearest(X, C, words)
-        assert np.array_equal(labels, _nearest(X, C)[0])
+        labels, _, rechecked = _scorer(X, len(C), words)(C)
+        assert np.array_equal(labels, _scorer(X, len(C))(C)[0])
         assert np.array_equal(labels, reference_nearest(X, C)[0])
-        undecided = _screen(X, C, np.einsum("ij,ij->i", C, C), words)[1]
+        undecided = screened_out(X, C, words)
         assert set(undecided_rows) <= set(undecided.tolist())
         assert rechecked == len(undecided)
         return labels
@@ -670,7 +680,7 @@ class TestWordScores:
         X, words = word_score_table(special, rng)
         self.assert_rows_labels(X, words, C, [0, 1])
         # scored from the rows themselves, the same two rows are decided
-        assert not {0, 1} & set(_screen(X, C, np.einsum("ij,ij->i", C, C))[1].tolist())
+        assert not {0, 1} & set(screened_out(X, C).tolist())
 
     def test_words_beyond_float32_with_a_small_mean(self):
         # words 0 and 1 are beyond float32 range, and their mean is 0.4 in
@@ -701,7 +711,7 @@ class TestWordScores:
         angles = np.logspace(-6, 0, 8)[:, None]
         C = 4.0 * scale * np.vstack([first[:8], np.cos(angles) * first[:8] + np.sin(angles) * first[8:]])
         self.assert_rows_labels(X, words, C, [])
-        by_rows, by_words = _nearest(X, C), _nearest(X, C, words)
+        by_rows, by_words = _scorer(X, len(C))(C), _scorer(X, len(C), words)(C)
         assert np.array_equal(by_words[1], by_rows[1])
         assert all(0 < rechecked < len(X) for rechecked in (by_rows[2], by_words[2]))  # both steps run
 
@@ -713,6 +723,142 @@ class TestWordScores:
         X, words = word_score_table(special, rng)
         labels = self.assert_rows_labels(X, words, C, [0, 1])
         assert labels[:2].tolist() == [0, 0]
+
+
+SCORER_KINDS = ["reversed_bigrams", "repeated_words", "permuted_trigrams", "unigrams", "plain"]
+# 1e-18 leaves some rows decided, the others leave every row to float64 (underflow or overflow)
+SCORER_SCALES = [1.0, 1e-18, 1e-22, 1e-40, 1e20, 1e30]
+
+
+@st.composite
+def scorer_cases(draw):
+    """(X, words, C): an n-gram table's rows and (W, ids) of one kind, or a plain matrix and None.
+
+    Rows start as random ids of 1 to 3 words (1 for "unigrams"), and each
+    kind adds the rows it is named for: every bigram reversed, "a a" beside
+    every "a" and "a" beside every "a a", or every order of each trigram.
+    Rows are shuffled and padded with -1 at random positions. Some centroids
+    are words, so bigrams tie halfway between them.
+    """
+    kind = draw(st.sampled_from(SCORER_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V, m, scale = draw(st.integers(2, 8)), draw(st.integers(1, 6)), draw(st.sampled_from(SCORER_SCALES))
+    W = scale * rng.normal(size=(V, m))
+    longest = 1 if kind == "unigrams" else 2 if kind in ("reversed_bigrams", "repeated_words") else 3
+    rows = [list(rng.integers(V, size=rng.integers(1, longest + 1))) for _ in range(draw(st.integers(1, 30)))]
+    if kind == "reversed_bigrams":
+        rows += [row[::-1] for row in rows if len(row) == 2]
+    elif kind == "repeated_words":
+        rows += [[row[0], row[0]] for row in rows if len(row) == 1] + [row[:1] for row in rows if row[0] == row[-1]]
+    elif kind == "permuted_trigrams":
+        rows += [list(p) for row in rows if len(row) == 3 for p in permutations(row)]
+    width = max(map(len, rows)) + draw(st.integers(0, 1))
+    ids = np.full((len(rows), width), -1)
+    for t in rng.permutation(len(rows)):
+        ids[t, np.sort(rng.choice(width, size=len(rows[t]), replace=False))] = rows[t]
+    table = NGramTable(W, ids)
+    on_words = W[rng.integers(V, size=draw(st.integers(0, 3)))]
+    C = np.vstack([on_words, scale * rng.normal(size=(draw(st.integers(1, 4)), m))])
+    if kind == "plain":
+        return table.X[rng.permutation(len(rows))], None, C
+    return table.X, (table.W, table.ids), C
+
+
+class TestScorer:
+    """A scorer, set up once, gives the parent's per-pass screen's bits (``tests/reference_nearest.py``)."""
+
+    @staticmethod
+    def assert_parent_bits(X, words, C):
+        _, scored, inverse = _screen(X, len(C), words)
+        if inverse is not None:  # a row is merged only into a row of the same bits
+            assert X[scored[inverse]].tobytes() == X.tobytes()
+        scorer = _scorer(X, len(C), words)
+        want = reference_screened_nearest(X, C, words)
+        for _ in range(2):  # a second pass reuses the buffers
+            got = scorer(C)
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(scorer_cases())
+    def test_labels_sq_dists_and_undecided_count_match_the_parent_pass(self, case):
+        X, words, C = case
+        with np.errstate(all="ignore"):  # both sides leave rows that may overflow undecided
+            self.assert_parent_bits(X, words, C)
+            self.assert_parent_bits(X, None, C)
+
+    def test_reversed_bigrams_are_scored_once(self):
+        table = reversed_pair_table(1.0)
+        screen, scored, inverse = _screen(table.X, 4, (table.W, table.ids))
+        rows = {tuple(sorted(row)) if -1 not in row else t for t, row in enumerate(table.ids.tolist())}
+        assert len(scored) == len(rows) < len(table.X)
+        assert np.array_equal(table.X[scored[inverse]], table.X)  # each row is scored as equal bits
+
+
+def reversed_pair_table(scale):
+    """``embed_all``'s 1+2-gram table of random documents over 8 words: most bigrams come in both orders."""
+    rng = np.random.default_rng(42)
+    table = ngram_table(scale * rng.normal(size=(8, 6)), (1, 2), rng, docs=10, tokens=30)
+    bigrams = {tuple(row) for row in table.ids.tolist() if row[0] != row[1] and -1 not in row}
+    assert sum(row[::-1] in bigrams for row in bigrams) >= 40
+    return table
+
+
+def whole_array_fix_empty(X, centers, labels, K):
+    """The empty-cluster repair with one N x m distance expression over all rows (oracle)."""
+    empty = np.flatnonzero(np.bincount(labels, minlength=K) == 0)
+    if len(empty) == 0:
+        return labels
+    dists = ((X - centers[labels]) ** 2).sum(axis=1)
+    for k in empty:
+        worst = int(np.argmax(dists))
+        centers[k] = X[worst]
+        labels[worst] = k
+        dists[worst] = 0.0
+    return labels
+
+
+class TestFitsThroughOneScorer:
+    """A fit's results are those of the same loop with the parent's per-pass screen."""
+
+    @pytest.mark.parametrize("variant", ["lloyd", "minibatch"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-18, 1e-22])
+    def test_many_reversed_pairs_keep_rechecked_and_trace(self, monkeypatch, variant, scale):
+        table = reversed_pair_table(scale)
+        cfg = KMeansConfig(K=8, variant=variant, batch_size=32, seed=4)
+        got = fit(table, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(clustering, "_scorer",
+                            lambda X, K, words=None: lambda C: reference_screened_nearest(X, C, words))
+            want = fit(table, cfg)
+        for name in ("centroids", "labels", "sq_dists"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.inertia, got.inertia_trace, got.rechecked) == (want.inertia, want.inertia_trace, want.rechecked)
+        if variant == "lloyd" and scale == 1e-22:  # every row, each merged one too, is left to float64
+            assert got.rechecked == [len(table.X)] * cfg.iterations
+
+    def test_blocked_empty_cluster_repair_matches_the_whole_array_one(self, monkeypatch):
+        # random_points draws duplicate rows, so centroids coincide and clusters empty; the
+        # rows farthest from their centroids, which the repairs take, make up the last, partial block
+        rng = np.random.default_rng(43)
+        duplicates = rng.normal(loc=3.0, size=(15, 8))[rng.integers(15, size=3 * clustering._BLOCK_ROWS)]
+        X = np.vstack([duplicates, rng.normal(loc=3.0, scale=30.0, size=(7, 8))])
+        cfg = KMeansConfig(K=12, init="random_points", seed=1)
+        repairs = []
+
+        def counted(X, centers, labels, K):
+            repairs.append(int((np.bincount(labels, minlength=K) == 0).sum()))
+            return whole_array_fix_empty(X, centers, labels, K)
+
+        got = kmeans_fit(X, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(clustering, "_fix_empty_clusters", counted)
+            want = kmeans_fit(X, cfg)
+        assert sum(repairs) > 0
+        for name in ("centroids", "labels", "sq_dists"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.inertia_trace == want.inertia_trace
 
 
 class TestMiniBatch:

@@ -307,8 +307,14 @@ class TestRunExperiment:
             matrix=np.vstack([wv.matrix, np.random.default_rng(14).normal(size=(len(extra), wv.dim))]),
         )
         scored = []
-        word_scores = clustering._word_scores
-        monkeypatch.setattr(clustering, "_word_scores", lambda W, *a: scored.append(W.shape) or word_scores(W, *a))
+        screen = clustering._screen
+
+        def word_screen(X, K, words=None):
+            if words is not None:
+                scored.append(words[0].shape)
+            return screen(X, K, words)
+
+        monkeypatch.setattr(clustering, "_screen", word_screen)
         cfg = small_config(ngram_orders=(1, 2))
         index = NGramIndex(train + test, cfg.ngram_orders, big.words)
         y = np.array([d.label for d in train])
